@@ -70,17 +70,21 @@ pub struct BenchReport {
     /// Simulated instructions per second with the cheapest *enabled*
     /// tracer (`CountingTracer`) — median of the interleaved rounds.
     pub counting_tracer_ips: f64,
-    /// `(counting - null) / null`, as a percentage: the wall-clock cost of
-    /// turning tracing on. The disabled path must not pay for the hooks at
-    /// all — a guard test asserts it stays within noise of the enabled
-    /// path from the fast side.
+    /// `(null - counting) / null`, as a percentage: the wall-clock cost of
+    /// turning tracing on, positive when the traced run was slower. The
+    /// disabled path must not pay for the hooks at all — a guard test
+    /// asserts it stays within noise of the enabled path from the fast side.
     pub tracing_overhead_pct: f64,
+    /// Simulated instructions per second with counters disabled, from the
+    /// counter comparison's own interleaved rounds (median).
+    pub counters_null_ips: f64,
     /// Simulated instructions per second with machine counters enabled
     /// (`MachineCounters`) — median of the interleaved rounds.
     pub counters_ips: f64,
-    /// `(counters - null) / null`, as a percentage: the wall-clock cost of
-    /// turning the counter bank on (guarded like tracing: the counters-off
-    /// hot loop must not pay for the hooks).
+    /// `(counters_null - counters) / counters_null`, as a percentage: the
+    /// wall-clock cost of turning the counter bank on, positive when the
+    /// counted run was slower (guarded like tracing: the counters-off hot
+    /// loop must not pay for the hooks).
     pub counters_overhead_pct: f64,
     /// Peak resident-set size of the benchmarking process in kB (0 where
     /// procfs is unavailable). A host-side figure: informational, never
@@ -107,8 +111,9 @@ impl BenchReport {
             self.null_tracer_ips, self.counting_tracer_ips, self.tracing_overhead_pct
         ));
         s.push_str(&format!(
-            "\"counters\":{{\"counters_ips\":{:.0},\"overhead_pct\":{:.3}}},",
-            self.counters_ips, self.counters_overhead_pct
+            "\"counters\":{{\"null_ips\":{:.0},\"counters_ips\":{:.0},\
+             \"overhead_pct\":{:.3}}},",
+            self.counters_null_ips, self.counters_ips, self.counters_overhead_pct
         ));
         s.push_str(&format!("\"peak_rss_kb\":{},", self.peak_rss_kb));
         s.push_str("\"workloads\":[");
@@ -137,6 +142,7 @@ impl BenchReport {
         let f = factor.max(1e-9);
         self.null_tracer_ips /= f;
         self.counting_tracer_ips /= f;
+        self.counters_null_ips /= f;
         self.counters_ips /= f;
         for w in &mut self.workloads {
             w.ips /= f;
@@ -228,6 +234,13 @@ fn interleaved_ips(
     Ok((median(a_ips), median(b_ips)))
 }
 
+/// The wall-clock cost of instrumentation as a percentage of the plain
+/// run: `(null − instrumented) ÷ null × 100` over throughputs (instr/s),
+/// so a positive value means the instrumented run was slower.
+fn overhead_pct(null_ips: f64, instrumented_ips: f64) -> f64 {
+    (null_ips - instrumented_ips) / null_ips.max(1e-9) * 100.0
+}
+
 /// Median-of-[`OVERHEAD_ROUNDS`] interleaved throughput of the
 /// tracing-*disabled* hot loop (`NullTracer`, statically compiled out)
 /// against the cheapest *enabled* tracer (`CountingTracer`). Returns
@@ -293,15 +306,14 @@ pub fn run_bench(
         parallel.push(parallel_pass(workloads, scale)?);
     }
     let parallel_wall_ms = median(parallel);
-    let (null_tracer_ips, counting_tracer_ips, counters_ips) = match workloads.first() {
-        Some(&w) => {
-            let h = Harness::new(w, scale)?;
-            let (null_ips, counting_ips) = tracing_overhead(&h)?;
-            let (_, counted_ips) = counters_overhead(&h)?;
-            (null_ips, counting_ips, counted_ips)
-        }
-        None => (0.0, 0.0, 0.0),
-    };
+    let ((null_tracer_ips, counting_tracer_ips), (counters_null_ips, counters_ips)) =
+        match workloads.first() {
+            Some(&w) => {
+                let h = Harness::new(w, scale)?;
+                (tracing_overhead(&h)?, counters_overhead(&h)?)
+            }
+            None => ((0.0, 0.0), (0.0, 0.0)),
+        };
     Ok(BenchReport {
         scale,
         jobs: par::jobs_for(usize::MAX),
@@ -312,12 +324,10 @@ pub fn run_bench(
         speedup: serial_wall_ms / parallel_wall_ms.max(1e-9),
         null_tracer_ips,
         counting_tracer_ips,
-        tracing_overhead_pct: (counting_tracer_ips - null_tracer_ips)
-            / null_tracer_ips.max(1e-9)
-            * 100.0,
+        tracing_overhead_pct: overhead_pct(null_tracer_ips, counting_tracer_ips),
+        counters_null_ips,
         counters_ips,
-        counters_overhead_pct: (counters_ips - null_tracer_ips) / null_tracer_ips.max(1e-9)
-            * 100.0,
+        counters_overhead_pct: overhead_pct(counters_null_ips, counters_ips),
         peak_rss_kb: crate::metrics::peak_rss_kb().unwrap_or(0),
         workloads: per,
     })
@@ -410,6 +420,13 @@ mod tests {
         assert!(json.contains("\"rounds\":1"), "{json}");
         assert!(r.null_tracer_ips > 0.0 && r.counting_tracer_ips > 0.0 && r.counters_ips > 0.0);
         par::set_jobs(0);
+    }
+
+    #[test]
+    fn slower_instrumented_side_is_positive_overhead() {
+        assert_eq!(overhead_pct(80.0, 60.0), 25.0);
+        assert_eq!(overhead_pct(80.0, 100.0), -25.0);
+        assert_eq!(overhead_pct(80.0, 80.0), 0.0);
     }
 
     #[test]

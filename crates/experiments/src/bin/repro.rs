@@ -1066,12 +1066,12 @@ fn run_bench_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> 
         report.rounds
     );
     println!(
-        "tracing overhead: null {:.0} instr/s vs counting {:.0} instr/s ({:+.2}%)",
+        "tracing overhead: null {:.0} instr/s vs counting {:.0} instr/s ({:+.2}%, + = slower)",
         report.null_tracer_ips, report.counting_tracer_ips, report.tracing_overhead_pct
     );
     println!(
-        "counter overhead: null {:.0} instr/s vs counted {:.0} instr/s ({:+.2}%)",
-        report.null_tracer_ips, report.counters_ips, report.counters_overhead_pct
+        "counter overhead: null {:.0} instr/s vs counted {:.0} instr/s ({:+.2}%, + = slower)",
+        report.counters_null_ips, report.counters_ips, report.counters_overhead_pct
     );
     // A gate run does not overwrite the committed baseline unless asked:
     // without --check the report lands at --out (default BENCH_repro.json);

@@ -5,42 +5,83 @@
 //! separately (see `spec`); this model answers "how long does this access
 //! take" and tracks tag-array contents with LRU replacement.
 
+use std::ops::Range;
+
 use tls_ir::line_of;
 
 use crate::config::SimConfig;
 use crate::counters::MemLevel;
 
 /// One set-associative tag array with LRU replacement.
+///
+/// Sets are materialized on their first [`access`](Self::access): a
+/// simulated run touches a few hundred of the L2's 16,384 sets, so building
+/// the whole array up front would dominate short runs. An untouched set
+/// behaves exactly like a materialized one holding invalid ways with zero
+/// stamps: it probes false, ignores invalidation, and its first miss fills
+/// way 0.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
-    /// `sets × ways` tags; `None` = invalid.
-    tags: Vec<Option<i64>>,
-    /// Per-entry LRU stamps.
-    stamps: Vec<u64>,
-    sets: usize,
+    /// Per set: 0 while untouched, else `k` with the set's ways at
+    /// `(k - 1) * ways .. k * ways` of `arena`.
+    slot: Vec<u32>,
+    /// Ways of the materialized sets, `ways` per set.
+    arena: Vec<Way>,
     ways: usize,
     clock: u64,
+}
+
+/// One way of a set.
+#[derive(Clone, Copy, Debug, Default)]
+struct Way {
+    /// `None` = invalid.
+    tag: Option<i64>,
+    /// LRU stamp. Invalidation keeps it, so victim choice is by stamp
+    /// alone.
+    stamp: u64,
 }
 
 impl SetAssocCache {
     /// A cache with `lines` total lines and `ways` associativity.
     ///
     /// # Panics
-    /// Panics if `ways` is zero or does not divide `lines`.
+    /// Panics if `ways` is zero or does not divide `lines`, or if there are
+    /// more than `u32::MAX` sets.
     pub fn new(lines: usize, ways: usize) -> Self {
         assert!(ways > 0 && lines.is_multiple_of(ways), "lines must split into ways");
         let sets = lines / ways;
+        assert!(u32::try_from(sets).is_ok(), "set index must fit in u32");
         Self {
-            tags: vec![None; lines],
-            stamps: vec![0; lines],
-            sets,
+            slot: vec![0; sets],
+            arena: Vec::new(),
             ways,
             clock: 0,
         }
     }
 
     fn set_of(&self, line: i64) -> usize {
-        (line.rem_euclid(self.sets as i64)) as usize
+        (line.rem_euclid(self.slot.len() as i64)) as usize
+    }
+
+    /// Arena range of `line`'s set, or `None` while the set is untouched.
+    fn span(&self, line: i64) -> Option<Range<usize>> {
+        let k = self.slot[self.set_of(line)] as usize;
+        (k > 0).then(|| (k - 1) * self.ways..k * self.ways)
+    }
+
+    /// Materialize `line`'s untouched set: all ways invalid, zero stamps.
+    fn materialize(&mut self, line: i64) -> Range<usize> {
+        let base = self.arena.len();
+        self.arena.resize(base + self.ways, Way::default());
+        let set = self.set_of(line);
+        self.slot[set] =
+            u32::try_from(self.arena.len() / self.ways).expect("set count checked in new");
+        base..self.arena.len()
+    }
+
+    /// Number of sets materialized so far (diagnostics only).
+    pub fn resident_sets(&self) -> usize {
+        self.arena.len() / self.ways
     }
 
     /// Access `line`: returns true on hit. Misses install the line,
@@ -53,38 +94,32 @@ impl SetAssocCache {
     /// miss evicted, if any (observability: speculative-state evictions).
     pub fn access_evict(&mut self, line: i64) -> (bool, Option<i64>) {
         self.clock += 1;
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == Some(line) {
-                self.stamps[base + w] = self.clock;
-                return (true, None);
-            }
+        let span = self.span(line).unwrap_or_else(|| self.materialize(line));
+        let set = &mut self.arena[span];
+        if let Some(way) = set.iter_mut().find(|w| w.tag == Some(line)) {
+            way.stamp = self.clock;
+            return (true, None);
         }
         // Miss: evict LRU.
-        let victim = (0..self.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("ways > 0");
-        let evicted = self.tags[base + victim];
-        self.tags[base + victim] = Some(line);
-        self.stamps[base + victim] = self.clock;
-        (false, evicted)
+        let victim = set.iter_mut().min_by_key(|w| w.stamp).expect("ways > 0");
+        victim.stamp = self.clock;
+        (false, victim.tag.replace(line))
     }
 
     /// Is `line` present (no state change)?
     pub fn probe(&self, line: i64) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        (0..self.ways).any(|w| self.tags[base + w] == Some(line))
+        self.span(line)
+            .is_some_and(|span| self.arena[span].iter().any(|w| w.tag == Some(line)))
     }
 
     /// Invalidate `line` if present.
     pub fn invalidate(&mut self, line: i64) {
-        let set = self.set_of(line);
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if self.tags[base + w] == Some(line) {
-                self.tags[base + w] = None;
+        let Some(span) = self.span(line) else {
+            return;
+        };
+        for way in &mut self.arena[span] {
+            if way.tag == Some(line) {
+                way.tag = None;
             }
         }
     }
@@ -175,6 +210,13 @@ impl MemSystem {
             }
         }
     }
+
+    /// Materialized sets as `(summed over the L1s, in the L2)`
+    /// (diagnostics only).
+    pub fn resident_sets(&self) -> (usize, usize) {
+        let l1 = self.l1.iter().map(SetAssocCache::resident_sets).sum();
+        (l1, self.l2.resident_sets())
+    }
 }
 
 #[cfg(test)]
@@ -242,6 +284,10 @@ mod tests {
         // Invalidated ways are reused without reporting a victim.
         c.invalidate(4);
         assert_eq!(c.access_evict(6), (false, None));
+        // Victims go by retained stamps alone: a freshly invalidated way is
+        // not refilled before an older valid one.
+        c.invalidate(6);
+        assert_eq!(c.access_evict(8), (false, Some(0)));
     }
 
     #[test]
