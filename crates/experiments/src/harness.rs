@@ -8,9 +8,8 @@ use std::sync::OnceLock;
 use tls_core::{compile_all, loads_above_threshold, CompilationSet, CompileError, CompileOptions};
 use tls_profile::{record_oracle, ExecError, ValueOracle};
 use tls_sim::{
-    check_conformance, AdaptConfig, CounterSink, Machine, MachineCounters, ModelConfig,
-    NullCounters, NullTracer, OracleSel, RecordingTracer, SimConfig, SimError, SimResult,
-    SyncLoadPolicy, Tracer,
+    check_conformance, AdaptConfig, Machine, MachineCounters, ModelConfig, NullTracer, OracleSel,
+    RecordingTracer, SimConfig, SimError, SimResult, SyncLoadPolicy, Tracer,
 };
 use tls_workloads::{InputSet, Workload};
 
@@ -19,7 +18,7 @@ use crate::metrics;
 /// How big a run to perform.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
-    /// Measure the `train` input (fast; used in tests and Criterion).
+    /// Measure the `train` input (fast; used in tests and benchmarks).
     Quick,
     /// Measure the `ref` input, profile-on-train available (the paper's
     /// setup).
@@ -562,33 +561,6 @@ impl Harness {
         mode: Mode,
         tracer: &mut T,
     ) -> Result<SimResult, ExperimentError> {
-        self.run_instrumented(mode, tracer, &mut NullCounters)
-    }
-
-    /// Like [`Harness::run`], but with machine counters enabled: the result
-    /// carries a populated [`tls_sim::MachineCounters`] bank. Counting is
-    /// observational — timing and architectural state are identical to
-    /// [`Harness::run`]'s.
-    ///
-    /// # Errors
-    /// As [`Harness::run`].
-    pub fn run_counted(&self, mode: Mode) -> Result<SimResult, ExperimentError> {
-        self.run_instrumented(mode, &mut NullTracer, &mut MachineCounters::default())
-    }
-
-    /// The fully general entry point: stream trace events into `tracer`
-    /// *and* machine-counter increments into `counters` (either side can be
-    /// the null sink). Neither instrument changes simulated timing.
-    ///
-    /// # Errors
-    /// Propagates simulation failures; returns
-    /// [`ExperimentError::WrongOutput`] if the TLS run diverges.
-    pub fn run_instrumented<T: Tracer, C: CounterSink>(
-        &self,
-        mode: Mode,
-        tracer: &mut T,
-        counters: &mut C,
-    ) -> Result<SimResult, ExperimentError> {
         let (module, cfg, which) = self.resolve(mode);
         let machine = match self.oracle(which)? {
             Some(o) => Machine::with_oracle(module, cfg, o),
@@ -596,7 +568,7 @@ impl Harness {
         };
         let result = {
             let _sim = metrics::span("sim");
-            machine.run_instrumented(tracer, counters)?
+            machine.run_traced(tracer)?
         };
         let _check = metrics::span("check");
         if let Some(detail) = self.check(&result) {
@@ -606,6 +578,20 @@ impl Harness {
                 detail,
             });
         }
+        Ok(result)
+    }
+
+    /// Like [`Harness::run`], but with the run traced into a fresh
+    /// [`tls_sim::MachineCounters`] bank, returned in
+    /// [`SimResult::counters`]. Counting is observational — timing and
+    /// architectural state are identical to [`Harness::run`]'s.
+    ///
+    /// # Errors
+    /// As [`Harness::run`].
+    pub fn run_counted(&self, mode: Mode) -> Result<SimResult, ExperimentError> {
+        let mut bank = MachineCounters::default();
+        let mut result = self.run_traced(mode, &mut bank)?;
+        result.counters = Some(Box::new(bank));
         Ok(result)
     }
 

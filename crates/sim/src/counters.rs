@@ -1,39 +1,34 @@
 //! Hardware-counter-style machine counters.
 //!
 //! [`MachineCounters`] is the host-side analogue of a CPU's performance
-//! counter bank: cheap monotonically-increasing totals maintained inside
-//! the [`crate::Machine`] hot loop — instructions executed by opcode
-//! class, cache hits and misses per level, line evictions, speculative
-//! load/store traffic, write-buffer occupancy high-water marks, signal
-//! send/receive counts per channel kind, violations by cause and value
-//! prediction outcomes.
+//! counter bank: cheap monotonically-increasing totals over a simulated
+//! run — instructions executed by opcode class, cache hits and misses per
+//! level, line evictions, speculative load/store traffic, write-buffer
+//! occupancy high-water marks, signal send/receive counts per channel
+//! kind, violations by cause and value prediction outcomes.
 //!
-//! Counting uses the same static-dispatch zero-cost pattern as
-//! [`crate::Tracer`]: every emission site is guarded by
-//! `if C::ENABLED { … }` on a [`CounterSink`] type parameter, so a run
-//! with [`NullCounters`] compiles every hook out and a run with
-//! [`MachineCounters`] pays only an increment per event. Counters are
-//! purely observational — for any sink the simulated timing, outputs and
-//! statistics are identical.
+//! The bank is a [`Tracer`]: every counter that mirrors a [`TraceEvent`]
+//! is a fold over the event stream, so it equals what a
+//! [`crate::RecordingTracer`] replay of the same run counts by
+//! construction. The four facts no event carries (retired [`OpClass`], the
+//! [`MemLevel`] that served an access, write-buffer occupancy after a store
+//! and predictions verified at commit) arrive through [`Tracer::fine`],
+//! which the bank enables with [`Tracer::FINE`]. Counting is purely
+//! observational — the simulated timing, outputs and statistics are those
+//! of an untraced run.
 //!
 //! The counter values are a function of the simulated execution alone
 //! (never of wall-clock time or host parallelism), so two runs of the
 //! same module under the same [`crate::SimConfig`] produce identical
-//! counter banks — the property the `repro metrics` CLI export and the
-//! counter/trace consistency tests rely on. Counters that mirror traced
-//! events ([`MachineCounters::violations`], signal sends/receives, line
-//! evictions) increment at exactly the event emission sites, so totals
-//! always equal what a [`crate::RecordingTracer`] replay of the same run
-//! would count.
+//! counter banks — the property the `repro metrics` CLI export and its
+//! golden snapshots rely on.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use tls_ir::{BinOp, Instr, Terminator};
 
 use crate::adapt::Policy;
-use crate::events::{SignalKind, ViolationKind, WaitKind};
-use crate::stats::SimResult;
+use crate::events::{Fine, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 
 /// Coarse opcode classes for the retired-instruction counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,189 +144,14 @@ pub fn violation_index(kind: ViolationKind) -> usize {
     }
 }
 
-/// Statically-dispatched counter bank, mirroring [`crate::Tracer`].
-///
-/// Every hook site in the machine is guarded with `if C::ENABLED`, so a
-/// [`NullCounters`] run compiles the counting out entirely. Implementors
-/// other than [`MachineCounters`] are possible (e.g. sampling sinks) but
-/// the shipped machine only distinguishes enabled from disabled.
-pub trait CounterSink {
-    /// `false` only for sinks whose hooks must compile out.
-    const ENABLED: bool = true;
-
-    /// One instruction (or terminator) of class `class` executed.
-    fn retire(&mut self, class: OpClass);
-    /// A cache access was served by `level`.
-    fn mem_access(&mut self, level: MemLevel);
-    /// An L1 line was evicted by a speculative-load fill (`speculative` if
-    /// the evicted line was in the epoch's read or write set).
-    fn line_evict(&mut self, speculative: bool);
-    /// A speculative store entered a write buffer.
-    fn spec_store(&mut self);
-    /// A speculative load completed (`exposed` if it read beyond the
-    /// epoch's own write buffer).
-    fn spec_load(&mut self, exposed: bool);
-    /// A committed epoch drained one word to memory.
-    fn commit_write(&mut self);
-    /// An epoch committed.
-    fn epoch_commit(&mut self);
-    /// An epoch attempt was squashed.
-    fn epoch_squash(&mut self);
-    /// Write-buffer occupancy after a store (high-water tracking).
-    fn wb_occupancy(&mut self, words: usize, lines: usize);
-    /// A signal was sent (exactly the `SignalSend` trace sites).
-    fn signal_send(&mut self, kind: SignalKind);
-    /// A forwarded value was received (exactly the `SignalRecv` sites).
-    fn signal_recv(&mut self, kind: SignalKind);
-    /// A violation was detected (exactly the `Violation` trace sites).
-    fn violation(&mut self, kind: ViolationKind);
-    /// An epoch began waiting (`WaitBegin` sites).
-    fn wait(&mut self, kind: WaitKind);
-    /// A hardware value prediction was consumed by a load.
-    fn predicted_load(&mut self);
-    /// `n` predictions passed commit-time verification.
-    fn predictions_verified(&mut self, n: u64);
-    /// The adaptive controller switched a dependence to policy `to`
-    /// (exactly the `PolicyTransition` trace sites).
-    fn policy_transition(&mut self, to: Policy);
-    /// The adaptive controller bulk-reset all policies on a distribution
-    /// shift (exactly the `Reprofile` trace sites).
-    fn reprofile(&mut self);
-    /// Copy the final counter bank into the run's [`SimResult`].
-    fn publish(&self, result: &mut SimResult);
-}
-
-/// The disabled sink: every hook compiles out ([`CounterSink::ENABLED`] is
-/// `false`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullCounters;
-
-impl CounterSink for NullCounters {
-    const ENABLED: bool = false;
-
-    #[inline]
-    fn retire(&mut self, _class: OpClass) {}
-    #[inline]
-    fn mem_access(&mut self, _level: MemLevel) {}
-    #[inline]
-    fn line_evict(&mut self, _speculative: bool) {}
-    #[inline]
-    fn spec_store(&mut self) {}
-    #[inline]
-    fn spec_load(&mut self, _exposed: bool) {}
-    #[inline]
-    fn commit_write(&mut self) {}
-    #[inline]
-    fn epoch_commit(&mut self) {}
-    #[inline]
-    fn epoch_squash(&mut self) {}
-    #[inline]
-    fn wb_occupancy(&mut self, _words: usize, _lines: usize) {}
-    #[inline]
-    fn signal_send(&mut self, _kind: SignalKind) {}
-    #[inline]
-    fn signal_recv(&mut self, _kind: SignalKind) {}
-    #[inline]
-    fn violation(&mut self, _kind: ViolationKind) {}
-    #[inline]
-    fn wait(&mut self, _kind: WaitKind) {}
-    #[inline]
-    fn predicted_load(&mut self) {}
-    #[inline]
-    fn predictions_verified(&mut self, _n: u64) {}
-    #[inline]
-    fn policy_transition(&mut self, _to: Policy) {}
-    #[inline]
-    fn reprofile(&mut self) {}
-    #[inline]
-    fn publish(&self, _result: &mut SimResult) {}
-}
-
-/// Forward through a mutable reference (same pattern as `Tracer`).
-impl<C: CounterSink> CounterSink for &mut C {
-    const ENABLED: bool = C::ENABLED;
-
-    #[inline]
-    fn retire(&mut self, class: OpClass) {
-        (**self).retire(class);
-    }
-    #[inline]
-    fn mem_access(&mut self, level: MemLevel) {
-        (**self).mem_access(level);
-    }
-    #[inline]
-    fn line_evict(&mut self, speculative: bool) {
-        (**self).line_evict(speculative);
-    }
-    #[inline]
-    fn spec_store(&mut self) {
-        (**self).spec_store();
-    }
-    #[inline]
-    fn spec_load(&mut self, exposed: bool) {
-        (**self).spec_load(exposed);
-    }
-    #[inline]
-    fn commit_write(&mut self) {
-        (**self).commit_write();
-    }
-    #[inline]
-    fn epoch_commit(&mut self) {
-        (**self).epoch_commit();
-    }
-    #[inline]
-    fn epoch_squash(&mut self) {
-        (**self).epoch_squash();
-    }
-    #[inline]
-    fn wb_occupancy(&mut self, words: usize, lines: usize) {
-        (**self).wb_occupancy(words, lines);
-    }
-    #[inline]
-    fn signal_send(&mut self, kind: SignalKind) {
-        (**self).signal_send(kind);
-    }
-    #[inline]
-    fn signal_recv(&mut self, kind: SignalKind) {
-        (**self).signal_recv(kind);
-    }
-    #[inline]
-    fn violation(&mut self, kind: ViolationKind) {
-        (**self).violation(kind);
-    }
-    #[inline]
-    fn wait(&mut self, kind: WaitKind) {
-        (**self).wait(kind);
-    }
-    #[inline]
-    fn predicted_load(&mut self) {
-        (**self).predicted_load();
-    }
-    #[inline]
-    fn predictions_verified(&mut self, n: u64) {
-        (**self).predictions_verified(n);
-    }
-    #[inline]
-    fn policy_transition(&mut self, to: Policy) {
-        (**self).policy_transition(to);
-    }
-    #[inline]
-    fn reprofile(&mut self) {
-        (**self).reprofile();
-    }
-    #[inline]
-    fn publish(&self, result: &mut SimResult) {
-        (**self).publish(result);
-    }
-}
-
 /// The counter bank itself: plain `u64` slots, deterministic for a given
-/// module and configuration.
+/// module and configuration, filled by running the machine with the bank
+/// as its tracer ([`crate::Machine::run_counted`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MachineCounters {
     /// Instructions executed per [`OpClass`] (bank order of
     /// [`OpClass::ALL`]). Includes re-executed work of squashed attempts,
-    /// like [`SimResult::instructions`].
+    /// like [`crate::SimResult::instructions`].
     pub retired: [u64; OpClass::COUNT],
     /// Accesses served by the private L1.
     pub l1_hits: u64,
@@ -525,141 +345,133 @@ impl MachineCounters {
         out.insert("adapt.reprofiles".into(), self.reprofiles);
         out
     }
-
-    /// Stable JSON object: dotted counter names to integer values, keys in
-    /// `BTreeMap` order. Byte-deterministic for a given simulated run.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (k, v)) in self.rows().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{k}\":{v}");
-        }
-        s.push('}');
-        s
-    }
 }
 
-impl CounterSink for MachineCounters {
+impl Tracer for MachineCounters {
+    const FINE: bool = true;
+
     #[inline]
-    fn retire(&mut self, class: OpClass) {
-        self.retired[class.index()] += 1;
-    }
-    #[inline]
-    fn mem_access(&mut self, level: MemLevel) {
-        match level {
-            MemLevel::L1 => self.l1_hits += 1,
-            MemLevel::L2 => self.l2_hits += 1,
-            MemLevel::Mem => self.mem_fetches += 1,
+    fn event(&mut self, e: TraceEvent) {
+        match e {
+            TraceEvent::LineEvict { speculative, .. } => {
+                self.line_evictions += 1;
+                self.spec_line_evictions += u64::from(speculative);
+            }
+            TraceEvent::SpecStore { .. } => self.spec_stores += 1,
+            TraceEvent::SpecLoad { exposed: true, .. } => self.spec_loads_exposed += 1,
+            TraceEvent::SpecLoad { exposed: false, .. } => self.spec_loads_buffered += 1,
+            TraceEvent::CommitWrite { .. } => self.commit_writes += 1,
+            TraceEvent::EpochCommit { .. } => self.epochs_committed += 1,
+            TraceEvent::EpochSquash { .. } => self.epochs_squashed += 1,
+            TraceEvent::SignalSend { kind, .. } => match kind {
+                SignalKind::Scalar(_) => self.signal_sends_scalar += 1,
+                SignalKind::Mem(_) => self.signal_sends_mem += 1,
+                SignalKind::MemNull(_) => self.signal_sends_mem_null += 1,
+            },
+            TraceEvent::SignalRecv { kind, .. } => match kind {
+                SignalKind::Scalar(_) => self.signal_recvs_scalar += 1,
+                SignalKind::Mem(_) | SignalKind::MemNull(_) => self.signal_recvs_mem += 1,
+            },
+            TraceEvent::Violation { kind, .. } => self.violations[violation_index(kind)] += 1,
+            TraceEvent::WaitBegin { kind, .. } => match kind {
+                WaitKind::Scalar(_) => self.waits_scalar += 1,
+                WaitKind::Mem(_) => self.waits_mem += 1,
+                WaitKind::Oldest => self.waits_oldest += 1,
+            },
+            TraceEvent::PredictedLoad { .. } => self.predicted_loads += 1,
+            TraceEvent::PolicyTransition { to, .. } => self.policy_transitions[to.index()] += 1,
+            TraceEvent::Reprofile { .. } => self.reprofiles += 1,
+            _ => {}
         }
     }
+
     #[inline]
-    fn line_evict(&mut self, speculative: bool) {
-        self.line_evictions += 1;
-        if speculative {
-            self.spec_line_evictions += 1;
+    fn fine(&mut self, f: Fine) {
+        match f {
+            Fine::Retire(class) => self.retired[class.index()] += 1,
+            Fine::Access(MemLevel::L1) => self.l1_hits += 1,
+            Fine::Access(MemLevel::L2) => self.l2_hits += 1,
+            Fine::Access(MemLevel::Mem) => self.mem_fetches += 1,
+            Fine::WbOccupancy { words, lines } => {
+                self.wb_words_high_water = self.wb_words_high_water.max(words as u64);
+                self.wb_lines_high_water = self.wb_lines_high_water.max(lines as u64);
+            }
+            Fine::PredictionsVerified(n) => self.predictions_verified += n,
         }
-    }
-    #[inline]
-    fn spec_store(&mut self) {
-        self.spec_stores += 1;
-    }
-    #[inline]
-    fn spec_load(&mut self, exposed: bool) {
-        if exposed {
-            self.spec_loads_exposed += 1;
-        } else {
-            self.spec_loads_buffered += 1;
-        }
-    }
-    #[inline]
-    fn commit_write(&mut self) {
-        self.commit_writes += 1;
-    }
-    #[inline]
-    fn epoch_commit(&mut self) {
-        self.epochs_committed += 1;
-    }
-    #[inline]
-    fn epoch_squash(&mut self) {
-        self.epochs_squashed += 1;
-    }
-    #[inline]
-    fn wb_occupancy(&mut self, words: usize, lines: usize) {
-        self.wb_words_high_water = self.wb_words_high_water.max(words as u64);
-        self.wb_lines_high_water = self.wb_lines_high_water.max(lines as u64);
-    }
-    #[inline]
-    fn signal_send(&mut self, kind: SignalKind) {
-        match kind {
-            SignalKind::Scalar(_) => self.signal_sends_scalar += 1,
-            SignalKind::Mem(_) => self.signal_sends_mem += 1,
-            SignalKind::MemNull(_) => self.signal_sends_mem_null += 1,
-        }
-    }
-    #[inline]
-    fn signal_recv(&mut self, kind: SignalKind) {
-        match kind {
-            SignalKind::Scalar(_) => self.signal_recvs_scalar += 1,
-            SignalKind::Mem(_) | SignalKind::MemNull(_) => self.signal_recvs_mem += 1,
-        }
-    }
-    #[inline]
-    fn violation(&mut self, kind: ViolationKind) {
-        self.violations[violation_index(kind)] += 1;
-    }
-    #[inline]
-    fn wait(&mut self, kind: WaitKind) {
-        match kind {
-            WaitKind::Scalar(_) => self.waits_scalar += 1,
-            WaitKind::Mem(_) => self.waits_mem += 1,
-            WaitKind::Oldest => self.waits_oldest += 1,
-        }
-    }
-    #[inline]
-    fn predicted_load(&mut self) {
-        self.predicted_loads += 1;
-    }
-    #[inline]
-    fn predictions_verified(&mut self, n: u64) {
-        self.predictions_verified += n;
-    }
-    #[inline]
-    fn policy_transition(&mut self, to: Policy) {
-        self.policy_transitions[to.index()] += 1;
-    }
-    #[inline]
-    fn reprofile(&mut self) {
-        self.reprofiles += 1;
-    }
-    fn publish(&self, result: &mut SimResult) {
-        result.counters = Some(Box::new(self.clone()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tls_ir::{ChanId, GroupId, RegionId};
 
     #[test]
-    fn rows_and_json_are_deterministic_and_complete() {
+    fn fold_maps_events_and_fine_facts_to_rows() {
+        let (rid, ord, time) = (RegionId(0), 0, 0);
+        let violation = |kind| TraceEvent::Violation {
+            rid,
+            ord,
+            kind,
+            load_sid: None,
+            store_sid: None,
+            addr: None,
+            producer: None,
+            consumer: 1,
+            core: 1,
+            time,
+        };
+        let signal = |kind| TraceEvent::SignalRecv {
+            rid,
+            ord,
+            epoch: 1,
+            core: 1,
+            kind,
+            addr: None,
+            value: 0,
+            time,
+        };
+        let transition = |to| TraceEvent::PolicyTransition {
+            rid,
+            ord,
+            epoch: 1,
+            core: 1,
+            sid: tls_ir::Sid(0),
+            from: Policy::Forward,
+            to,
+            time,
+        };
         let mut c = MachineCounters::default();
-        c.retire(OpClass::Load);
-        c.retire(OpClass::Load);
-        c.retire(OpClass::MulDiv);
-        c.mem_access(MemLevel::L1);
-        c.mem_access(MemLevel::Mem);
-        c.violation(ViolationKind::Eager);
-        c.violation(ViolationKind::Mispredict);
-        c.signal_send(SignalKind::Scalar(tls_ir::ChanId(0)));
-        c.signal_recv(SignalKind::Mem(tls_ir::GroupId(1)));
-        c.wb_occupancy(7, 3);
-        c.wb_occupancy(4, 5);
-        c.policy_transition(Policy::Stall);
-        c.policy_transition(Policy::Stall);
-        c.policy_transition(Policy::Predict);
-        c.reprofile();
+        for e in [
+            violation(ViolationKind::Eager),
+            violation(ViolationKind::Mispredict),
+            signal(SignalKind::Scalar(ChanId(0))),
+            signal(SignalKind::MemNull(GroupId(1))),
+            transition(Policy::Stall),
+            transition(Policy::Stall),
+            transition(Policy::Predict),
+            TraceEvent::Reprofile { rid, ord, time },
+            TraceEvent::LineEvict {
+                core: 0,
+                line: 3,
+                speculative: true,
+                time,
+            },
+            TraceEvent::RegionEnter { rid, ord, time },
+        ] {
+            c.event(e);
+        }
+        for f in [
+            Fine::Retire(OpClass::Load),
+            Fine::Retire(OpClass::Load),
+            Fine::Retire(OpClass::MulDiv),
+            Fine::Access(MemLevel::L1),
+            Fine::Access(MemLevel::Mem),
+            Fine::WbOccupancy { words: 7, lines: 3 },
+            Fine::WbOccupancy { words: 4, lines: 5 },
+        ] {
+            c.fine(f);
+        }
         let rows = c.rows();
         assert_eq!(rows["adapt.to_stall"], 2);
         assert_eq!(rows["adapt.to_predict"], 1);
@@ -670,35 +482,35 @@ mod tests {
         assert_eq!(rows["retired.mul_div"], 1);
         assert_eq!(rows["cache.l1_hits"], 1);
         assert_eq!(rows["cache.mem_fetches"], 1);
+        assert_eq!(rows["cache.line_evictions"], 1);
+        assert_eq!(rows["cache.spec_line_evictions"], 1);
         assert_eq!(rows["violations.eager"], 1);
         assert_eq!(rows["violations.mispredict"], 1);
-        assert_eq!(rows["signal.sends_scalar"], 1);
+        assert_eq!(rows["signal.recvs_scalar"], 1);
         assert_eq!(rows["signal.recvs_mem"], 1);
         assert_eq!(rows["spec.wb_words_high_water"], 7);
         assert_eq!(rows["spec.wb_lines_high_water"], 5);
         assert_eq!(c.total_retired(), 3);
         assert_eq!(c.total_violations(), 2);
-        let j = c.to_json();
-        assert_eq!(j, c.to_json(), "byte-deterministic");
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"retired.load\":2"));
-        // Every row appears exactly once in the JSON.
-        for k in rows.keys() {
-            assert_eq!(j.matches(&format!("\"{k}\":")).count(), 1, "{k}");
-        }
+        assert_eq!(rows.len(), 40, "one row per counter slot");
     }
 
     #[test]
     fn merge_sums_counts_and_maxes_high_water() {
-        let mut a = MachineCounters::default();
-        a.spec_store();
-        a.wb_occupancy(10, 2);
-        a.predictions_verified(3);
-        let mut b = MachineCounters::default();
-        b.spec_store();
-        b.spec_store();
-        b.wb_occupancy(6, 4);
-        b.predicted_load();
+        let mut a = MachineCounters {
+            spec_stores: 1,
+            wb_words_high_water: 10,
+            wb_lines_high_water: 2,
+            predictions_verified: 3,
+            ..MachineCounters::default()
+        };
+        let b = MachineCounters {
+            spec_stores: 2,
+            wb_words_high_water: 6,
+            wb_lines_high_water: 4,
+            predicted_loads: 1,
+            ..MachineCounters::default()
+        };
         a.merge(&b);
         assert_eq!(a.spec_stores, 3);
         assert_eq!(a.wb_words_high_water, 10);
@@ -712,15 +524,15 @@ mod tests {
         let c = MachineCounters::default();
         assert_eq!(c.l1_hit_rate(), 0.0);
         assert_eq!(c.prediction_hit_rate(), 1.0);
-        let mut c = MachineCounters::default();
-        c.predicted_load();
-        c.predicted_load();
-        c.predictions_verified(1);
+        let c = MachineCounters {
+            predicted_loads: 2,
+            predictions_verified: 1,
+            l1_hits: 2,
+            l2_hits: 1,
+            mem_fetches: 1,
+            ..MachineCounters::default()
+        };
         assert_eq!(c.prediction_hit_rate(), 0.5);
-        c.mem_access(MemLevel::L1);
-        c.mem_access(MemLevel::L1);
-        c.mem_access(MemLevel::L2);
-        c.mem_access(MemLevel::Mem);
         assert_eq!(c.l1_hit_rate(), 0.5);
     }
 

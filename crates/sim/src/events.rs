@@ -13,10 +13,14 @@
 //! associated constant [`Tracer::ENABLED`], so with the default
 //! [`NullTracer`] the event construction is compiled out of the hot loop
 //! entirely (the bench guard in `tls-experiments` pins this property).
+//! It is the machine's only observation channel: the
+//! [`crate::MachineCounters`] bank is itself a tracer folding this stream,
+//! plus the per-instruction [`Fine`] facts it opts into.
 
 use tls_ir::{ChanId, GroupId, RegionId, Sid};
 
 use crate::adapt::Policy;
+use crate::counters::{MemLevel, OpClass};
 use crate::inject::FaultClass;
 use crate::stats::SlotBreakdown;
 
@@ -451,6 +455,25 @@ impl TraceEvent {
     }
 }
 
+/// A per-instruction machine fact that no [`TraceEvent`] carries, delivered
+/// only to tracers that opt in with [`Tracer::FINE`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fine {
+    /// One instruction or terminator of this class executed.
+    Retire(OpClass),
+    /// An access was served by this level of the memory hierarchy.
+    Access(MemLevel),
+    /// Write-buffer occupancy right after a speculative store.
+    WbOccupancy {
+        /// Buffered words.
+        words: usize,
+        /// Dirty lines.
+        lines: usize,
+    },
+    /// This many value predictions passed commit-time verification.
+    PredictionsVerified(u64),
+}
+
 /// Receiver of simulator events, statically dispatched.
 ///
 /// Implementations with `ENABLED = false` cost nothing: the machine guards
@@ -460,10 +483,19 @@ pub trait Tracer {
     /// Gate for all emission sites; `false` compiles tracing out.
     const ENABLED: bool = true;
 
+    /// Gate for the per-instruction [`Fine`] sites. Off by default, so an
+    /// event-only tracer never pays a call per retired instruction.
+    const FINE: bool = false;
+
     /// Receive one event. Events arrive in the deterministic order the
     /// simulator produced them (not necessarily sorted by timestamp:
     /// commit-ordered bookkeeping can emit slightly out of time order).
     fn event(&mut self, e: TraceEvent);
+
+    /// Receive one per-instruction fact; called only when
+    /// [`Tracer::FINE`] is `true`.
+    #[inline(always)]
+    fn fine(&mut self, _f: Fine) {}
 }
 
 /// The default tracer: does nothing, compiled out of the hot loop.
@@ -480,10 +512,16 @@ impl Tracer for NullTracer {
 /// Forward through mutable references so callers can keep ownership.
 impl<T: Tracer> Tracer for &mut T {
     const ENABLED: bool = T::ENABLED;
+    const FINE: bool = T::FINE;
 
     #[inline(always)]
     fn event(&mut self, e: TraceEvent) {
         (**self).event(e);
+    }
+
+    #[inline(always)]
+    fn fine(&mut self, f: Fine) {
+        (**self).fine(f);
     }
 }
 
@@ -493,7 +531,7 @@ mod tests {
 
     #[test]
     fn null_tracer_is_disabled() {
-        const { assert!(!NullTracer::ENABLED) };
+        const { assert!(!NullTracer::ENABLED && !NullTracer::FINE) };
         const { assert!(!<&mut NullTracer as Tracer>::ENABLED) };
     }
 

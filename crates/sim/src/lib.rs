@@ -50,8 +50,8 @@ mod trace;
 pub use adapt::{AdaptConfig, AdaptController, Outcome, Policy};
 pub use cache::{MemSystem, SetAssocCache};
 pub use config::{OracleSel, SimConfig, SyncLoadPolicy};
-pub use counters::{violation_index, CounterSink, MachineCounters, MemLevel, NullCounters, OpClass};
-pub use events::{NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
+pub use counters::{violation_index, MachineCounters, MemLevel, OpClass};
+pub use events::{Fine, NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 pub use hwsync::{ValuePredictor, ViolationTable};
 pub use inject::{FaultClass, FaultPlan, FaultSummary};
 pub use machine::{Machine, SimError};

@@ -32,8 +32,8 @@ use tls_profile::{Memory, OracleKey, ValueOracle};
 use crate::adapt::{AdaptController, Outcome as AdaptOutcome, Policy};
 use crate::cache::MemSystem;
 use crate::config::{OracleSel, SimConfig, SyncLoadPolicy};
-use crate::counters::{CounterSink, MachineCounters, NullCounters, OpClass};
-use crate::events::{NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
+use crate::counters::{MachineCounters, OpClass};
+use crate::events::{Fine, NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 use crate::hwsync::{ValuePredictor, ViolationTable};
 use crate::inject::{EagerFault, FaultClass, SignalFault, CORRUPT_ADDR_XOR};
 use crate::spec::{MemSignal, ReadSet, SyncState, WriteBuffer};
@@ -359,7 +359,21 @@ impl<'m> Machine<'m> {
     /// # Errors
     /// See [`SimError`].
     pub fn run(self) -> Result<SimResult, SimError> {
-        self.run_instrumented(&mut NullTracer, &mut NullCounters)
+        self.run_traced(&mut NullTracer)
+    }
+
+    /// Like [`Machine::run`], maintaining a [`MachineCounters`] bank that
+    /// is surfaced in [`SimResult::counters`]: the bank is the run's
+    /// tracer. Counting is observational only: timing, outputs and
+    /// statistics are identical to [`Machine::run`].
+    ///
+    /// # Errors
+    /// See [`SimError`].
+    pub fn run_counted(self) -> Result<SimResult, SimError> {
+        let mut bank = MachineCounters::default();
+        let mut result = self.run_traced(&mut bank)?;
+        result.counters = Some(Box::new(bank));
+        Ok(result)
     }
 
     /// Like [`Machine::run`], streaming typed [`TraceEvent`]s to `tracer`.
@@ -371,33 +385,7 @@ impl<'m> Machine<'m> {
     ///
     /// # Errors
     /// See [`SimError`].
-    pub fn run_traced<T: Tracer>(self, tracer: &mut T) -> Result<SimResult, SimError> {
-        self.run_instrumented(tracer, &mut NullCounters)
-    }
-
-    /// Like [`Machine::run`], maintaining a [`MachineCounters`] bank that
-    /// is surfaced in [`SimResult::counters`]. Counting is observational
-    /// only: timing, outputs and statistics are identical to
-    /// [`Machine::run`].
-    ///
-    /// # Errors
-    /// See [`SimError`].
-    pub fn run_counted(self) -> Result<SimResult, SimError> {
-        self.run_instrumented(&mut NullTracer, &mut MachineCounters::default())
-    }
-
-    /// The fully-general driver: stream events to `tracer` and counts to
-    /// `counters`, each statically dispatched ([`NullTracer`] /
-    /// [`NullCounters`] compile their hooks out). An enabled counter sink
-    /// publishes its final bank into [`SimResult::counters`].
-    ///
-    /// # Errors
-    /// See [`SimError`].
-    pub fn run_instrumented<T: Tracer, C: CounterSink>(
-        mut self,
-        tracer: &mut T,
-        counters: &mut C,
-    ) -> Result<SimResult, SimError> {
+    pub fn run_traced<T: Tracer>(mut self, tracer: &mut T) -> Result<SimResult, SimError> {
         let entry = self.module.func(self.module.entry);
         assert_eq!(entry.num_params, 0, "entry function must take no parameters");
         let mut frames = vec![Frame::new(self.module, self.module.entry, 0)];
@@ -414,11 +402,18 @@ impl<'m> Machine<'m> {
             if frame.idx < self.code.lens[cb] as usize {
                 let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
                 frame.idx += 1;
-                self.exec_seq_instr(instr, &mut frames, &mut timer, seq_core, &seq_regions, counters)?;
+                self.exec_seq_instr(
+                    instr,
+                    &mut frames,
+                    &mut timer,
+                    seq_core,
+                    &seq_regions,
+                    tracer,
+                )?;
             } else {
                 let term = self.code.terms[cb];
-                if C::ENABLED {
-                    counters.retire(OpClass::of_term(&term));
+                if T::FINE {
+                    tracer.fine(Fine::Retire(OpClass::of_term(&term)));
                 }
                 match term {
                     Terminator::Jump(to) => {
@@ -429,7 +424,6 @@ impl<'m> Machine<'m> {
                             seq_core,
                             &mut seq_regions,
                             tracer,
-                            counters,
                         )?;
                     }
                     Terminator::Br { cond, t, f } => {
@@ -449,7 +443,6 @@ impl<'m> Machine<'m> {
                             seq_core,
                             &mut seq_regions,
                             tracer,
-                            counters,
                         )?;
                     }
                     Terminator::Ret(v) => {
@@ -486,9 +479,6 @@ impl<'m> Machine<'m> {
         if let Some(plan) = &self.config.inject {
             self.result.faults = plan.summary();
         }
-        if C::ENABLED {
-            counters.publish(&mut self.result);
-        }
         Ok(self.result)
     }
 
@@ -503,17 +493,17 @@ impl<'m> Machine<'m> {
     }
 
     /// Execute one sequential-mode instruction.
-    fn exec_seq_instr<C: CounterSink>(
+    fn exec_seq_instr<T: Tracer>(
         &mut self,
         instr: &Instr,
         frames: &mut Vec<Frame>,
         timer: &mut CoreTimer,
         core: usize,
         seq_regions: &[SeqRegion],
-        counters: &mut C,
+        tracer: &mut T,
     ) -> Result<(), SimError> {
-        if C::ENABLED {
-            counters.retire(OpClass::of(instr));
+        if T::FINE {
+            tracer.fine(Fine::Retire(OpClass::of(instr)));
         }
         let frame = frames.last_mut().expect("nonempty");
         match instr {
@@ -536,8 +526,8 @@ impl<'m> Machine<'m> {
                 let (a, r) = self.eval(frame, *addr);
                 let a = a.wrapping_add(*off);
                 let lat = self.caches.access(core, a);
-                if C::ENABLED {
-                    counters.mem_access(self.caches.level_of(lat));
+                if T::FINE {
+                    tracer.fine(Fine::Access(self.caches.level_of(lat)));
                 }
                 let (issue, complete) = timer.issue(r, lat);
                 self.time = issue;
@@ -549,8 +539,8 @@ impl<'m> Machine<'m> {
                 let (v, rv) = self.eval(frame, *val);
                 let a = a.wrapping_add(*off);
                 let lat = self.caches.access(core, a);
-                if C::ENABLED {
-                    counters.mem_access(self.caches.level_of(lat));
+                if T::FINE {
+                    tracer.fine(Fine::Access(self.caches.level_of(lat)));
                 }
                 let (issue, _) = timer.issue(ra.max(rv), self.config.lat_alu);
                 self.time = issue;
@@ -606,7 +596,7 @@ impl<'m> Machine<'m> {
     /// Sequential-mode control transfer; may enter a region (parallel mode)
     /// or maintain sequential-region bookkeeping.
     #[allow(clippy::too_many_arguments)]
-    fn seq_transfer<T: Tracer, C: CounterSink>(
+    fn seq_transfer<T: Tracer>(
         &mut self,
         to: BlockId,
         frames: &mut [Frame],
@@ -614,7 +604,6 @@ impl<'m> Machine<'m> {
         seq_core: usize,
         seq_regions: &mut Vec<SeqRegion>,
         tracer: &mut T,
-        counters: &mut C,
     ) -> Result<(), SimError> {
         let depth = frames.len();
         let frame_func = frames.last().expect("nonempty").func;
@@ -631,7 +620,7 @@ impl<'m> Machine<'m> {
             if self.config.parallelize {
                 let ord = self.region_ord;
                 self.region_ord += 1;
-                self.run_region(rid, ord, to, frames, timer, seq_core, tracer, counters)?;
+                self.run_region(rid, ord, to, frames, timer, seq_core, tracer)?;
                 return Ok(());
             }
             // Sequential attribution.
@@ -690,7 +679,7 @@ impl<'m> Machine<'m> {
     /// Execute one region instance in parallel; on return, `frames`'s top
     /// frame has been advanced past the loop.
     #[allow(clippy::too_many_arguments)]
-    fn run_region<T: Tracer, C: CounterSink>(
+    fn run_region<T: Tracer>(
         &mut self,
         rid: RegionId,
         ord: u64,
@@ -699,7 +688,6 @@ impl<'m> Machine<'m> {
         timer: &mut CoreTimer,
         seq_core: usize,
         tracer: &mut T,
-        counters: &mut C,
     ) -> Result<(), SimError> {
         let t0 = self.time;
         if T::ENABLED {
@@ -798,7 +786,6 @@ impl<'m> Machine<'m> {
                         rid,
                         ord,
                         tracer,
-                        counters,
                     );
                     continue;
                 }
@@ -806,9 +793,8 @@ impl<'m> Machine<'m> {
                     + self.config.commit_overhead
                     + self.config.commit_per_line * epochs[0].wb.dirty_lines() as u64;
                 let e = epochs.remove(0);
-                if C::ENABLED {
-                    counters.epoch_commit();
-                    counters.predictions_verified(e.predicted.len() as u64);
+                if T::FINE {
+                    tracer.fine(Fine::PredictionsVerified(e.predicted.len() as u64));
                 }
                 for (a, v) in e.wb.iter() {
                     let mut v = v;
@@ -841,9 +827,6 @@ impl<'m> Machine<'m> {
                     self.mem.write(a, v);
                     self.caches.install(e.core, a);
                     self.caches.invalidate_others(e.core, a);
-                    if C::ENABLED {
-                        counters.commit_write();
-                    }
                 }
                 for (chan, (v, _)) in &e.sync.out_scalars {
                     self.chan_regs[chan.index()] = *v;
@@ -939,7 +922,6 @@ impl<'m> Machine<'m> {
                         rid,
                         ord,
                         tracer,
-                        counters,
                     );
                 }
                 if let Some(exit_block) = exit {
@@ -1060,7 +1042,6 @@ impl<'m> Machine<'m> {
                 &committed_out,
                 &mut pendings,
                 tracer,
-                counters,
             )?;
             if let Some(req) = req {
                 self.squash(
@@ -1074,7 +1055,6 @@ impl<'m> Machine<'m> {
                     rid,
                     ord,
                     tracer,
-                    counters,
                 );
             }
         };
@@ -1136,14 +1116,13 @@ impl<'m> Machine<'m> {
         });
     }
 
-    /// Emit the trace events and counter increments for one adaptive
-    /// controller consultation (policy switch and/or re-profile). The
-    /// controller itself never sees the tracer: every emission stays
-    /// co-located with the machine state change, like all other sites.
+    /// Emit the trace events for one adaptive controller consultation
+    /// (policy switch and/or re-profile). The controller itself never sees
+    /// the tracer: every emission stays co-located with the machine state
+    /// change, like all other sites.
     #[allow(clippy::too_many_arguments)]
-    fn emit_adapt<T: Tracer, C: CounterSink>(
+    fn emit_adapt<T: Tracer>(
         tracer: &mut T,
-        counters: &mut C,
         rid: RegionId,
         ord: u64,
         epoch: u64,
@@ -1152,36 +1131,29 @@ impl<'m> Machine<'m> {
         out: &AdaptOutcome,
         time: u64,
     ) {
+        if !T::ENABLED {
+            return;
+        }
         if out.reprofiled {
-            if C::ENABLED {
-                counters.reprofile();
-            }
-            if T::ENABLED {
-                tracer.event(TraceEvent::Reprofile { rid, ord, time });
-            }
+            tracer.event(TraceEvent::Reprofile { rid, ord, time });
         }
         if let Some((from, to)) = out.transition {
-            if C::ENABLED {
-                counters.policy_transition(to);
-            }
-            if T::ENABLED {
-                tracer.event(TraceEvent::PolicyTransition {
-                    rid,
-                    ord,
-                    epoch,
-                    core,
-                    sid,
-                    from,
-                    to,
-                    time,
-                });
-            }
+            tracer.event(TraceEvent::PolicyTransition {
+                rid,
+                ord,
+                epoch,
+                core,
+                sid,
+                from,
+                to,
+                time,
+            });
         }
     }
 
     /// Squash `req.victim` and every later active epoch; restart them.
     #[allow(clippy::too_many_arguments)]
-    fn squash<T: Tracer, C: CounterSink>(
+    fn squash<T: Tracer>(
         &mut self,
         epochs: &mut [Epoch],
         base: &Frame,
@@ -1193,12 +1165,8 @@ impl<'m> Machine<'m> {
         rid: RegionId,
         ord: u64,
         tracer: &mut T,
-        counters: &mut C,
     ) {
         let w = self.config.issue_width;
-        if C::ENABLED {
-            counters.violation(req.kind);
-        }
         if T::ENABLED {
             let core = epochs
                 .iter()
@@ -1239,9 +1207,7 @@ impl<'m> Machine<'m> {
                     .iter()
                     .find(|e| e.index == req.victim)
                     .map_or(0, |e| e.core);
-                Self::emit_adapt(
-                    tracer, counters, rid, ord, req.victim, core, sid, &out, req.time,
-                );
+                Self::emit_adapt(tracer, rid, ord, req.victim, core, sid, &out, req.time);
             }
         }
         for e in epochs.iter_mut().filter(|e| e.index >= req.victim) {
@@ -1250,9 +1216,6 @@ impl<'m> Machine<'m> {
             stats.slots.fail += cycles * w;
             *attributed += cycles * w;
             stats.violations += 1;
-            if C::ENABLED {
-                counters.epoch_squash();
-            }
             let restart = req.time.max(e.clock) + self.config.restart_penalty;
             if T::ENABLED {
                 Self::emit_wait_end(tracer, rid, ord, e, now);
@@ -1293,7 +1256,7 @@ impl<'m> Machine<'m> {
     /// Execute one instruction (or terminator) of epoch `i`; returns a
     /// squash request if the step violated a later epoch.
     #[allow(clippy::too_many_arguments)]
-    fn step_epoch<T: Tracer, C: CounterSink>(
+    fn step_epoch<T: Tracer>(
         &mut self,
         epochs: &mut [Epoch],
         i: usize,
@@ -1303,7 +1266,6 @@ impl<'m> Machine<'m> {
         committed_out: &SyncState,
         pendings: &mut Vec<Pending>,
         tracer: &mut T,
-        counters: &mut C,
     ) -> Result<Option<SquashReq>, SimError> {
         let (older, rest) = epochs.split_at_mut(i);
         let (cur, younger) = rest.split_at_mut(1);
@@ -1317,8 +1279,8 @@ impl<'m> Machine<'m> {
         if frame.idx >= self.code.lens[cb] as usize {
             // Terminator.
             let term = self.code.terms[cb];
-            if C::ENABLED {
-                counters.retire(OpClass::of_term(&term));
+            if T::FINE {
+                tracer.fine(Fine::Retire(OpClass::of_term(&term)));
             }
             match term {
                 Terminator::Jump(to) => {
@@ -1359,8 +1321,8 @@ impl<'m> Machine<'m> {
         }
 
         let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
-        if C::ENABLED {
-            counters.retire(OpClass::of(instr));
+        if T::FINE {
+            tracer.fine(Fine::Retire(OpClass::of(instr)));
         }
         match instr {
             Instr::Assign { dst, src } => {
@@ -1414,9 +1376,6 @@ impl<'m> Machine<'m> {
                 match pred_out.out_scalars.get(chan) {
                     None => {
                         e.status = Status::WaitScalar(*chan, e.clock);
-                        if C::ENABLED {
-                            counters.wait(WaitKind::Scalar(*chan));
-                        }
                         // Do not advance idx: re-execute on wake.
                         if T::ENABLED {
                             tracer.event(TraceEvent::WaitBegin {
@@ -1435,9 +1394,6 @@ impl<'m> Machine<'m> {
                         frame.regs[dst.index()] = v;
                         frame.ready[dst.index()] = complete;
                         frame.idx += 1;
-                        if C::ENABLED {
-                            counters.signal_recv(SignalKind::Scalar(*chan));
-                        }
                         if T::ENABLED {
                             tracer.event(TraceEvent::SignalRecv {
                                 rid,
@@ -1475,9 +1431,6 @@ impl<'m> Machine<'m> {
                 }
                 e.sync.out_scalars.insert(*chan, (v, ready_at));
                 frame.idx += 1;
-                if C::ENABLED {
-                    counters.signal_send(SignalKind::Scalar(*chan));
-                }
                 if T::ENABLED {
                     tracer.event(TraceEvent::SignalSend {
                         rid,
@@ -1548,9 +1501,6 @@ impl<'m> Machine<'m> {
                     e.sync.push_sig_buf(*group, a);
                 }
                 frame.idx += 1;
-                if C::ENABLED {
-                    counters.signal_send(SignalKind::Mem(*group));
-                }
                 if T::ENABLED {
                     tracer.event(TraceEvent::SignalSend {
                         rid,
@@ -1607,9 +1557,6 @@ impl<'m> Machine<'m> {
                         );
                     }
                 }
-                if C::ENABLED {
-                    counters.signal_send(SignalKind::MemNull(*group));
-                }
                 if T::ENABLED {
                     let sent = e.sync.out_mems[group];
                     tracer.event(TraceEvent::SignalSend {
@@ -1632,9 +1579,11 @@ impl<'m> Machine<'m> {
                 let (issue, _) = e.timer.issue(ra.max(rv), self.config.lat_alu);
                 e.clock = issue;
                 e.wb.store(a, v, *sid);
-                if C::ENABLED {
-                    counters.spec_store();
-                    counters.wb_occupancy(e.wb.len(), e.wb.dirty_lines());
+                if T::FINE {
+                    tracer.fine(Fine::WbOccupancy {
+                        words: e.wb.len(),
+                        lines: e.wb.dirty_lines(),
+                    });
                 }
                 if T::ENABLED {
                     tracer.event(TraceEvent::SpecStore {
@@ -1664,9 +1613,6 @@ impl<'m> Machine<'m> {
                             ready_at: issue + self.config.forward_lat,
                         },
                     );
-                    if C::ENABLED {
-                        counters.signal_send(SignalKind::Mem(g));
-                    }
                     if T::ENABLED {
                         tracer.event(TraceEvent::SignalSend {
                             rid,
@@ -1775,8 +1721,8 @@ impl<'m> Machine<'m> {
                 };
                 if let Some(v) = oracle_hit {
                     let lat = self.caches.access(e.core, a);
-                    if C::ENABLED {
-                        counters.mem_access(self.caches.level_of(lat));
+                    if T::FINE {
+                        tracer.fine(Fine::Access(self.caches.level_of(lat)));
                     }
                     let (issue, complete) = e.timer.issue(r, lat);
                     e.clock = issue;
@@ -1796,9 +1742,6 @@ impl<'m> Machine<'m> {
                 if !is_oldest && (hw_flagged || mark_flagged) {
                     e.occ[sid.index()] -= 1;
                     e.status = Status::WaitOldest(e.clock);
-                    if C::ENABLED {
-                        counters.wait(WaitKind::Oldest);
-                    }
                     if T::ENABLED {
                         tracer.event(TraceEvent::WaitBegin {
                             rid,
@@ -1848,9 +1791,6 @@ impl<'m> Machine<'m> {
                         frame.regs[dst.index()] = pred;
                         frame.ready[dst.index()] = complete;
                         e.predicted.push((*sid, a, pred));
-                        if C::ENABLED {
-                            counters.predicted_load();
-                        }
                         if T::ENABLED {
                             tracer.event(TraceEvent::PredictedLoad {
                                 rid,
@@ -1878,16 +1818,11 @@ impl<'m> Machine<'m> {
                     let confident = self.predictor.predict(*sid).is_some();
                     let Some(ctl) = self.adapt.as_mut() else { unreachable!() };
                     let out = ctl.decide(*sid, e.clock, confident);
-                    Self::emit_adapt(
-                        tracer, counters, rid, ord, e.index, e.core, *sid, &out, e.clock,
-                    );
+                    Self::emit_adapt(tracer, rid, ord, e.index, e.core, *sid, &out, e.clock);
                     match out.policy {
                         Policy::Stall => {
                             e.occ[sid.index()] -= 1;
                             e.status = Status::WaitOldest(e.clock);
-                            if C::ENABLED {
-                                counters.wait(WaitKind::Oldest);
-                            }
                             if T::ENABLED {
                                 tracer.event(TraceEvent::WaitBegin {
                                     rid,
@@ -1912,9 +1847,6 @@ impl<'m> Machine<'m> {
                                 if !self.config.break_adaptive_forwarding {
                                     e.predicted.push((*sid, a, pred));
                                 }
-                                if C::ENABLED {
-                                    counters.predicted_load();
-                                }
                                 if T::ENABLED {
                                     tracer.event(TraceEvent::PredictedLoad {
                                         rid,
@@ -1936,7 +1868,7 @@ impl<'m> Machine<'m> {
                 }
                 let dst = *dst;
                 let sid = *sid;
-                self.epoch_plain_load(e, older, a, sid, pendings, r, dst, false, rid, ord, tracer, counters)?;
+                self.epoch_plain_load(e, older, a, sid, pendings, r, dst, false, rid, ord, tracer)?;
                 e.frames.last_mut().expect("nonempty").idx += 1;
             }
             Instr::SyncLoad { dst, addr, off, group, sid } => {
@@ -1961,16 +1893,15 @@ impl<'m> Machine<'m> {
                             frame.ready[dst.index()] = complete;
                         } else {
                             e.occ[sid.index()] -= 1;
-                            self.epoch_plain_load(e, older, a, sid, pendings, r, dst, true, rid, ord, tracer, counters)?;
+                            self.epoch_plain_load(
+                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
+                            )?;
                         }
                         e.frames.last_mut().expect("nonempty").idx += 1;
                     }
                     SyncLoadPolicy::StallTillOldest => {
                         if !is_oldest {
                             e.status = Status::WaitOldest(e.clock);
-                            if C::ENABLED {
-                                counters.wait(WaitKind::Oldest);
-                            }
                             if T::ENABLED {
                                 tracer.event(TraceEvent::WaitBegin {
                                     rid,
@@ -1982,7 +1913,9 @@ impl<'m> Machine<'m> {
                                 });
                             }
                         } else {
-                            self.epoch_plain_load(e, older, a, sid, pendings, r, dst, true, rid, ord, tracer, counters)?;
+                            self.epoch_plain_load(
+                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
+                            )?;
                             e.frames.last_mut().expect("nonempty").idx += 1;
                         }
                     }
@@ -1999,15 +1932,10 @@ impl<'m> Machine<'m> {
                             let confident = self.predictor.predict(sid).is_some();
                             let Some(ctl) = self.adapt.as_mut() else { unreachable!() };
                             let out = ctl.decide(sid, e.clock, confident);
-                            Self::emit_adapt(
-                                tracer, counters, rid, ord, e.index, e.core, sid, &out, e.clock,
-                            );
+                            Self::emit_adapt(tracer, rid, ord, e.index, e.core, sid, &out, e.clock);
                             match out.policy {
                                 Policy::Stall => {
                                     e.status = Status::WaitOldest(e.clock);
-                                    if C::ENABLED {
-                                        counters.wait(WaitKind::Oldest);
-                                    }
                                     if T::ENABLED {
                                         tracer.event(TraceEvent::WaitBegin {
                                             rid,
@@ -2034,9 +1962,6 @@ impl<'m> Machine<'m> {
                                         // load site).
                                         if !self.config.break_adaptive_forwarding {
                                             e.predicted.push((sid, a, pred));
-                                        }
-                                        if C::ENABLED {
-                                            counters.predicted_load();
                                         }
                                         if T::ENABLED {
                                             tracer.event(TraceEvent::PredictedLoad {
@@ -2078,9 +2003,6 @@ impl<'m> Machine<'m> {
                             && self.viol_table.contains(sid, e.clock)
                         {
                             e.status = Status::WaitOldest(e.clock);
-                            if C::ENABLED {
-                                counters.wait(WaitKind::Oldest);
-                            }
                             if T::ENABLED {
                                 tracer.event(TraceEvent::WaitBegin {
                                     rid,
@@ -2094,16 +2016,15 @@ impl<'m> Machine<'m> {
                             return Ok(None);
                         }
                         if filtered_out {
-                            self.epoch_plain_load(e, older, a, sid, pendings, r, dst, true, rid, ord, tracer, counters)?;
+                            self.epoch_plain_load(
+                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
+                            )?;
                             e.frames.last_mut().expect("nonempty").idx += 1;
                             return Ok(None);
                         }
                         match pred_out.out_mems.get(&group).copied() {
                             None => {
                                 e.status = Status::WaitMem(group, e.clock);
-                                if C::ENABLED {
-                                    counters.wait(WaitKind::Mem(group));
-                                }
                                 if T::ENABLED {
                                     tracer.event(TraceEvent::WaitBegin {
                                         rid,
@@ -2130,9 +2051,6 @@ impl<'m> Machine<'m> {
                                     let frame = e.frames.last_mut().expect("nonempty");
                                     frame.regs[dst.index()] = v;
                                     frame.ready[dst.index()] = complete;
-                                    if C::ENABLED {
-                                        counters.spec_load(false);
-                                    }
                                     if T::ENABLED {
                                         tracer.event(TraceEvent::SpecLoad {
                                             rid,
@@ -2180,9 +2098,6 @@ impl<'m> Machine<'m> {
                                     let frame = e.frames.last_mut().expect("nonempty");
                                     frame.regs[dst.index()] = used;
                                     frame.ready[dst.index()] = complete;
-                                    if C::ENABLED {
-                                        counters.signal_recv(SignalKind::Mem(group));
-                                    }
                                     if T::ENABLED {
                                         tracer.event(TraceEvent::SignalRecv {
                                             rid,
@@ -2209,7 +2124,6 @@ impl<'m> Machine<'m> {
                                         rid,
                                         ord,
                                         tracer,
-                                        counters,
                                     )?;
                                 }
                                 e.frames.last_mut().expect("nonempty").idx += 1;
@@ -2226,7 +2140,7 @@ impl<'m> Machine<'m> {
     /// committed memory with read-set tracking and pending-violation
     /// registration.
     #[allow(clippy::too_many_arguments)]
-    fn epoch_plain_load<T: Tracer, C: CounterSink>(
+    fn epoch_plain_load<T: Tracer>(
         &mut self,
         e: &mut Epoch,
         older: &[Epoch],
@@ -2239,7 +2153,6 @@ impl<'m> Machine<'m> {
         rid: RegionId,
         ord: u64,
         tracer: &mut T,
-        counters: &mut C,
     ) -> Result<i64, SimError> {
         let frame = e.frames.last_mut().expect("nonempty");
         if let Some(v) = e.wb.load(a) {
@@ -2247,9 +2160,6 @@ impl<'m> Machine<'m> {
             e.clock = issue;
             frame.regs[dst.index()] = v;
             frame.ready[dst.index()] = complete;
-            if C::ENABLED {
-                counters.spec_load(false);
-            }
             if T::ENABLED {
                 tracer.event(TraceEvent::SpecLoad {
                     rid,
@@ -2267,31 +2177,25 @@ impl<'m> Machine<'m> {
         }
         let v = self.mem.read(a);
         // Timing-identical to `access`; the eviction report only feeds the
-        // tracer and the counter bank.
-        let lat = if T::ENABLED || C::ENABLED {
-            let (lat, evicted) = self.caches.access_evict(e.core, a);
-            if C::ENABLED {
-                counters.mem_access(self.caches.level_of(lat));
-            }
-            if let Some(victim_line) = evicted {
-                let speculative = e.reads.line_reader(victim_line).is_some()
-                    || e.wb.wrote_line(victim_line);
-                if C::ENABLED {
-                    counters.line_evict(speculative);
-                }
-                if T::ENABLED {
-                    tracer.event(TraceEvent::LineEvict {
-                        core: e.core,
-                        line: victim_line,
-                        speculative,
-                        time: e.clock,
-                    });
-                }
-            }
-            lat
+        // tracer.
+        let (lat, evicted) = if T::ENABLED {
+            self.caches.access_evict(e.core, a)
         } else {
-            self.caches.access(e.core, a)
+            (self.caches.access(e.core, a), None)
         };
+        if T::FINE {
+            tracer.fine(Fine::Access(self.caches.level_of(lat)));
+        }
+        if let Some(victim_line) = evicted {
+            let speculative =
+                e.reads.line_reader(victim_line).is_some() || e.wb.wrote_line(victim_line);
+            tracer.event(TraceEvent::LineEvict {
+                core: e.core,
+                line: victim_line,
+                speculative,
+                time: e.clock,
+            });
+        }
         let (issue, complete) = e.timer.issue(ready, lat);
         e.clock = issue;
         frame.regs[dst.index()] = v;
@@ -2312,9 +2216,6 @@ impl<'m> Machine<'m> {
                     time: issue,
                 });
             }
-        }
-        if C::ENABLED {
-            counters.spec_load(true);
         }
         if T::ENABLED {
             // Emitted even under the fault injection below: the model sees

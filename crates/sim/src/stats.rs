@@ -224,10 +224,9 @@ pub struct SimResult {
     /// Per-class fault-injection counters (all zero unless the run was
     /// perturbed via `SimConfig::inject`).
     pub faults: FaultSummary,
-    /// Machine counter bank, populated only by counter-enabled runs
-    /// ([`crate::Machine::run_counted`] /
-    /// [`crate::Machine::run_instrumented`] with an enabled sink).
-    /// `None` means counting was compiled out, not that nothing happened.
+    /// Machine counter bank, populated only by counted runs
+    /// ([`crate::Machine::run_counted`]). `None` means the run was not
+    /// counted, not that nothing happened.
     pub counters: Option<Box<MachineCounters>>,
 }
 

@@ -4,8 +4,9 @@
 
 use std::sync::OnceLock;
 
+use tls_repro::core::CompileOptions;
 use tls_repro::experiments::{Harness, Mode, Scale};
-use tls_repro::sim::SimResult;
+use tls_repro::sim::{Machine, SimConfig, SimResult};
 
 fn harness(name: &str) -> &'static Harness {
     static CACHE: OnceLock<std::sync::Mutex<std::collections::HashMap<String, &'static Harness>>> =
@@ -276,4 +277,66 @@ fn filtered_hybrid_removes_useless_synchronization() {
             "{name}: filtering must not hurt (B+ {bf} vs B {b})"
         );
     }
+}
+
+/// Ablation (DESIGN §9): signalling right after the producing store — the
+/// paper's scheduling of memory-value forwarding — never loses to signalling
+/// at the latch on gzip_decomp, the benchmark that needs early forwarding.
+#[test]
+fn early_signals_do_not_lose_to_latch_signals() {
+    let w = tls_repro::workloads::by_name("gzip_decomp").expect("workload exists");
+    let latch_opts = CompileOptions {
+        schedule_signals: false,
+        ..CompileOptions::default()
+    };
+    let latch = Harness::with_options(w, Scale::Quick, &latch_opts).expect("harness builds");
+    let e = region_cycles(harness("gzip_decomp"), Mode::CompilerRef);
+    let l = region_cycles(&latch, Mode::CompilerRef);
+    assert!(
+        e <= l * 11 / 10,
+        "gzip_decomp: early signals ({e} region cycles) vs latch-time signals ({l})"
+    );
+}
+
+/// Ablation (DESIGN §9): tracking exposed reads per word instead of per
+/// cache line removes m88ksim's false-sharing violations.
+#[test]
+fn word_grain_tracking_removes_false_sharing_violations() {
+    let h = harness("m88ksim");
+    let line = Machine::new(&h.set_c.unsync, SimConfig::cgo2004())
+        .run()
+        .expect("runs");
+    assert_eq!(
+        line.output, h.seq.output,
+        "line-grain run must stay correct"
+    );
+    let word_cfg = SimConfig {
+        word_grain: true,
+        ..SimConfig::cgo2004()
+    };
+    let word = Machine::new(&h.set_c.unsync, word_cfg).run().expect("runs");
+    assert!(
+        word.total_violations < line.total_violations,
+        "m88ksim: word grain ({}) must violate less than line grain ({})",
+        word.total_violations,
+        line.total_violations
+    );
+}
+
+/// Ablation (DESIGN §9): relaying the incoming memory signal instead of
+/// sending NULL keeps parser architecturally correct.
+#[test]
+fn relay_forwarding_matches_sequential_output() {
+    let h = harness("parser");
+    let relay_cfg = SimConfig {
+        relay_forwarding: true,
+        ..SimConfig::cgo2004()
+    };
+    let relay = Machine::new(&h.set_c.synced, relay_cfg)
+        .run()
+        .expect("runs");
+    assert_eq!(
+        relay.output, h.seq.output,
+        "relay forwarding must stay correct"
+    );
 }

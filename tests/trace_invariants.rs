@@ -12,9 +12,7 @@
 use tls_repro::experiments::fuzz::FuzzConfig;
 use tls_repro::experiments::{spec_modes, Harness, Mode};
 use tls_repro::ir::{generate, GenConfig, GenFamily};
-use tls_repro::sim::{
-    check_event_stream, replay_slots, AdaptConfig, MachineCounters, RecordingTracer, TraceEvent,
-};
+use tls_repro::sim::{check_event_stream, replay_slots, AdaptConfig, RecordingTracer, TraceEvent};
 
 const SEEDS: u64 = 30;
 
@@ -124,10 +122,11 @@ fn fuzz_corpus_event_streams_are_consistent() {
 /// The adaptive event surface, end to end: a phase-shift program run with
 /// a deliberately small controller window emits `PolicyTransition` *and*
 /// `Reprofile` events, the structural checker accepts the stream, the
-/// event counts equal the machine-counter bank, and the new events do not
-/// disturb the exact slot replay. (The default window is longer than these
-/// generated programs, so re-profiling needs the small-window config to
-/// fire at all — that is exactly why this test pins it.)
+/// event counts equal the bank of a second, counted run, and the new
+/// events do not disturb the exact slot replay. (The default window is
+/// longer than these generated programs, so re-profiling needs the
+/// small-window config to fire at all — that is exactly why this test
+/// pins it.)
 #[test]
 fn adaptive_events_replay_and_match_counters() {
     let cfg = FuzzConfig {
@@ -148,11 +147,17 @@ fn adaptive_events_replay_and_match_counters() {
     });
     let (w, cores) = (h.base.issue_width, h.base.cores as u64);
     let mut rec = RecordingTracer::default();
-    let mut bank = MachineCounters::default();
     let result = h
-        .run_instrumented(Mode::Unsync, &mut rec, &mut bank)
+        .run_traced(Mode::Unsync, &mut rec)
         .unwrap_or_else(|e| panic!("adaptive unsync run: {e}"));
+    let counted = h
+        .run_counted(Mode::Unsync)
+        .unwrap_or_else(|e| panic!("adaptive unsync counted run: {e}"));
     let events = rec.events;
+    assert_eq!(
+        counted.total_cycles, result.total_cycles,
+        "counting changed the run"
+    );
 
     check_event_stream(&events).unwrap_or_else(|e| panic!("bad adaptive stream: {e}"));
 
@@ -164,7 +169,10 @@ fn adaptive_events_replay_and_match_counters() {
         .iter()
         .filter(|e| matches!(e, TraceEvent::Reprofile { .. }))
         .count() as u64;
-    let published = result.counters.as_deref().expect("instrumented run publishes counters");
+    let published = counted
+        .counters
+        .as_deref()
+        .expect("counted run publishes counters");
     assert!(transitions >= 1, "no policy transitions traced");
     assert!(reprofiles >= 1, "the small window must force a re-profile");
     assert_eq!(
