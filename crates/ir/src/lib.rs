@@ -89,7 +89,7 @@ pub use generate::{generate, GenConfig, GenConfigError, GenFamily};
 pub use ids::{BlockId, ChanId, FuncId, GlobalId, GroupId, RegionId, Sid, Var};
 pub use instr::{BinOp, Instr, Operand, Terminator};
 pub use module::{Block, Function, Global, Module, SpecRegion};
-pub use rng::SplitMix64;
+pub use rng::{FxHashMap, FxHashSet, FxHasher, SplitMix64};
 pub use validate::{validate, validate_epochs, ValidateError};
 
 /// Bytes per machine word. Addresses in this IR count words, not bytes.

@@ -1,11 +1,15 @@
-//! Deterministic splitmix64 pseudo-random number generator.
+//! Deterministic integer mixing: the splitmix64 pseudo-random number
+//! generator and a multiply-rotate hasher for integer-keyed maps.
 //!
-//! Shared by the random program generator ([`crate::generate`]) and the
-//! workload input-data builders. Self-contained so the workspace has no
-//! external dependency — generated programs and input data must be
-//! reproducible across toolchains, which rules out tracking a third-party
-//! RNG's stream (Steele et al., "Fast splittable pseudorandom number
-//! generators").
+//! The generator is shared by the random program generator
+//! ([`crate::generate`]) and the workload input-data builders.
+//! Self-contained so the workspace has no external dependency — generated
+//! programs and input data must be reproducible across toolchains, which
+//! rules out tracking a third-party RNG's stream (Steele et al., "Fast
+//! splittable pseudorandom number generators").
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A splitmix64 generator. The entire stream is determined by the seed.
 #[derive(Clone, Debug)]
@@ -59,6 +63,53 @@ impl SplitMix64 {
     }
 }
 
+/// The multiply-rotate hash of rustc's `FxHasher`: one rotate, xor and
+/// multiply per word. It is not DoS-resistant and its order is fixed, so it
+/// suits only keys the program makes itself — simulated addresses, static
+/// ids — in maps no output ever iterates in hash order.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed through [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+/// A `HashSet` keyed through [`FxHasher`].
+pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,5 +142,20 @@ mod tests {
             }
         }
         assert!((300..700).contains(&heads), "{heads}");
+    }
+
+    #[test]
+    fn fx_hash_is_fixed_and_spreads_small_keys() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<FxHasher>::default();
+        assert_eq!(build.hash_one(1i64), 0x517c_c1b7_2722_0a95);
+        assert_eq!(build.hash_one(7i64), build.hash_one(7u64));
+        let low: HashSet<u64> = (0..64i64).map(|k| build.hash_one(k) & 63).collect();
+        assert_eq!(low.len(), 64, "consecutive keys collide in the low bits");
+        let mut m: FxHashMap<i64, i64> = FxHashMap::default();
+        for k in -100..100 {
+            m.insert(k, k * 3);
+        }
+        assert!((-100..100).all(|k| m[&k] == k * 3));
     }
 }

@@ -13,9 +13,7 @@
 //! execution never violates, it follows the sequential path and the replay
 //! keys stay aligned.
 
-use std::collections::HashMap;
-
-use tls_ir::Sid;
+use tls_ir::{FxHashMap, Sid};
 
 use crate::interp::{ExecObserver, Interp, LoopUid, TraceState};
 
@@ -34,7 +32,7 @@ pub struct OracleKey {
 /// The recorded value streams.
 #[derive(Clone, Debug, Default)]
 pub struct ValueOracle {
-    map: HashMap<OracleKey, Vec<i64>>,
+    map: FxHashMap<OracleKey, Vec<i64>>,
 }
 
 impl ValueOracle {

@@ -9,9 +9,7 @@
 //! reset. The same table selects the loads that mode `P` value-predicts,
 //! using a last-value table with 2-bit confidence.
 
-use std::collections::HashMap;
-
-use tls_ir::Sid;
+use tls_ir::{FxHashMap, Sid};
 
 /// The violating-loads table: an LRU list of load sids (stand-ins for PCs)
 /// that caused violations, periodically reset.
@@ -98,7 +96,7 @@ impl ViolationTable {
 /// Per-static-load last-value predictor with 2-bit confidence.
 #[derive(Clone, Debug)]
 pub struct ValuePredictor {
-    table: HashMap<usize, (i64, u8)>,
+    table: FxHashMap<usize, (i64, u8)>,
     entries: usize,
     threshold: u8,
 }
@@ -108,7 +106,7 @@ impl ValuePredictor {
     /// (0–3).
     pub fn new(entries: usize, threshold: u8) -> Self {
         Self {
-            table: HashMap::new(),
+            table: FxHashMap::default(),
             entries: entries.max(1),
             threshold: threshold.min(3),
         }

@@ -283,6 +283,28 @@ pub struct Machine<'m> {
     /// Per synchronized-load sid: (wait attempts, forwarded-value uses),
     /// indexed by `Sid`. Feeds the `hybrid_filter` enhancement.
     forward_usefulness: Vec<(u32, u32)>,
+    /// `SimConfig::oracle_sel` as a table indexed by `Sid`: loads the value
+    /// oracle answers.
+    oracle_loads: Vec<bool>,
+    /// `SimConfig::stall_marked` indexed by `Sid` (all false when unset).
+    stall_loads: Vec<bool>,
+    /// `SimConfig::mark_compiler` indexed by `Sid`.
+    marked_loads: Vec<bool>,
+    /// Retired and cancelled epochs, recycled by [`Machine::spawn_epoch`]
+    /// so that spawning reuses their frames, ROBs and buffers.
+    spare_epochs: Vec<Epoch>,
+}
+
+/// A table indexed by `Sid` over a module with `n` static ids, true for the
+/// members of `sids` (ids outside the module never match, as in the set).
+fn sid_table<'a>(n: usize, sids: impl IntoIterator<Item = &'a Sid>) -> Vec<bool> {
+    let mut table = vec![false; n];
+    for sid in sids {
+        if let Some(member) = table.get_mut(sid.index()) {
+            *member = true;
+        }
+    }
+    table
 }
 
 impl<'m> Machine<'m> {
@@ -299,6 +321,7 @@ impl<'m> Machine<'m> {
                 in_region
             })
             .collect();
+        let sids = module.next_sid as usize;
         Self {
             mem: Memory::with_globals(module),
             caches: MemSystem::new(&config),
@@ -315,7 +338,15 @@ impl<'m> Machine<'m> {
             time: 0,
             steps: 0,
             region_ord: 0,
-            forward_usefulness: vec![(0, 0); module.next_sid as usize],
+            forward_usefulness: vec![(0, 0); sids],
+            oracle_loads: match &config.oracle_sel {
+                OracleSel::None => vec![false; sids],
+                OracleSel::AllLoads => vec![true; sids],
+                OracleSel::Sids(set) => sid_table(sids, set),
+            },
+            stall_loads: sid_table(sids, config.stall_marked.iter().flatten()),
+            marked_loads: sid_table(sids, &config.mark_compiler),
+            spare_epochs: Vec::new(),
             oracle: None,
             code: Code::new(module),
             module,
@@ -651,21 +682,34 @@ impl<'m> Machine<'m> {
     // Parallel mode
     // ------------------------------------------------------------------
 
-    fn spawn_epoch(&self, index: u64, core: usize, at: u64, base: &Frame, header: BlockId) -> Epoch {
-        let mut frame = base.clone();
-        frame.block = header;
-        frame.idx = 0;
-        frame.ready.iter_mut().for_each(|r| *r = at);
-        Epoch {
+    /// Mailboxes for every scalar channel and memory group of the module.
+    fn empty_mailboxes(&self) -> SyncState {
+        SyncState::new(
+            self.module.next_chan as usize,
+            self.module.next_group as usize,
+        )
+    }
+
+    /// Epoch `index` on `core`, starting at `at` from the region header:
+    /// a recycled epoch from the free list when there is one.
+    fn spawn_epoch(
+        &mut self,
+        index: u64,
+        core: usize,
+        at: u64,
+        base: &Frame,
+        header: BlockId,
+    ) -> Epoch {
+        let mut e = self.spare_epochs.pop().unwrap_or_else(|| Epoch {
             index,
             core,
-            frames: vec![frame],
+            frames: vec![base.clone()],
             timer: CoreTimer::new(&self.config, at),
             clock: at,
             status: Status::Running,
             wb: WriteBuffer::default(),
             reads: ReadSet::default(),
-            sync: SyncState::default(),
+            sync: self.empty_mailboxes(),
             outputs: Vec::new(),
             predicted: Vec::new(),
             occ: vec![0; self.module.next_sid as usize],
@@ -673,7 +717,41 @@ impl<'m> Machine<'m> {
             attempt_start: at,
             sync_cycles: 0,
             finish: None,
-        }
+        });
+        e.index = index;
+        e.core = core;
+        e.sync.reset_high_water();
+        Self::restart_epoch(&mut e, base, header, at);
+        e
+    }
+
+    /// Reset `e` in place for a new attempt from the region header at `at`,
+    /// keeping the storage of its frame, ROB and buffers. The signal-buffer
+    /// high-water mark spans every attempt of an epoch, so only
+    /// [`Machine::spawn_epoch`] clears it.
+    fn restart_epoch(e: &mut Epoch, base: &Frame, header: BlockId, at: u64) {
+        e.frames.truncate(1);
+        let frame = &mut e.frames[0];
+        frame.func = base.func;
+        frame.regs.clone_from(&base.regs);
+        frame.ready.clear();
+        frame.ready.resize(base.ready.len(), at);
+        frame.block = header;
+        frame.idx = 0;
+        frame.ret_to = base.ret_to;
+        e.timer.reset(at);
+        e.clock = at;
+        e.status = Status::Running;
+        e.wb.clear();
+        e.reads.clear();
+        e.sync.clear();
+        e.outputs.clear();
+        e.predicted.clear();
+        e.occ.fill(0);
+        e.consumed.fill(false);
+        e.attempt_start = at;
+        e.sync_cycles = 0;
+        e.finish = None;
     }
 
     /// Execute one region instance in parallel; on return, `frames`'s top
@@ -697,34 +775,20 @@ impl<'m> Machine<'m> {
         let cores = self.config.cores;
 
         // The committed baseline mailbox: epoch 0 reads region-entry values.
-        let mut committed_out = SyncState::default();
+        let mut committed_out = self.empty_mailboxes();
         for c in 0..self.module.next_chan {
-            committed_out
-                .out_scalars
-                .insert(tls_ir::ChanId(c), (self.chan_regs[c as usize], t0));
+            committed_out.send_scalar(tls_ir::ChanId(c), self.chan_regs[c as usize], t0);
         }
         for g in 0..self.module.next_group {
-            committed_out.out_mems.insert(
-                GroupId(g),
-                MemSignal {
-                    addr: None,
-                    value: 0,
-                    ready_at: t0,
-                },
-            );
+            committed_out.send_mem(GroupId(g), MemSignal::null(t0));
         }
 
-        let mut epochs: Vec<Epoch> = (0..cores as u64)
-            .map(|k| {
-                self.spawn_epoch(
-                    k,
-                    (seq_core + k as usize) % cores,
-                    t0 + self.config.spawn_overhead * k,
-                    &base,
-                    header,
-                )
-            })
-            .collect();
+        let mut epochs: Vec<Epoch> = Vec::with_capacity(cores);
+        for k in 0..cores as u64 {
+            let at = t0 + self.config.spawn_overhead * k;
+            let e = self.spawn_epoch(k, (seq_core + k as usize) % cores, at, &base, header);
+            epochs.push(e);
+        }
         if T::ENABLED {
             for e in &epochs {
                 tracer.event(TraceEvent::EpochSpawn {
@@ -828,13 +892,15 @@ impl<'m> Machine<'m> {
                     self.caches.install(e.core, a);
                     self.caches.invalidate_others(e.core, a);
                 }
-                for (chan, (v, _)) in &e.sync.out_scalars {
-                    self.chan_regs[chan.index()] = *v;
+                for (chan, v) in e.sync.sent_scalars() {
+                    self.chan_regs[chan.index()] = v;
                 }
                 committed_out.absorb(&e.sync);
                 self.output.extend(e.outputs.iter().copied());
-                self.result.max_signal_buffer =
-                    self.result.max_signal_buffer.max(e.sync.sig_buf_high_water);
+                self.result.max_signal_buffer = self
+                    .result
+                    .max_signal_buffer
+                    .max(e.sync.sig_buf_high_water());
                 // Attempt accounting.
                 let cycles = commit_done.saturating_sub(e.attempt_start);
                 let slots = cycles * w;
@@ -948,11 +1014,16 @@ impl<'m> Machine<'m> {
                             });
                         }
                     }
-                    break 'region (exit_block, e.frames[0].regs.clone(), commit_done);
+                    let final_regs = e.frames[0].regs.clone();
+                    self.spare_epochs.push(e);
+                    self.spare_epochs.append(&mut epochs);
+                    break 'region (exit_block, final_regs, commit_done);
                 }
                 // Freed core picks up the next epoch.
                 let spawn_at = commit_done + self.config.spawn_overhead;
-                let ep = self.spawn_epoch(next_index, e.core, spawn_at, &base, header);
+                let core = e.core;
+                self.spare_epochs.push(e);
+                let ep = self.spawn_epoch(next_index, core, spawn_at, &base, header);
                 if T::ENABLED {
                     tracer.event(TraceEvent::EpochSpawn {
                         rid,
@@ -973,7 +1044,7 @@ impl<'m> Machine<'m> {
                 let e = &mut cur[0];
                 match e.status {
                     Status::WaitScalar(chan, since) => {
-                        if let Some(&(_, ready)) = pred_out.out_scalars.get(&chan) {
+                        if let Some((_, ready)) = pred_out.scalar(chan) {
                             e.status = Status::Running;
                             e.clock = since.max(ready);
                             e.sync_cycles += e.clock - since;
@@ -992,7 +1063,7 @@ impl<'m> Machine<'m> {
                         }
                     }
                     Status::WaitMem(group, since) => {
-                        if let Some(sig) = pred_out.out_mems.get(&group) {
+                        if let Some(sig) = pred_out.mem(group) {
                             e.status = Status::Running;
                             e.clock = since.max(sig.ready_at);
                             e.sync_cycles += e.clock - since;
@@ -1187,7 +1258,7 @@ impl<'m> Machine<'m> {
         }
         if let Some(sid) = req.load_sid {
             let class = match (
-                self.config.mark_compiler.contains(&sid),
+                self.marked_loads[sid.index()],
                 self.viol_table.probe(sid),
             ) {
                 (false, false) => ViolationClass::Neither,
@@ -1231,24 +1302,7 @@ impl<'m> Machine<'m> {
                     store_sid: req.store_sid,
                 });
             }
-            let mut frame = base.clone();
-            frame.block = header;
-            frame.idx = 0;
-            frame.ready.iter_mut().for_each(|r| *r = restart);
-            e.frames = vec![frame];
-            e.timer = CoreTimer::new(&self.config, restart);
-            e.clock = restart;
-            e.status = Status::Running;
-            e.wb.clear();
-            e.reads.clear();
-            e.sync.clear();
-            e.outputs.clear();
-            e.predicted.clear();
-            e.occ.fill(0);
-            e.consumed.fill(false);
-            e.attempt_start = restart;
-            e.sync_cycles = 0;
-            e.finish = None;
+            Self::restart_epoch(e, base, header, restart);
         }
         pendings.retain(|p| p.producer < req.victim && p.consumer < req.victim);
     }
@@ -1373,7 +1427,7 @@ impl<'m> Machine<'m> {
                 e.frames.push(nf);
             }
             Instr::WaitScalar { dst, chan } => {
-                match pred_out.out_scalars.get(chan) {
+                match pred_out.scalar(*chan) {
                     None => {
                         e.status = Status::WaitScalar(*chan, e.clock);
                         // Do not advance idx: re-execute on wake.
@@ -1388,7 +1442,7 @@ impl<'m> Machine<'m> {
                             });
                         }
                     }
-                    Some(&(v, ready)) => {
+                    Some((v, ready)) => {
                         let (issue, complete) = e.timer.issue(ready, self.config.lat_alu);
                         e.clock = issue;
                         frame.regs[dst.index()] = v;
@@ -1429,7 +1483,7 @@ impl<'m> Machine<'m> {
                         }
                     }
                 }
-                e.sync.out_scalars.insert(*chan, (v, ready_at));
+                e.sync.send_scalar(*chan, v, ready_at);
                 frame.idx += 1;
                 if T::ENABLED {
                     tracer.event(TraceEvent::SignalSend {
@@ -1492,7 +1546,7 @@ impl<'m> Machine<'m> {
                         }
                     }
                 }
-                e.sync.out_mems.insert(*group, wire);
+                e.sync.send_mem(*group, wire);
                 // The producer believes it forwarded the real address: the
                 // signal-address buffer keeps tracking `a` so later stores
                 // still re-signal (faults live on the wire, not here).
@@ -1518,7 +1572,7 @@ impl<'m> Machine<'m> {
                 let (issue, _) = e.timer.issue(0, self.config.lat_alu);
                 e.clock = issue;
                 let sig = if self.config.relay_forwarding {
-                    pred_out.out_mems.get(group).copied()
+                    pred_out.mem(*group)
                 } else {
                     None
                 };
@@ -1527,7 +1581,7 @@ impl<'m> Machine<'m> {
                         let a = relayed.addr.expect("checked");
                         // Relay only if this epoch has not overwritten it.
                         if e.wb.wrote_word(a) {
-                            e.sync.out_mems.insert(
+                            e.sync.send_mem(
                                 *group,
                                 MemSignal {
                                     addr: Some(a),
@@ -1536,7 +1590,7 @@ impl<'m> Machine<'m> {
                                 },
                             );
                         } else {
-                            e.sync.out_mems.insert(
+                            e.sync.send_mem(
                                 *group,
                                 MemSignal {
                                     ready_at: issue + self.config.forward_lat,
@@ -1547,18 +1601,11 @@ impl<'m> Machine<'m> {
                         e.sync.push_sig_buf(*group, a);
                     }
                     _ => {
-                        e.sync.out_mems.insert(
-                            *group,
-                            MemSignal {
-                                addr: None,
-                                value: 0,
-                                ready_at: issue + self.config.forward_lat,
-                            },
-                        );
+                        e.sync.send_mem(*group, MemSignal::null(issue + self.config.forward_lat));
                     }
                 }
                 if T::ENABLED {
-                    let sent = e.sync.out_mems[group];
+                    let sent = e.sync.mem(*group).expect("just sent");
                     tracer.event(TraceEvent::SignalSend {
                         rid,
                         ord,
@@ -1605,7 +1652,7 @@ impl<'m> Machine<'m> {
                 for g in e.sync.buffered_groups_at(a) {
                     // Re-signal the updated value; restart the consumer only
                     // if it already used the stale one (§2.2).
-                    e.sync.out_mems.insert(
+                    e.sync.send_mem(
                         g,
                         MemSignal {
                             addr: Some(a),
@@ -1644,7 +1691,9 @@ impl<'m> Machine<'m> {
                         if victim.is_none_or(|(v0, _, _)| y.index < v0) {
                             victim = Some((y.index, lsid, ViolationKind::Eager));
                         }
-                        break; // epochs are in index order: first hit is youngest-older... keep scanning? They're ascending: first conflict is the oldest conflicting — squash cascades anyway.
+                        // `younger` ascends by index, so the first conflict is
+                        // the oldest victim; the squash cascades to the rest.
+                        break;
                     }
                 }
                 if let Some((v0, lsid, kind)) = victim {
@@ -1708,12 +1757,8 @@ impl<'m> Machine<'m> {
                 let occ = e.occ[sid.index()];
                 e.occ[sid.index()] += 1;
                 // Perfect prediction (modes O and Figure 6)?
-                let oracle_hit = match (&self.config.oracle_sel, self.oracle) {
-                    (OracleSel::AllLoads, Some(o)) => o.value(
-                        OracleKey { region_ord: ord, epoch: e.index, sid: *sid },
-                        occ as usize,
-                    ),
-                    (OracleSel::Sids(s), Some(o)) if s.contains(sid) => o.value(
+                let oracle_hit = match self.oracle {
+                    Some(o) if self.oracle_loads[sid.index()] => o.value(
                         OracleKey { region_ord: ord, epoch: e.index, sid: *sid },
                         occ as usize,
                     ),
@@ -1734,11 +1779,7 @@ impl<'m> Machine<'m> {
                 // Hardware-inserted synchronization / Figure 11 marking:
                 // stall a flagged load until this epoch is the oldest.
                 let hw_flagged = self.config.hw_sync && self.viol_table.contains(*sid, e.clock);
-                let mark_flagged = self
-                    .config
-                    .stall_marked
-                    .as_ref()
-                    .is_some_and(|s| s.contains(sid));
+                let mark_flagged = self.stall_loads[sid.index()];
                 if !is_oldest && (hw_flagged || mark_flagged) {
                     e.occ[sid.index()] -= 1;
                     e.status = Status::WaitOldest(e.clock);
@@ -2022,7 +2063,7 @@ impl<'m> Machine<'m> {
                             e.frames.last_mut().expect("nonempty").idx += 1;
                             return Ok(None);
                         }
-                        match pred_out.out_mems.get(&group).copied() {
+                        match pred_out.mem(group) {
                             None => {
                                 e.status = Status::WaitMem(group, e.clock);
                                 if T::ENABLED {

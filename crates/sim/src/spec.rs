@@ -7,9 +7,9 @@
 //! incoming forwarded values, and maintains the producer-side signal
 //! address buffer of §2.2.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
-use tls_ir::{line_of, ChanId, GroupId, Sid};
+use tls_ir::{line_of, ChanId, FxHashMap, FxHashSet, GroupId, Sid};
 
 /// Speculative write buffer: word values plus touched-line bookkeeping
 /// (each dirty line remembers the first static store that wrote it, for
@@ -19,7 +19,7 @@ pub struct WriteBuffer {
     /// Word → value. `BTreeMap` so commit order is deterministic.
     words: BTreeMap<i64, i64>,
     /// Dirty line → sid of the first store into it.
-    lines: HashMap<i64, Sid>,
+    lines: FxHashMap<i64, Sid>,
 }
 
 impl WriteBuffer {
@@ -82,9 +82,9 @@ impl WriteBuffer {
 #[derive(Clone, Debug, Default)]
 pub struct ReadSet {
     /// Line → sid of the first exposed load of that line.
-    lines: HashMap<i64, Sid>,
+    lines: FxHashMap<i64, Sid>,
     /// Exact words read (used only when `word_grain` tracking is on).
-    words: HashSet<i64>,
+    words: FxHashSet<i64>,
 }
 
 impl ReadSet {
@@ -152,25 +152,72 @@ impl MemSignal {
 /// survive consumer restarts and reach successors spawned after the signal
 /// was sent. A squash clears the state; the cascading squash guarantees no
 /// consumer retains a value from a cleared mailbox.
-#[derive(Clone, Debug, Default)]
+///
+/// The mailboxes are dense, one slot per channel and per group of the
+/// module, so sending and receiving index a vector instead of hashing.
+#[derive(Clone, Debug)]
 pub struct SyncState {
-    /// Scalar channel → (value, cycle at which the consumer can read it).
-    pub out_scalars: HashMap<ChanId, (i64, u64)>,
-    /// Memory group → forwarded signal.
-    pub out_mems: HashMap<GroupId, MemSignal>,
+    /// Per `ChanId`: the sent value and the cycle the consumer can read it.
+    scalars: Vec<Option<(i64, u64)>>,
+    /// Per `GroupId`: the forwarded signal.
+    mems: Vec<Option<MemSignal>>,
     /// Producer-side signal address buffer: forwarded (group, addr) pairs;
     /// a later store in this epoch to a buffered address violates the
     /// consumer (§2.2).
-    pub sig_buf: Vec<(GroupId, i64)>,
+    sig_buf: Vec<(GroupId, i64)>,
     /// Largest occupancy `sig_buf` reached (paper: never above 10).
-    pub sig_buf_high_water: usize,
+    sig_buf_high_water: usize,
 }
 
 impl SyncState {
+    /// Empty mailboxes for `chans` scalar channels and `groups` memory
+    /// groups (a module's `next_chan` and `next_group`).
+    pub fn new(chans: usize, groups: usize) -> Self {
+        Self {
+            scalars: vec![None; chans],
+            mems: vec![None; groups],
+            sig_buf: Vec::new(),
+            sig_buf_high_water: 0,
+        }
+    }
+
+    /// The value sent on `chan` and the cycle it is readable, if sent.
+    pub fn scalar(&self, chan: ChanId) -> Option<(i64, u64)> {
+        self.scalars[chan.index()]
+    }
+
+    /// Send `value` on `chan`, readable from cycle `ready_at`.
+    pub fn send_scalar(&mut self, chan: ChanId, value: i64, ready_at: u64) {
+        self.scalars[chan.index()] = Some((value, ready_at));
+    }
+
+    /// Every sent scalar as `(chan, value)`, in channel order.
+    pub fn sent_scalars(&self) -> impl Iterator<Item = (ChanId, i64)> + '_ {
+        self.scalars
+            .iter()
+            .enumerate()
+            .filter_map(|(c, s)| s.map(|(v, _)| (ChanId(c as u32), v)))
+    }
+
+    /// The signal forwarded on `group`, if any.
+    pub fn mem(&self, group: GroupId) -> Option<MemSignal> {
+        self.mems[group.index()]
+    }
+
+    /// Forward `signal` on `group`, replacing any earlier one.
+    pub fn send_mem(&mut self, group: GroupId, signal: MemSignal) {
+        self.mems[group.index()] = Some(signal);
+    }
+
     /// Record a forwarded memory signal on the producer side.
     pub fn push_sig_buf(&mut self, group: GroupId, addr: i64) {
         self.sig_buf.push((group, addr));
         self.sig_buf_high_water = self.sig_buf_high_water.max(self.sig_buf.len());
+    }
+
+    /// Largest signal-address-buffer occupancy since the epoch was spawned.
+    pub fn sig_buf_high_water(&self) -> usize {
+        self.sig_buf_high_water
     }
 
     /// Groups whose forwarded address equals a word this store hits.
@@ -183,20 +230,30 @@ impl SyncState {
     }
 
     /// Clear all state (squash: the epoch will re-execute and re-signal).
+    /// The high-water mark survives: it spans every attempt of an epoch.
     pub fn clear(&mut self) {
-        self.out_scalars.clear();
-        self.out_mems.clear();
+        self.scalars.fill(None);
+        self.mems.fill(None);
         self.sig_buf.clear();
+    }
+
+    /// Forget the high-water mark (a recycled state starting a new epoch).
+    pub fn reset_high_water(&mut self) {
+        self.sig_buf_high_water = 0;
     }
 
     /// Merge `newer`'s entries over this state (used to roll the committed
     /// baseline forward when an epoch commits).
     pub fn absorb(&mut self, newer: &SyncState) {
-        for (k, v) in &newer.out_scalars {
-            self.out_scalars.insert(*k, *v);
+        for (mine, theirs) in self.scalars.iter_mut().zip(&newer.scalars) {
+            if theirs.is_some() {
+                *mine = *theirs;
+            }
         }
-        for (k, v) in &newer.out_mems {
-            self.out_mems.insert(*k, *v);
+        for (mine, theirs) in self.mems.iter_mut().zip(&newer.mems) {
+            if theirs.is_some() {
+                *mine = *theirs;
+            }
         }
     }
 }
@@ -244,37 +301,32 @@ mod tests {
 
     #[test]
     fn signal_buffer_high_water_and_lookup() {
-        let mut s = SyncState::default();
+        let mut s = SyncState::new(0, 3);
         s.push_sig_buf(GroupId(0), 100);
         s.push_sig_buf(GroupId(1), 200);
         s.push_sig_buf(GroupId(2), 100);
-        assert_eq!(s.sig_buf_high_water, 3);
+        assert_eq!(s.sig_buf_high_water(), 3);
         assert_eq!(
             s.buffered_groups_at(100),
             vec![GroupId(0), GroupId(2)]
         );
         assert!(s.buffered_groups_at(300).is_empty());
         s.clear();
-        assert!(s.sig_buf.is_empty());
-        assert_eq!(s.sig_buf_high_water, 3); // high water persists
+        assert!(s.buffered_groups_at(100).is_empty());
+        assert_eq!(s.sig_buf_high_water(), 3); // high water persists
+        s.reset_high_water();
+        assert_eq!(s.sig_buf_high_water(), 0);
     }
 
     #[test]
     fn absorb_overrides_entries() {
-        let mut base = SyncState::default();
-        base.out_scalars.insert(ChanId(0), (1, 0));
-        base.out_scalars.insert(ChanId(1), (2, 0));
-        base.out_mems.insert(
-            GroupId(0),
-            MemSignal {
-                addr: None,
-                value: 0,
-                ready_at: 0,
-            },
-        );
-        let mut newer = SyncState::default();
-        newer.out_scalars.insert(ChanId(0), (10, 5));
-        newer.out_mems.insert(
+        let mut base = SyncState::new(3, 2);
+        base.send_scalar(ChanId(0), 1, 0);
+        base.send_scalar(ChanId(1), 2, 0);
+        base.send_mem(GroupId(0), MemSignal::null(0));
+        let mut newer = SyncState::new(3, 2);
+        newer.send_scalar(ChanId(0), 10, 5);
+        newer.send_mem(
             GroupId(0),
             MemSignal {
                 addr: Some(42),
@@ -283,8 +335,15 @@ mod tests {
             },
         );
         base.absorb(&newer);
-        assert_eq!(base.out_scalars[&ChanId(0)], (10, 5));
-        assert_eq!(base.out_scalars[&ChanId(1)], (2, 0)); // untouched
-        assert_eq!(base.out_mems[&GroupId(0)].addr, Some(42));
+        assert_eq!(base.scalar(ChanId(0)), Some((10, 5)));
+        assert_eq!(base.scalar(ChanId(1)), Some((2, 0))); // untouched
+        assert_eq!(base.scalar(ChanId(2)), None);
+        assert_eq!(base.mem(GroupId(0)).map(|s| s.addr), Some(Some(42)));
+        assert_eq!(base.mem(GroupId(1)), None);
+        let sent: Vec<_> = base.sent_scalars().collect();
+        assert_eq!(sent, vec![(ChanId(0), 10), (ChanId(1), 2)]);
+        base.clear();
+        assert_eq!(base.sent_scalars().count(), 0);
+        assert_eq!(base.mem(GroupId(0)), None);
     }
 }

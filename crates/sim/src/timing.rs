@@ -8,21 +8,24 @@
 //! branches consult a 2-bit predictor and a mispredict flushes the front
 //! end for `mispredict_penalty` cycles.
 
-use std::collections::VecDeque;
-
 use crate::config::SimConfig;
 
 /// The timing state of one core while running one epoch attempt.
+///
+/// The ROB is a fixed ring allocated once, so an epoch restarted with
+/// [`CoreTimer::reset`] reuses it.
 #[derive(Clone, Debug)]
 pub struct CoreTimer {
     issue_width: u64,
-    rob_size: usize,
     /// Earliest cycle the next instruction can issue (front-end).
     next_fetch: u64,
     /// Instructions already issued in the `next_fetch` cycle.
     issued_this_cycle: u64,
-    /// Graduation times of in-flight instructions (ROB occupancy).
-    rob: VecDeque<u64>,
+    /// Graduation times of in-flight instructions: a ring of `rob_size`
+    /// slots holding `rob_len` entries from `rob_head` on, oldest first.
+    rob: Box<[u64]>,
+    rob_len: usize,
+    rob_head: usize,
     /// Time the previous instruction graduated.
     last_grad: u64,
     /// Instructions graduated in the `last_grad` cycle.
@@ -36,14 +39,27 @@ impl CoreTimer {
     pub fn new(config: &SimConfig, now: u64) -> Self {
         Self {
             issue_width: config.issue_width,
-            rob_size: config.rob_size,
             next_fetch: now,
             issued_this_cycle: 0,
-            rob: VecDeque::with_capacity(config.rob_size),
+            rob: vec![0; config.rob_size].into_boxed_slice(),
+            rob_len: 0,
+            rob_head: 0,
             last_grad: now,
             grad_this_cycle: 0,
             graduated: 0,
         }
+    }
+
+    /// Return to the state [`CoreTimer::new`] builds at `now`, keeping the
+    /// ROB's storage.
+    pub fn reset(&mut self, now: u64) {
+        self.next_fetch = now;
+        self.issued_this_cycle = 0;
+        self.rob_len = 0;
+        self.rob_head = 0;
+        self.last_grad = now;
+        self.grad_this_cycle = 0;
+        self.graduated = 0;
     }
 
     /// Reset the pipeline (squash/flush) so the next instruction issues no
@@ -51,7 +67,7 @@ impl CoreTimer {
     pub fn flush(&mut self, now: u64) {
         self.next_fetch = self.next_fetch.max(now);
         self.issued_this_cycle = 0;
-        self.rob.clear();
+        self.rob_len = 0;
         self.last_grad = self.last_grad.max(now);
         self.grad_this_cycle = 0;
     }
@@ -67,8 +83,8 @@ impl CoreTimer {
         if self.issued_this_cycle >= self.issue_width {
             t += 1;
         }
-        if self.rob.len() >= self.rob_size {
-            t = t.max(*self.rob.front().expect("rob nonempty"));
+        if self.rob_len == self.rob.len() {
+            t = t.max(self.rob[self.rob_head]);
         }
         t
     }
@@ -82,9 +98,13 @@ impl CoreTimer {
         }
         // ROB constraint: at most `rob_size` in flight. Graduation times are
         // monotonic, so freeing the head entry is exactly the stall point.
-        if self.rob.len() >= self.rob_size {
-            let head = self.rob.pop_front().expect("rob nonempty");
-            t = t.max(head);
+        if self.rob_len == self.rob.len() {
+            t = t.max(self.rob[self.rob_head]);
+            self.rob_head += 1;
+            if self.rob_head == self.rob.len() {
+                self.rob_head = 0;
+            }
+            self.rob_len -= 1;
         }
         if t > self.next_fetch {
             self.next_fetch = t;
@@ -109,7 +129,12 @@ impl CoreTimer {
             self.grad_this_cycle = 1;
         }
         self.last_grad = grad;
-        self.rob.push_back(grad);
+        let mut tail = self.rob_head + self.rob_len;
+        if tail >= self.rob.len() {
+            tail -= self.rob.len();
+        }
+        self.rob[tail] = grad;
+        self.rob_len += 1;
         self.graduated += 1;
         (t, complete)
     }

@@ -1,19 +1,18 @@
-#![cfg(feature = "proptest-tests")]
-// Gated: `proptest` cannot be resolved offline. Enable with
-// `--features proptest-tests` after restoring the `proptest` dev-dependency
-// in this package's Cargo.toml.
-
-//! Property-based end-to-end tests: for *arbitrary* loop bodies full of
+//! Seeded end-to-end properties: for random loop bodies full of
 //! cross-epoch memory traffic, the whole pipeline — region selection,
 //! scalar sync, memory sync, cloning — must preserve sequential semantics
-//! under every execution mode. This fuzzes the squash/restart/forwarding
-//! machinery far beyond what the hand-written workloads exercise.
+//! under every execution mode. This drives the squash/restart/forwarding
+//! machinery far beyond what the hand-written workloads exercise. Every
+//! body comes from the in-repo splitmix64 generator, so a failure names
+//! the seed that replays it.
 
-use proptest::prelude::*;
 use tls_repro::core::{compile_all, CompileOptions};
-use tls_repro::ir::{BinOp, Module, ModuleBuilder};
+use tls_repro::ir::{BinOp, Module, ModuleBuilder, SplitMix64};
 use tls_repro::profile::run_sequential;
 use tls_repro::sim::{Machine, SimConfig, SyncLoadPolicy};
+
+/// Seeded cases per property.
+const CASES: u64 = 24;
 
 /// One step of a randomly generated epoch body.
 #[derive(Clone, Copy, Debug)]
@@ -32,15 +31,19 @@ enum Op {
     CondBump(u8),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..6, any::<i8>()).prop_map(|(o, c)| Op::Alu(o, c)),
-        (0u8..8).prop_map(Op::LoadShared),
-        (0u8..8).prop_map(Op::StoreShared),
-        Just(Op::LoadSlot),
-        Just(Op::StoreSlot),
-        (0u8..8).prop_map(Op::CondBump),
-    ]
+/// A body of `min..max` steps, each kind equally likely.
+fn random_ops(rng: &mut SplitMix64, min: i64, max: i64) -> Vec<Op> {
+    let len = rng.gen_range(min, max);
+    (0..len)
+        .map(|_| match rng.pick(6) {
+            0 => Op::Alu(rng.pick(6) as u8, rng.next_u64() as i8),
+            1 => Op::LoadShared(rng.pick(8) as u8),
+            2 => Op::StoreShared(rng.pick(8) as u8),
+            3 => Op::LoadSlot,
+            4 => Op::StoreSlot,
+            _ => Op::CondBump(rng.pick(8) as u8),
+        })
+        .collect()
 }
 
 fn alu(idx: u8) -> BinOp {
@@ -160,69 +163,127 @@ fn permissive_opts() -> CompileOptions {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        max_shrink_iters: 64,
-        ..ProptestConfig::default()
-    })]
-
-    /// Sequential semantics survive the full pipeline and every simulator
-    /// configuration.
-    #[test]
-    fn pipeline_preserves_semantics(
-        ops in prop::collection::vec(op_strategy(), 4..20),
-        epochs in 5i64..40,
-    ) {
+/// Sequential semantics survive the full pipeline and every simulator
+/// configuration.
+#[test]
+fn pipeline_preserves_semantics() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let ops = random_ops(&mut rng, 4, 20);
+        let epochs = rng.gen_range(5, 40);
+        let at = format!("seed {seed} ({epochs} epochs, {ops:?})");
         let program = build_program(&ops, epochs);
-        let reference = run_sequential(&program).expect("sequential runs");
-        let set = compile_all(&program, &program, &permissive_opts()).expect("compiles");
+        let reference = run_sequential(&program).unwrap_or_else(|e| panic!("{at}: {e}"));
+        let set = compile_all(&program, &program, &permissive_opts())
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
 
         // Transformed modules are sequentially equivalent.
-        for (name, m) in [("seq", &set.seq), ("unsync", &set.unsync), ("synced", &set.synced)] {
-            let r = run_sequential(m).expect("runs");
-            prop_assert_eq!(&r.output, &reference.output, "{} diverged sequentially", name);
+        for (name, m) in [
+            ("seq", &set.seq),
+            ("unsync", &set.unsync),
+            ("synced", &set.synced),
+        ] {
+            let r = run_sequential(m).unwrap_or_else(|e| panic!("{at}: {name}: {e}"));
+            assert_eq!(
+                r.output, reference.output,
+                "{at}: {name} diverged sequentially"
+            );
         }
 
         // TLS execution matches under the main configurations.
         let configs: Vec<(&str, &Module, SimConfig)> = vec![
             ("U", &set.unsync, SimConfig::cgo2004()),
             ("C", &set.synced, SimConfig::cgo2004()),
-            ("H", &set.unsync, SimConfig { hw_sync: true, ..SimConfig::cgo2004() }),
-            ("B", &set.synced, SimConfig { hw_sync: true, ..SimConfig::cgo2004() }),
-            ("P", &set.unsync, SimConfig { hw_predict: true, ..SimConfig::cgo2004() }),
-            ("L", &set.synced, SimConfig {
-                sync_load_policy: SyncLoadPolicy::StallTillOldest,
-                ..SimConfig::cgo2004()
-            }),
-            ("word", &set.unsync, SimConfig { word_grain: true, ..SimConfig::cgo2004() }),
-            ("relay", &set.synced, SimConfig { relay_forwarding: true, ..SimConfig::cgo2004() }),
-            ("B+", &set.synced, SimConfig {
-                hw_sync: true,
-                hybrid_filter: true,
-                ..SimConfig::cgo2004()
-            }),
-            ("2core", &set.synced, SimConfig { cores: 2, ..SimConfig::cgo2004() }),
+            (
+                "H",
+                &set.unsync,
+                SimConfig {
+                    hw_sync: true,
+                    ..SimConfig::cgo2004()
+                },
+            ),
+            (
+                "B",
+                &set.synced,
+                SimConfig {
+                    hw_sync: true,
+                    ..SimConfig::cgo2004()
+                },
+            ),
+            (
+                "P",
+                &set.unsync,
+                SimConfig {
+                    hw_predict: true,
+                    ..SimConfig::cgo2004()
+                },
+            ),
+            (
+                "L",
+                &set.synced,
+                SimConfig {
+                    sync_load_policy: SyncLoadPolicy::StallTillOldest,
+                    ..SimConfig::cgo2004()
+                },
+            ),
+            (
+                "word",
+                &set.unsync,
+                SimConfig {
+                    word_grain: true,
+                    ..SimConfig::cgo2004()
+                },
+            ),
+            (
+                "relay",
+                &set.synced,
+                SimConfig {
+                    relay_forwarding: true,
+                    ..SimConfig::cgo2004()
+                },
+            ),
+            (
+                "B+",
+                &set.synced,
+                SimConfig {
+                    hw_sync: true,
+                    hybrid_filter: true,
+                    ..SimConfig::cgo2004()
+                },
+            ),
+            (
+                "2core",
+                &set.synced,
+                SimConfig {
+                    cores: 2,
+                    ..SimConfig::cgo2004()
+                },
+            ),
         ];
         for (name, module, cfg) in configs {
-            let r = Machine::new(module, cfg).run().expect("simulates");
-            prop_assert_eq!(&r.output, &reference.output, "mode {} diverged", name);
+            let r = Machine::new(module, cfg)
+                .run()
+                .unwrap_or_else(|e| panic!("{at}: mode {name}: {e}"));
+            assert_eq!(r.output, reference.output, "{at}: mode {name} diverged");
         }
     }
+}
 
-    /// The sequential interpreter and the simulator's sequential mode agree
-    /// on untransformed programs.
-    #[test]
-    fn simulator_sequential_mode_matches_interpreter(
-        ops in prop::collection::vec(op_strategy(), 2..16),
-        epochs in 2i64..30,
-    ) {
+/// The sequential interpreter and the simulator's sequential mode agree
+/// on untransformed programs.
+#[test]
+fn simulator_sequential_mode_matches_interpreter() {
+    for seed in 1000..1000 + CASES {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let ops = random_ops(&mut rng, 2, 16);
+        let epochs = rng.gen_range(2, 30);
+        let at = format!("seed {seed} ({epochs} epochs, {ops:?})");
         let program = build_program(&ops, epochs);
-        let a = run_sequential(&program).expect("interpreter runs");
+        let a = run_sequential(&program).unwrap_or_else(|e| panic!("{at}: {e}"));
         let b = Machine::new(&program, SimConfig::sequential())
             .run()
-            .expect("simulator runs");
-        prop_assert_eq!(a.output, b.output);
-        prop_assert_eq!(a.ret, b.ret);
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        assert_eq!(a.output, b.output, "{at}: output");
+        assert_eq!(a.ret, b.ret, "{at}: return value");
     }
 }
