@@ -104,13 +104,14 @@ mod tests {
     /// entry → a → c, entry → b → c, d unreachable.
     fn diamond() -> tls_ir::Module {
         let mut mb = ModuleBuilder::new();
-        let f = mb.declare("f", 1);
+        let f = mb.declare("f", 0);
         let mut fb = mb.define(f);
+        let p = fb.var("p");
         let a = fb.block("a");
         let b = fb.block("b");
         let c = fb.block("c");
         let d = fb.block("dead");
-        fb.br(fb.param(0), a, b);
+        fb.br(p, a, b);
         fb.switch_to(a);
         fb.jump(c);
         fb.switch_to(b);
@@ -151,14 +152,15 @@ mod tests {
     #[test]
     fn loop_cfg_rpo_starts_at_entry() {
         let mut mb = ModuleBuilder::new();
-        let f = mb.declare("f", 1);
+        let f = mb.declare("f", 0);
         let mut fb = mb.define(f);
+        let p = fb.var("p");
         let head = fb.block("head");
         let body = fb.block("body");
         let exit = fb.block("exit");
         fb.jump(head);
         fb.switch_to(head);
-        fb.br(fb.param(0), body, exit);
+        fb.br(p, body, exit);
         fb.switch_to(body);
         fb.jump(head);
         fb.switch_to(exit);

@@ -89,15 +89,16 @@ mod tests {
     /// entry(b0) → {a(b1), b(b2)} → join(b3) → loop head(b4) ⇄ body(b5), exit(b6).
     fn build() -> tls_ir::Module {
         let mut mb = ModuleBuilder::new();
-        let f = mb.declare("f", 1);
+        let f = mb.declare("f", 0);
         let mut fb = mb.define(f);
+        let p = fb.var("p");
         let a = fb.block("a");
         let b = fb.block("b");
         let join = fb.block("join");
         let head = fb.block("head");
         let body = fb.block("body");
         let exit = fb.block("exit");
-        fb.br(fb.param(0), a, b);
+        fb.br(p, a, b);
         fb.switch_to(a);
         fb.jump(join);
         fb.switch_to(b);
@@ -105,7 +106,7 @@ mod tests {
         fb.switch_to(join);
         fb.jump(head);
         fb.switch_to(head);
-        fb.br(fb.param(0), body, exit);
+        fb.br(p, body, exit);
         fb.switch_to(body);
         fb.jump(head);
         fb.switch_to(exit);

@@ -94,9 +94,9 @@ mod tests {
     /// (not induction: update doesn't dominate the latch).
     fn build() -> tls_ir::Module {
         let mut mb = ModuleBuilder::new();
-        let f = mb.declare("f", 1);
+        let f = mb.declare("f", 0);
         let mut fb = mb.define(f);
-        let n = fb.param(0);
+        let n = fb.var("n");
         let i = fb.var("i");
         let j = fb.var("j");
         let acc = fb.var("acc");
@@ -150,8 +150,9 @@ mod tests {
     #[test]
     fn multiple_defs_disqualify() {
         let mut mb = ModuleBuilder::new();
-        let f = mb.declare("f", 1);
+        let f = mb.declare("f", 0);
         let mut fb = mb.define(f);
+        let p = fb.var("p");
         let i = fb.var("i");
         let head = fb.block("head");
         let body = fb.block("body");
@@ -159,7 +160,7 @@ mod tests {
         fb.assign(i, 0);
         fb.jump(head);
         fb.switch_to(head);
-        fb.br(fb.param(0), body, exit);
+        fb.br(p, body, exit);
         fb.switch_to(body);
         fb.bin(i, BinOp::Add, i, 1);
         fb.bin(i, BinOp::Add, i, 1); // second def

@@ -110,9 +110,9 @@ mod tests {
     /// A counting loop: `i` and `sum` are loop-carried, `t` is local.
     fn counting_loop() -> tls_ir::Module {
         let mut mb = ModuleBuilder::new();
-        let f = mb.declare("f", 1); // p0 = n
+        let f = mb.declare("f", 0);
         let mut fb = mb.define(f);
-        let n = fb.param(0);
+        let n = fb.var("n");
         let i = fb.var("i");
         let sum = fb.var("sum");
         let t = fb.var("t");
@@ -146,7 +146,7 @@ mod tests {
         let lv = Liveness::new(func, &cfg);
         let head = BlockId(1);
         let live_head: Vec<usize> = lv.live_in(head).iter().collect();
-        // n(p0)=0, i=1, sum=2 live at header; t=3, c=4 are not.
+        // n=0, i=1, sum=2 live at header; t=3, c=4 are not.
         assert_eq!(live_head, vec![0, 1, 2]);
         assert!(!lv.live_in(head).contains(3));
         assert_eq!(lv.num_vars(), 5);

@@ -100,8 +100,9 @@ mod tests {
     /// inner_head → outer_latch(b4) → outer_head; outer_head → exit(b5).
     fn nested() -> tls_ir::Module {
         let mut mb = ModuleBuilder::new();
-        let f = mb.declare("f", 1);
+        let f = mb.declare("f", 0);
         let mut fb = mb.define(f);
+        let p = fb.var("p");
         let oh = fb.block("outer_head");
         let ih = fb.block("inner_head");
         let ib = fb.block("inner_body");
@@ -109,9 +110,9 @@ mod tests {
         let ex = fb.block("exit");
         fb.jump(oh);
         fb.switch_to(oh);
-        fb.br(fb.param(0), ih, ex);
+        fb.br(p, ih, ex);
         fb.switch_to(ih);
-        fb.br(fb.param(0), ib, ol);
+        fb.br(p, ib, ol);
         fb.switch_to(ib);
         fb.jump(ih);
         fb.switch_to(ol);
@@ -171,19 +172,20 @@ mod tests {
     #[test]
     fn two_latches_merge_into_one_loop() {
         let mut mb = ModuleBuilder::new();
-        let f = mb.declare("f", 1);
+        let f = mb.declare("f", 0);
         let mut fb = mb.define(f);
+        let p = fb.var("p");
         let head = fb.block("head");
         let l1 = fb.block("latch1");
         let l2 = fb.block("latch2");
         let ex = fb.block("exit");
         fb.jump(head);
         fb.switch_to(head);
-        fb.br(fb.param(0), l1, l2);
+        fb.br(p, l1, l2);
         fb.switch_to(l1);
         fb.jump(head);
         fb.switch_to(l2);
-        fb.br(fb.param(0), head, ex);
+        fb.br(p, head, ex);
         fb.switch_to(ex);
         fb.ret(None);
         fb.finish();

@@ -1,15 +1,15 @@
-#![cfg(feature = "proptest-tests")]
-// Gated: `proptest` cannot be resolved offline. Enable with
-// `--features proptest-tests` after restoring the `proptest` dev-dependency
-// in this package's Cargo.toml.
-
-//! Property tests for the analysis data structures: `BitSet` against a
-//! `HashSet` model and `UnionFind` against a naive partition model.
+//! Seeded properties of the analysis data structures: `BitSet` against a
+//! `HashSet` model and `UnionFind` against a naive partition model. Every
+//! case comes from the in-repo splitmix64 generator, so a failure names the
+//! seed that replays it.
 
 use std::collections::HashSet;
 
-use proptest::prelude::*;
 use tls_analysis::{BitSet, UnionFind};
+use tls_ir::SplitMix64;
+
+/// Seeded cases per property.
+const CASES: u64 = 24;
 
 #[derive(Clone, Copy, Debug)]
 enum SetOp {
@@ -18,47 +18,75 @@ enum SetOp {
     Query(u8),
 }
 
-fn set_op() -> impl Strategy<Value = SetOp> {
-    prop_oneof![
-        any::<u8>().prop_map(SetOp::Insert),
-        any::<u8>().prop_map(SetOp::Remove),
-        any::<u8>().prop_map(SetOp::Query),
-    ]
+/// Up to `max - 1` elements below `bound` (duplicates collapse).
+fn random_set(rng: &mut SplitMix64, bound: usize, max: i64) -> HashSet<usize> {
+    let len = rng.gen_range(0, max);
+    (0..len).map(|_| rng.pick(bound)).collect()
 }
 
-proptest! {
-    /// BitSet behaves exactly like HashSet<usize> under random operations.
-    #[test]
-    fn bitset_matches_hashset_model(ops in prop::collection::vec(set_op(), 0..200)) {
+fn sorted(s: HashSet<usize>) -> Vec<usize> {
+    let mut v: Vec<usize> = s.into_iter().collect();
+    v.sort_unstable();
+    v
+}
+
+/// BitSet behaves exactly like HashSet<usize> under random operations.
+#[test]
+fn bitset_matches_hashset_model() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let len = rng.gen_range(0, 200);
+        let ops: Vec<SetOp> = (0..len)
+            .map(|_| {
+                let x = rng.next_u64() as u8;
+                match rng.pick(3) {
+                    0 => SetOp::Insert(x),
+                    1 => SetOp::Remove(x),
+                    _ => SetOp::Query(x),
+                }
+            })
+            .collect();
         let mut bs = BitSet::new(256);
         let mut model: HashSet<usize> = HashSet::new();
-        for op in ops {
-            match op {
+        for (n, op) in ops.iter().enumerate() {
+            let at = format!("seed {seed}, op {n} {op:?}");
+            match *op {
                 SetOp::Insert(x) => {
-                    prop_assert_eq!(bs.insert(x as usize), model.insert(x as usize));
+                    assert_eq!(bs.insert(x as usize), model.insert(x as usize), "{at}");
                 }
                 SetOp::Remove(x) => {
-                    prop_assert_eq!(bs.remove(x as usize), model.remove(&(x as usize)));
+                    assert_eq!(bs.remove(x as usize), model.remove(&(x as usize)), "{at}");
                 }
                 SetOp::Query(x) => {
-                    prop_assert_eq!(bs.contains(x as usize), model.contains(&(x as usize)));
+                    assert_eq!(
+                        bs.contains(x as usize),
+                        model.contains(&(x as usize)),
+                        "{at}"
+                    );
                 }
             }
-            prop_assert_eq!(bs.count(), model.len());
+            assert_eq!(bs.count(), model.len(), "{at}: count");
         }
-        let mut collected: Vec<usize> = bs.iter().collect();
-        let mut expected: Vec<usize> = model.into_iter().collect();
-        collected.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(collected, expected);
+        assert_eq!(
+            bs.iter().collect::<Vec<usize>>(),
+            sorted(model),
+            "seed {seed}: members"
+        );
     }
+}
 
-    /// Set algebra agrees with the HashSet model.
-    #[test]
-    fn bitset_algebra_matches_model(
-        a in prop::collection::hash_set(0usize..128, 0..64),
-        b in prop::collection::hash_set(0usize..128, 0..64),
-    ) {
+/// Set algebra agrees with the HashSet model.
+#[test]
+fn bitset_algebra_matches_model() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let a = random_set(&mut rng, 128, 64);
+        let b = random_set(&mut rng, 128, 64);
+        let at = format!(
+            "seed {seed} ({:?} vs {:?})",
+            sorted(a.clone()),
+            sorted(b.clone())
+        );
         let mk = |s: &HashSet<usize>| {
             let mut bs = BitSet::new(128);
             for &x in s {
@@ -73,27 +101,37 @@ proptest! {
         i.intersect_with(&bb);
         let mut d = ba.clone();
         d.subtract(&bb);
-        let sorted = |s: HashSet<usize>| {
-            let mut v: Vec<usize> = s.into_iter().collect();
-            v.sort_unstable();
-            v
-        };
-        prop_assert_eq!(u.iter().collect::<Vec<_>>(), sorted(a.union(&b).copied().collect()));
-        prop_assert_eq!(i.iter().collect::<Vec<_>>(), sorted(a.intersection(&b).copied().collect()));
-        prop_assert_eq!(d.iter().collect::<Vec<_>>(), sorted(a.difference(&b).copied().collect()));
+        assert_eq!(
+            u.iter().collect::<Vec<_>>(),
+            sorted(a.union(&b).copied().collect()),
+            "{at}: union"
+        );
+        assert_eq!(
+            i.iter().collect::<Vec<_>>(),
+            sorted(a.intersection(&b).copied().collect()),
+            "{at}: intersection"
+        );
+        assert_eq!(
+            d.iter().collect::<Vec<_>>(),
+            sorted(a.difference(&b).copied().collect()),
+            "{at}: difference"
+        );
     }
+}
 
-    /// UnionFind's equivalence classes match a naive model that relabels
-    /// exhaustively on every union.
-    #[test]
-    fn unionfind_matches_naive_partition(
-        n in 1usize..64,
-        unions in prop::collection::vec((any::<u16>(), any::<u16>()), 0..100),
-    ) {
+/// UnionFind's equivalence classes match a naive model that relabels
+/// exhaustively on every union.
+#[test]
+fn unionfind_matches_naive_partition() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let n = rng.gen_range(1, 64) as usize;
+        let len = rng.gen_range(0, 100);
+        let unions: Vec<(usize, usize)> = (0..len).map(|_| (rng.pick(n), rng.pick(n))).collect();
+        let at = format!("seed {seed} (n = {n}, unions {unions:?})");
         let mut uf = UnionFind::new(n);
         let mut label: Vec<usize> = (0..n).collect();
-        for (a, b) in unions {
-            let (a, b) = (a as usize % n, b as usize % n);
+        for &(a, b) in &unions {
             uf.union(a, b);
             let (la, lb) = (label[a], label[b]);
             if la != lb {
@@ -106,14 +144,13 @@ proptest! {
         }
         for x in 0..n {
             for y in 0..n {
-                prop_assert_eq!(uf.same(x, y), label[x] == label[y], "{} vs {}", x, y);
+                assert_eq!(uf.same(x, y), label[x] == label[y], "{at}: {x} vs {y}");
             }
         }
         let classes: HashSet<usize> = label.iter().copied().collect();
-        prop_assert_eq!(uf.component_count(), classes.len());
+        assert_eq!(uf.component_count(), classes.len(), "{at}: class count");
         // groups() partitions 0..n.
-        let groups = uf.groups();
-        let total: usize = groups.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, n);
+        let total: usize = uf.groups().iter().map(Vec::len).sum();
+        assert_eq!(total, n, "{at}: groups cover every element once");
     }
 }

@@ -13,6 +13,22 @@ use crate::module::{Function, Module};
 pub enum ValidateError {
     /// The entry function id is out of range.
     BadEntry(FuncId),
+    /// The entry function takes parameters; a program starts with none.
+    EntryParams {
+        /// The entry function's name.
+        func: String,
+        /// Its parameter count.
+        params: usize,
+    },
+    /// A function has more parameters than registers to receive them.
+    ParamsExceedVars {
+        /// The offending function.
+        func: String,
+        /// Its parameter count.
+        params: usize,
+        /// Its register count.
+        vars: usize,
+    },
     /// A block has no terminator.
     Unterminated {
         /// The offending function.
@@ -78,6 +94,18 @@ impl fmt::Display for ValidateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ValidateError::BadEntry(id) => write!(f, "entry function {id} does not exist"),
+            ValidateError::EntryParams { func, params } => {
+                write!(
+                    f,
+                    "entry function `{func}` takes {params} parameters, expected 0"
+                )
+            }
+            ValidateError::ParamsExceedVars { func, params, vars } => {
+                write!(
+                    f,
+                    "`{func}` has {params} parameters but only {vars} registers"
+                )
+            }
             ValidateError::Unterminated { func, block } => {
                 write!(f, "block {block} of `{func}` has no terminator")
             }
@@ -122,6 +150,13 @@ impl Error for ValidateError {}
 pub fn validate(m: &Module) -> Result<(), ValidateError> {
     if m.entry.index() >= m.funcs.len() {
         return Err(ValidateError::BadEntry(m.entry));
+    }
+    let entry = &m.funcs[m.entry.index()];
+    if entry.num_params != 0 {
+        return Err(ValidateError::EntryParams {
+            func: entry.name.clone(),
+            params: entry.num_params,
+        });
     }
     let mut sids = HashSet::new();
     for func in &m.funcs {
@@ -214,6 +249,13 @@ fn validate_func(
             Ok(())
         }
     };
+    if func.num_params > func.num_vars {
+        return Err(ValidateError::ParamsExceedVars {
+            func: name(),
+            params: func.num_params,
+            vars: func.num_vars,
+        });
+    }
 
     for (bid, block) in func.iter_blocks() {
         for instr in &block.instrs {
@@ -338,6 +380,49 @@ mod tests {
             mb.build(),
             Err(ValidateError::BadArity { expected: 2, got: 1, .. })
         ));
+    }
+
+    #[test]
+    fn entry_with_parameters_is_rejected() {
+        let mut mb = tiny();
+        mb.module_mut().funcs[0].num_params = 1;
+        mb.module_mut().funcs[0].num_vars = 1;
+        assert_eq!(
+            validate(&mb.build_unchecked()),
+            Err(ValidateError::EntryParams {
+                func: "main".into(),
+                params: 1
+            })
+        );
+    }
+
+    #[test]
+    fn more_parameters_than_registers_is_rejected() {
+        let mut mb = ModuleBuilder::new();
+        let callee = mb.declare("callee", 1);
+        let main = mb.declare("main", 0);
+        let mut fb = mb.define(callee);
+        fb.ret(None);
+        fb.finish();
+        let mut fb = mb.define(main);
+        fb.call(None, callee, vec![Operand::Const(1)]);
+        fb.ret(None);
+        fb.finish();
+        mb.set_entry(main);
+        mb.module_mut().funcs[callee.index()].num_vars = 0;
+        let err = validate(&mb.build_unchecked()).unwrap_err();
+        assert_eq!(
+            err,
+            ValidateError::ParamsExceedVars {
+                func: "callee".into(),
+                params: 1,
+                vars: 0
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "`callee` has 1 parameters but only 0 registers"
+        );
     }
 
     #[test]

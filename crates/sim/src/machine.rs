@@ -114,18 +114,68 @@ impl Frame {
             ret_to: None,
         }
     }
+
+    /// Write `v` to `dst`, readable from cycle `ready`.
+    #[inline]
+    fn set(&mut self, dst: Var, v: i64, ready: u64) {
+        self.regs[dst.index()] = v;
+        self.ready[dst.index()] = ready;
+    }
+}
+
+/// What one core runs: a call stack issuing through that core's pipeline.
+/// The sequential program owns one, and every epoch embeds one.
+#[derive(Debug)]
+struct Thread {
+    frames: Vec<Frame>,
+    timer: CoreTimer,
+    /// Issue time of the most recent instruction: the sequential program's
+    /// time, and an epoch's scheduling key.
+    clock: u64,
+    core: usize,
+}
+
+impl Thread {
+    /// Issue the current instruction, which writes `v` to `dst` `latency`
+    /// cycles after its operands are ready at `ready`, and move past it.
+    /// Returns the issue cycle.
+    fn issue_write(&mut self, dst: Var, v: i64, ready: u64, latency: u64) -> u64 {
+        let (issue, complete) = self.timer.issue(ready, latency);
+        self.clock = issue;
+        let frame = self.frames.last_mut().expect("thread has frames");
+        frame.set(dst, v, complete);
+        frame.idx += 1;
+        issue
+    }
+}
+
+/// What [`Machine::exec`] hands back: the part of a step that the
+/// sequential and the speculative path do differently.
+#[derive(Clone, Copy, Debug)]
+enum Step<'m> {
+    /// The step is complete.
+    Next,
+    /// `output` issued this value.
+    Output(i64),
+    /// An unconditional jump to this block, not yet issued.
+    Jump(BlockId),
+    /// A conditional branch, issued, resolved to this block.
+    Branch(BlockId),
+    /// A frame returned this value; the thread has no frame left when it
+    /// was the bottom one.
+    Return(i64),
+    /// A memory or sync instruction, not executed: the frame still points
+    /// at it.
+    Mem(&'m Instr),
 }
 
 /// Epoch execution status.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Status {
     Running,
-    /// Blocked on a scalar channel since the given cycle.
-    WaitScalar(tls_ir::ChanId, u64),
-    /// Blocked on a memory group since the given cycle.
-    WaitMem(GroupId, u64),
-    /// Blocked until this epoch is the oldest (hardware sync / `L` policy).
-    WaitOldest(u64),
+    /// Blocked on a scalar channel, a memory group or on becoming the
+    /// oldest epoch, since the given cycle.
+    Wait(WaitKind, u64),
     /// Finished executing; waiting for the homefree token.
     Done,
 }
@@ -133,11 +183,7 @@ enum Status {
 #[derive(Debug)]
 struct Epoch {
     index: u64,
-    core: usize,
-    frames: Vec<Frame>,
-    timer: CoreTimer,
-    /// Issue time of the most recent instruction (scheduling key).
-    clock: u64,
+    thread: Thread,
     status: Status,
     wb: WriteBuffer,
     reads: ReadSet,
@@ -187,6 +233,38 @@ struct SquashReq {
     kind: ViolationKind,
 }
 
+/// A load an epoch is executing.
+#[derive(Clone, Copy, Debug)]
+struct LoadOp {
+    dst: Var,
+    sid: Sid,
+    /// The word it reads.
+    addr: i64,
+    /// When its operands are ready.
+    ready: u64,
+    /// A compiler-synchronized load (`SyncLoad`).
+    sync: bool,
+}
+
+/// One region instance in parallel mode: its epochs and what their steps,
+/// commits and squashes share.
+struct RegionRun {
+    rid: RegionId,
+    /// Dynamic ordinal of this instance among all region instances.
+    ord: u64,
+    header: BlockId,
+    /// The frame at region entry, from which every epoch attempt starts.
+    base: Frame,
+    /// The committed baseline mailbox: what the oldest epoch receives.
+    committed_out: SyncState,
+    /// Active epochs, oldest first.
+    epochs: Vec<Epoch>,
+    pendings: Vec<Pending>,
+    stats: RegionStats,
+    /// Issue slots already charged to `stats.slots`.
+    attributed: u64,
+}
+
 /// Tracks one active sequential-mode region instance (attribution only).
 #[derive(Clone, Copy, Debug)]
 struct SeqRegion {
@@ -228,7 +306,14 @@ impl<'m> Code<'m> {
         let headers = module.region_headers();
         let nblocks: usize = module.funcs.iter().map(|f| f.blocks.len()).sum();
         let mut code = Code {
-            instrs: Vec::with_capacity(module.funcs.iter().flat_map(|f| &f.blocks).map(|b| b.instrs.len()).sum()),
+            instrs: Vec::with_capacity(
+                module
+                    .funcs
+                    .iter()
+                    .flat_map(|f| &f.blocks)
+                    .map(|b| b.instrs.len())
+                    .sum(),
+            ),
             terms: Vec::with_capacity(nblocks),
             starts: Vec::with_capacity(nblocks),
             lens: Vec::with_capacity(nblocks),
@@ -243,8 +328,11 @@ impl<'m> Code<'m> {
                 code.lens.push(b.instrs.len() as u32);
                 code.instrs.extend(b.instrs.iter());
                 code.terms.push(b.term.unwrap_or(Terminator::Ret(None)));
-                code.region_at
-                    .push(headers.get(&(FuncId(fi as u32), BlockId(bi as u32))).copied());
+                code.region_at.push(
+                    headers
+                        .get(&(FuncId(fi as u32), BlockId(bi as u32)))
+                        .copied(),
+                );
             }
         }
         code
@@ -277,7 +365,6 @@ pub struct Machine<'m> {
     /// region's function.
     region_blocks: Vec<Vec<bool>>,
     result: SimResult,
-    time: u64,
     steps: u64,
     region_ord: u64,
     /// Per synchronized-load sid: (wait attempts, forwarded-value uses),
@@ -335,7 +422,6 @@ impl<'m> Machine<'m> {
             output: Vec::new(),
             region_blocks,
             result: SimResult::default(),
-            time: 0,
             steps: 0,
             region_ord: 0,
             forward_usefulness: vec![(0, 0); sids],
@@ -362,8 +448,13 @@ impl<'m> Machine<'m> {
         m
     }
 
+    #[inline]
     fn eval(&self, frame: &Frame, op: Operand) -> (i64, u64) {
-        eval_in(&self.code.global_addrs, frame, op)
+        match op {
+            Operand::Var(v) => (frame.regs[v.index()], frame.ready[v.index()]),
+            Operand::Const(c) => (c, 0),
+            Operand::Global(g) => (self.code.global_addrs[g.index()], 0),
+        }
     }
 
     fn bin_latency(&self, op: BinOp) -> u64 {
@@ -374,12 +465,14 @@ impl<'m> Machine<'m> {
         }
     }
 
-    fn bump_steps(&mut self) -> Result<(), SimError> {
+    /// Count one dynamic instruction of a thread whose clock reads `clock`
+    /// against the step and cycle budgets.
+    fn bump_steps(&mut self, clock: u64) -> Result<(), SimError> {
         self.steps += 1;
         if self.steps > self.config.max_steps {
             return Err(SimError::StepLimit(self.config.max_steps));
         }
-        if self.time > self.config.max_cycles {
+        if clock > self.config.max_cycles {
             return Err(SimError::CycleBudgetExceeded(self.config.max_cycles));
         }
         Ok(())
@@ -418,94 +511,50 @@ impl<'m> Machine<'m> {
     /// See [`SimError`].
     pub fn run_traced<T: Tracer>(mut self, tracer: &mut T) -> Result<SimResult, SimError> {
         let entry = self.module.func(self.module.entry);
-        assert_eq!(entry.num_params, 0, "entry function must take no parameters");
-        let mut frames = vec![Frame::new(self.module, self.module.entry, 0)];
-        let mut timer = CoreTimer::new(&self.config, 0);
-        let seq_core = 0usize;
+        assert_eq!(
+            entry.num_params, 0,
+            "entry function must take no parameters"
+        );
+        let mut seq = Thread {
+            frames: vec![Frame::new(self.module, self.module.entry, 0)],
+            timer: CoreTimer::new(&self.config, 0),
+            clock: 0,
+            core: 0,
+        };
         let mut seq_regions: Vec<SeqRegion> = Vec::new();
         let mut final_ret = 0i64;
 
-        while !frames.is_empty() {
-            self.bump_steps()?;
-            let depth = frames.len();
-            let frame = frames.last_mut().expect("nonempty");
-            let cb = self.code.block_at(frame.func, frame.block);
-            if frame.idx < self.code.lens[cb] as usize {
-                let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
-                frame.idx += 1;
-                self.exec_seq_instr(
-                    instr,
-                    &mut frames,
-                    &mut timer,
-                    seq_core,
-                    &seq_regions,
-                    tracer,
-                )?;
-            } else {
-                let term = self.code.terms[cb];
-                if T::FINE {
-                    tracer.fine(Fine::Retire(OpClass::of_term(&term)));
+        while !seq.frames.is_empty() {
+            self.bump_steps(seq.clock)?;
+            let epoch_id = || seq_regions.last().map_or(0, |r| r.iter as i64);
+            match self.exec(&mut seq, epoch_id, tracer)? {
+                Step::Next => {}
+                Step::Output(v) => self.output.push(v),
+                Step::Jump(to) | Step::Branch(to) => {
+                    self.seq_transfer(to, &mut seq, &mut seq_regions, tracer)?;
                 }
-                match term {
-                    Terminator::Jump(to) => {
-                        self.seq_transfer(
-                            to,
-                            &mut frames,
-                            &mut timer,
-                            seq_core,
-                            &mut seq_regions,
-                            tracer,
-                        )?;
+                Step::Return(v) => {
+                    // Close the sequential region instances of the frame
+                    // that returned.
+                    while seq_regions
+                        .last()
+                        .is_some_and(|r| r.depth > seq.frames.len())
+                    {
+                        let r = seq_regions.pop().expect("nonempty");
+                        self.close_seq_region(r, seq.clock);
                     }
-                    Terminator::Br { cond, t, f } => {
-                        let (c, ready) = self.eval(frame, cond);
-                        let (issue, complete) = timer.issue(ready, self.config.lat_alu);
-                        self.time = issue;
-                        let taken = c != 0;
-                        let key = (frame.func.0 as u64) << 32 | frame.block.0 as u64;
-                        if !self.branch[seq_core].update(key, taken) {
-                            timer.stall_until(complete + self.config.mispredict_penalty);
-                        }
-                        let to = if taken { t } else { f };
-                        self.seq_transfer(
-                            to,
-                            &mut frames,
-                            &mut timer,
-                            seq_core,
-                            &mut seq_regions,
-                            tracer,
-                        )?;
-                    }
-                    Terminator::Ret(v) => {
-                        let rv = v.map(|op| self.eval(frame, op));
-                        let (issue, _) = timer.issue(rv.map_or(0, |r| r.1), self.config.lat_alu);
-                        self.time = issue;
-                        let done = frames.pop().expect("nonempty");
-                        // Close sequential region instances of this frame.
-                        while seq_regions.last().is_some_and(|r| r.depth == depth) {
-                            let r = seq_regions.pop().expect("nonempty");
-                            self.close_seq_region(r);
-                        }
-                        match frames.last_mut() {
-                            Some(caller) => {
-                                if let Some(dst) = done.ret_to {
-                                    caller.regs[dst.index()] = rv.map_or(0, |r| r.0);
-                                    caller.ready[dst.index()] = issue + self.config.lat_alu;
-                                }
-                            }
-                            None => final_ret = rv.map_or(0, |r| r.0),
-                        }
-                    }
+                    final_ret = v;
                 }
+                Step::Mem(instr) => self.exec_seq_mem(instr, &mut seq, tracer),
             }
         }
 
         self.result.output = std::mem::take(&mut self.output);
         self.result.ret = final_ret;
-        self.result.total_cycles = self.time;
+        self.result.total_cycles = seq.clock;
         self.result.instructions = self.steps;
         let region_cycles: u64 = self.result.regions.values().map(|r| r.cycles).sum();
-        self.result.sequential_cycles = self.time.saturating_sub(region_cycles);
+        self.result.sequential_cycles = seq.clock.saturating_sub(region_cycles);
         self.result.memory = std::mem::take(&mut self.mem);
         if let Some(plan) = &self.config.inject {
             self.result.faults = plan.summary();
@@ -513,166 +562,200 @@ impl<'m> Machine<'m> {
         Ok(self.result)
     }
 
-    fn close_seq_region(&mut self, r: SeqRegion) {
-        let stats = self.result.regions.entry(r.rid).or_default();
-        stats.cycles += self.time.saturating_sub(r.start);
-        stats.instances += 1;
-        stats.epochs += r.iter + 1;
-        // One core busy: attribute its slots for completeness.
-        let cycles = self.time.saturating_sub(r.start);
-        stats.slots.other += cycles * self.config.issue_width * (self.config.cores as u64 - 1);
-    }
-
-    /// Execute one sequential-mode instruction.
-    fn exec_seq_instr<T: Tracer>(
+    /// Execute the next instruction or terminator of `th`'s top frame, on
+    /// either path. ALU instructions, calls, branches and returns complete
+    /// here; what the paths do differently comes back as a [`Step`].
+    /// `epoch_id` yields the value of `EpochId`; only that instruction
+    /// calls it.
+    // Inlined into both step loops: as a call per simulated instruction
+    // it cost about a tenth of the simulator's throughput.
+    #[inline(always)]
+    fn exec<T: Tracer>(
         &mut self,
-        instr: &Instr,
-        frames: &mut Vec<Frame>,
-        timer: &mut CoreTimer,
-        core: usize,
-        seq_regions: &[SeqRegion],
+        th: &mut Thread,
+        epoch_id: impl FnOnce() -> i64,
         tracer: &mut T,
-    ) -> Result<(), SimError> {
+    ) -> Result<Step<'m>, SimError> {
+        let lat_alu = self.config.lat_alu;
+        let depth = th.frames.len();
+        let frame = th.frames.last_mut().expect("thread has frames");
+        let cb = self.code.block_at(frame.func, frame.block);
+        if frame.idx >= self.code.lens[cb] as usize {
+            let term = self.code.terms[cb];
+            if T::FINE {
+                tracer.fine(Fine::Retire(OpClass::of_term(&term)));
+            }
+            return Ok(match term {
+                Terminator::Jump(to) => Step::Jump(to),
+                Terminator::Br { cond, t, f } => {
+                    let (c, ready) = self.eval(frame, cond);
+                    let (issue, complete) = th.timer.issue(ready, lat_alu);
+                    th.clock = issue;
+                    let key = (frame.func.0 as u64) << 32 | frame.block.0 as u64;
+                    if !self.branch[th.core].update(key, c != 0) {
+                        th.timer
+                            .stall_until(complete + self.config.mispredict_penalty);
+                    }
+                    Step::Branch(if c != 0 { t } else { f })
+                }
+                Terminator::Ret(v) => {
+                    let (rv, ready) = v.map_or((0, 0), |op| self.eval(frame, op));
+                    let (issue, complete) = th.timer.issue(ready, lat_alu);
+                    th.clock = issue;
+                    let done = th.frames.pop().expect("nonempty");
+                    if let (Some(caller), Some(dst)) = (th.frames.last_mut(), done.ret_to) {
+                        caller.set(dst, rv, complete);
+                    }
+                    Step::Return(rv)
+                }
+            });
+        }
+        let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
         if T::FINE {
             tracer.fine(Fine::Retire(OpClass::of(instr)));
         }
-        let frame = frames.last_mut().expect("nonempty");
         match instr {
             Instr::Assign { dst, src } => {
                 let (v, r) = self.eval(frame, *src);
-                let (issue, complete) = timer.issue(r, self.config.lat_alu);
-                self.time = issue;
-                frame.regs[dst.index()] = v;
-                frame.ready[dst.index()] = complete;
+                let (issue, complete) = th.timer.issue(r, lat_alu);
+                th.clock = issue;
+                frame.set(*dst, v, complete);
             }
             Instr::Bin { dst, op, a, b } => {
                 let (va, ra) = self.eval(frame, *a);
                 let (vb, rb) = self.eval(frame, *b);
-                let (issue, complete) = timer.issue(ra.max(rb), self.bin_latency(*op));
-                self.time = issue;
-                frame.regs[dst.index()] = op.eval(va, vb);
-                frame.ready[dst.index()] = complete;
+                let (issue, complete) = th.timer.issue(ra.max(rb), self.bin_latency(*op));
+                th.clock = issue;
+                frame.set(*dst, op.eval(va, vb), complete);
             }
-            Instr::Load { dst, addr, off, .. } | Instr::SyncLoad { dst, addr, off, .. } => {
-                let (a, r) = self.eval(frame, *addr);
-                let a = a.wrapping_add(*off);
-                let lat = self.caches.access(core, a);
-                if T::FINE {
-                    tracer.fine(Fine::Access(self.caches.level_of(lat)));
-                }
-                let (issue, complete) = timer.issue(r, lat);
-                self.time = issue;
-                frame.regs[dst.index()] = self.mem.read(a);
-                frame.ready[dst.index()] = complete;
-            }
-            Instr::Store { val, addr, off, .. } => {
-                let (a, ra) = self.eval(frame, *addr);
-                let (v, rv) = self.eval(frame, *val);
-                let a = a.wrapping_add(*off);
-                let lat = self.caches.access(core, a);
-                if T::FINE {
-                    tracer.fine(Fine::Access(self.caches.level_of(lat)));
-                }
-                let (issue, _) = timer.issue(ra.max(rv), self.config.lat_alu);
-                self.time = issue;
-                self.mem.write(a, v);
-            }
-            Instr::Call { dst, func, args, .. } => {
-                if frames.len() >= MAX_CALL_DEPTH {
-                    return Err(SimError::CallDepth(MAX_CALL_DEPTH));
-                }
-                let (issue, complete) = timer.issue(0, self.config.lat_alu);
-                self.time = issue;
-                let mut nf = Frame::new(self.module, *func, complete);
-                for (i, arg) in args.iter().enumerate() {
-                    let (v, r) = self.eval(frames.last().expect("nonempty"), *arg);
-                    nf.regs[i] = v;
-                    nf.ready[i] = r.max(complete);
-                }
-                nf.ret_to = *dst;
-                frames.push(nf);
+            Instr::EpochId { dst } => {
+                let (issue, complete) = th.timer.issue(0, lat_alu);
+                th.clock = issue;
+                frame.set(*dst, epoch_id(), complete);
             }
             Instr::Output { val } => {
                 let (v, r) = self.eval(frame, *val);
-                let (issue, _) = timer.issue(r, self.config.lat_alu);
-                self.time = issue;
-                self.output.push(v);
+                th.clock = th.timer.issue(r, lat_alu).0;
+                frame.idx += 1;
+                return Ok(Step::Output(v));
             }
-            Instr::EpochId { dst } => {
-                let (issue, complete) = timer.issue(0, self.config.lat_alu);
-                self.time = issue;
-                frame.regs[dst.index()] = seq_regions.last().map_or(0, |r| r.iter as i64);
-                frame.ready[dst.index()] = complete;
+            Instr::Call {
+                dst, func, args, ..
+            } => {
+                if depth >= MAX_CALL_DEPTH {
+                    return Err(SimError::CallDepth(MAX_CALL_DEPTH));
+                }
+                let (issue, complete) = th.timer.issue(0, lat_alu);
+                th.clock = issue;
+                let mut callee = Frame::new(self.module, *func, complete);
+                for (i, arg) in args.iter().enumerate() {
+                    let (v, r) = self.eval(frame, *arg);
+                    callee.set(Var(i as u32), v, r.max(complete));
+                }
+                callee.ret_to = *dst;
+                frame.idx += 1;
+                th.frames.push(callee);
+                return Ok(Step::Next);
+            }
+            _ => return Ok(Step::Mem(instr)),
+        }
+        frame.idx += 1;
+        Ok(Step::Next)
+    }
+
+    /// Execute a memory or sync instruction on the sequential path, where
+    /// nothing is speculative: loads and stores go to memory and channels
+    /// are plain registers.
+    fn exec_seq_mem<T: Tracer>(&mut self, instr: &Instr, seq: &mut Thread, tracer: &mut T) {
+        let lat_alu = self.config.lat_alu;
+        let frame = seq.frames.last_mut().expect("nonempty");
+        frame.idx += 1;
+        let (ready, latency, write) = match *instr {
+            Instr::Load { dst, addr, off, .. } | Instr::SyncLoad { dst, addr, off, .. } => {
+                let (a, r) = self.eval(frame, addr);
+                let a = a.wrapping_add(off);
+                let lat = self.caches.access(seq.core, a);
+                if T::FINE {
+                    tracer.fine(Fine::Access(self.caches.level_of(lat)));
+                }
+                (r, lat, Some((dst, self.mem.read(a))))
+            }
+            Instr::Store { val, addr, off, .. } => {
+                let (a, ra) = self.eval(frame, addr);
+                let (v, rv) = self.eval(frame, val);
+                let a = a.wrapping_add(off);
+                let lat = self.caches.access(seq.core, a);
+                if T::FINE {
+                    tracer.fine(Fine::Access(self.caches.level_of(lat)));
+                }
+                self.mem.write(a, v);
+                (ra.max(rv), lat_alu, None)
             }
             Instr::WaitScalar { dst, chan } => {
-                let (issue, complete) = timer.issue(0, self.config.lat_alu);
-                self.time = issue;
-                frame.regs[dst.index()] = self.chan_regs[chan.index()];
-                frame.ready[dst.index()] = complete;
+                (0, lat_alu, Some((dst, self.chan_regs[chan.index()])))
             }
             Instr::SignalScalar { chan, val } => {
-                let (v, r) = self.eval(frame, *val);
-                let (issue, _) = timer.issue(r, self.config.lat_alu);
-                self.time = issue;
+                let (v, r) = self.eval(frame, val);
                 self.chan_regs[chan.index()] = v;
+                (r, lat_alu, None)
             }
-            Instr::SignalMem { .. } | Instr::SignalMemNull { .. } => {
-                let (issue, _) = timer.issue(0, self.config.lat_alu);
-                self.time = issue;
-            }
+            Instr::SignalMem { .. } | Instr::SignalMemNull { .. } => (0, lat_alu, None),
+            _ => unreachable!("`exec` executes ALU instructions and calls"),
+        };
+        let (issue, complete) = seq.timer.issue(ready, latency);
+        seq.clock = issue;
+        if let Some((dst, v)) = write {
+            frame.set(dst, v, complete);
         }
-        Ok(())
+    }
+
+    fn close_seq_region(&mut self, r: SeqRegion, now: u64) {
+        let stats = self.result.regions.entry(r.rid).or_default();
+        let cycles = now.saturating_sub(r.start);
+        stats.cycles += cycles;
+        stats.instances += 1;
+        stats.epochs += r.iter + 1;
+        // One core busy: attribute its slots for completeness.
+        stats.slots.other += cycles * self.config.issue_width * (self.config.cores as u64 - 1);
     }
 
     /// Sequential-mode control transfer; may enter a region (parallel mode)
     /// or maintain sequential-region bookkeeping.
-    #[allow(clippy::too_many_arguments)]
     fn seq_transfer<T: Tracer>(
         &mut self,
         to: BlockId,
-        frames: &mut [Frame],
-        timer: &mut CoreTimer,
-        seq_core: usize,
+        seq: &mut Thread,
         seq_regions: &mut Vec<SeqRegion>,
         tracer: &mut T,
     ) -> Result<(), SimError> {
-        let depth = frames.len();
-        let frame_func = frames.last().expect("nonempty").func;
+        let depth = seq.frames.len();
+        let func = seq.frames.last().expect("nonempty").func;
         // Close sequential region instances whose blocks we leave.
-        while let Some(top) = seq_regions.last() {
-            if top.depth == depth && !self.region_blocks[top.rid.index()][to.index()] {
-                let r = seq_regions.pop().expect("nonempty");
-                self.close_seq_region(r);
-            } else {
-                break;
-            }
+        while seq_regions.last().is_some_and(|top| {
+            top.depth == depth && !self.region_blocks[top.rid.index()][to.index()]
+        }) {
+            let r = seq_regions.pop().expect("nonempty");
+            self.close_seq_region(r, seq.clock);
         }
-        if let Some(rid) = self.code.region_at[self.code.block_at(frame_func, to)] {
+        if let Some(rid) = self.code.region_at[self.code.block_at(func, to)] {
             if self.config.parallelize {
-                let ord = self.region_ord;
-                self.region_ord += 1;
-                self.run_region(rid, ord, to, frames, timer, seq_core, tracer)?;
-                return Ok(());
+                return self.run_region(rid, to, seq, tracer);
             }
             // Sequential attribution.
-            if let Some(top) = seq_regions.last_mut() {
-                if top.depth == depth && top.rid == rid {
-                    top.iter += 1;
-                    let frame = frames.last_mut().expect("nonempty");
-                    frame.block = to;
-                    frame.idx = 0;
-                    return Ok(());
+            match seq_regions.last_mut() {
+                Some(top) if top.depth == depth && top.rid == rid => top.iter += 1,
+                _ => {
+                    self.region_ord += 1;
+                    seq_regions.push(SeqRegion {
+                        rid,
+                        depth,
+                        start: seq.clock,
+                        iter: 0,
+                    });
                 }
             }
-            self.region_ord += 1;
-            seq_regions.push(SeqRegion {
-                rid,
-                depth,
-                start: self.time,
-                iter: 0,
-            });
         }
-        let frame = frames.last_mut().expect("nonempty");
+        let frame = seq.frames.last_mut().expect("nonempty");
         frame.block = to;
         frame.idx = 0;
         Ok(())
@@ -702,10 +785,12 @@ impl<'m> Machine<'m> {
     ) -> Epoch {
         let mut e = self.spare_epochs.pop().unwrap_or_else(|| Epoch {
             index,
-            core,
-            frames: vec![base.clone()],
-            timer: CoreTimer::new(&self.config, at),
-            clock: at,
+            thread: Thread {
+                frames: vec![base.clone()],
+                timer: CoreTimer::new(&self.config, at),
+                clock: at,
+                core,
+            },
             status: Status::Running,
             wb: WriteBuffer::default(),
             reads: ReadSet::default(),
@@ -719,7 +804,7 @@ impl<'m> Machine<'m> {
             finish: None,
         });
         e.index = index;
-        e.core = core;
+        e.thread.core = core;
         e.sync.reset_high_water();
         Self::restart_epoch(&mut e, base, header, at);
         e
@@ -730,8 +815,9 @@ impl<'m> Machine<'m> {
     /// high-water mark spans every attempt of an epoch, so only
     /// [`Machine::spawn_epoch`] clears it.
     fn restart_epoch(e: &mut Epoch, base: &Frame, header: BlockId, at: u64) {
-        e.frames.truncate(1);
-        let frame = &mut e.frames[0];
+        let th = &mut e.thread;
+        th.frames.truncate(1);
+        let frame = &mut th.frames[0];
         frame.func = base.func;
         frame.regs.clone_from(&base.regs);
         frame.ready.clear();
@@ -739,8 +825,8 @@ impl<'m> Machine<'m> {
         frame.block = header;
         frame.idx = 0;
         frame.ret_to = base.ret_to;
-        e.timer.reset(at);
-        e.clock = at;
+        th.timer.reset(at);
+        th.clock = at;
         e.status = Status::Running;
         e.wb.clear();
         e.reads.clear();
@@ -754,48 +840,57 @@ impl<'m> Machine<'m> {
         e.finish = None;
     }
 
-    /// Execute one region instance in parallel; on return, `frames`'s top
-    /// frame has been advanced past the loop.
-    #[allow(clippy::too_many_arguments)]
+    /// Execute one region instance in parallel; on return, `seq`'s top frame
+    /// has been advanced past the loop and its clock to the region's end.
     fn run_region<T: Tracer>(
         &mut self,
         rid: RegionId,
-        ord: u64,
         header: BlockId,
-        frames: &mut [Frame],
-        timer: &mut CoreTimer,
-        seq_core: usize,
+        seq: &mut Thread,
         tracer: &mut T,
     ) -> Result<(), SimError> {
-        let t0 = self.time;
+        let t0 = seq.clock;
+        let ord = self.region_ord;
+        self.region_ord += 1;
         if T::ENABLED {
             tracer.event(TraceEvent::RegionEnter { rid, ord, time: t0 });
         }
-        let base = frames.last().expect("nonempty").clone();
         let cores = self.config.cores;
-
-        // The committed baseline mailbox: epoch 0 reads region-entry values.
-        let mut committed_out = self.empty_mailboxes();
+        let w = self.config.issue_width;
+        let mut run = RegionRun {
+            rid,
+            ord,
+            header,
+            base: seq.frames.last().expect("nonempty").clone(),
+            committed_out: self.empty_mailboxes(),
+            epochs: Vec::with_capacity(cores),
+            pendings: Vec::new(),
+            stats: RegionStats {
+                instances: 1,
+                ..RegionStats::default()
+            },
+            attributed: 0,
+        };
+        // Epoch 0 reads the region-entry values.
         for c in 0..self.module.next_chan {
-            committed_out.send_scalar(tls_ir::ChanId(c), self.chan_regs[c as usize], t0);
+            run.committed_out
+                .send_scalar(tls_ir::ChanId(c), self.chan_regs[c as usize], t0);
         }
         for g in 0..self.module.next_group {
-            committed_out.send_mem(GroupId(g), MemSignal::null(t0));
+            run.committed_out.send_mem(GroupId(g), MemSignal::null(t0));
         }
-
-        let mut epochs: Vec<Epoch> = Vec::with_capacity(cores);
         for k in 0..cores as u64 {
             let at = t0 + self.config.spawn_overhead * k;
-            let e = self.spawn_epoch(k, (seq_core + k as usize) % cores, at, &base, header);
-            epochs.push(e);
+            let e = self.spawn_epoch(k, (seq.core + k as usize) % cores, at, &run.base, header);
+            run.epochs.push(e);
         }
         if T::ENABLED {
-            for e in &epochs {
+            for e in &run.epochs {
                 tracer.event(TraceEvent::EpochSpawn {
                     rid,
                     ord,
                     epoch: e.index,
-                    core: e.core,
+                    core: e.thread.core,
                     time: e.attempt_start,
                 });
             }
@@ -808,21 +903,14 @@ impl<'m> Machine<'m> {
         } else {
             u64::MAX
         };
-        let mut pendings: Vec<Pending> = Vec::new();
-        let mut attributed: u64 = 0;
-        let mut stats = RegionStats {
-            instances: 1,
-            ..RegionStats::default()
-        };
-        let w = self.config.issue_width;
 
-        let end: (BlockId, Vec<i64>, u64) = 'region: loop {
+        let (exit_block, final_regs, end_time) = 'region: loop {
             // 1. Commit as many oldest-done epochs as possible.
-            while !epochs.is_empty() && epochs[0].status == Status::Done {
-                let (exit, finish) = epochs[0].finish.expect("done epoch has finish");
+            while run.epochs.first().is_some_and(|e| e.status == Status::Done) {
+                let (exit, finish) = run.epochs[0].finish.expect("done epoch has finish");
                 let start = finish.max(token_time);
                 // Verify value predictions (mode P).
-                let mispredict = epochs[0]
+                let mispredict = run.epochs[0]
                     .predicted
                     .iter()
                     .find(|(_, addr, pred)| self.mem.read(*addr) != *pred)
@@ -830,11 +918,9 @@ impl<'m> Machine<'m> {
                 if let Some((sid, addr, _)) = mispredict {
                     let actual = self.mem.read(addr);
                     self.predictor.mispredicted(sid, actual);
-                    let victim = epochs[0].index;
+                    let victim = run.epochs[0].index;
                     self.squash(
-                        &mut epochs,
-                        &base,
-                        header,
+                        &mut run,
                         SquashReq {
                             victim,
                             time: start,
@@ -844,19 +930,14 @@ impl<'m> Machine<'m> {
                             producer: None,
                             kind: ViolationKind::Mispredict,
                         },
-                        &mut pendings,
-                        &mut stats,
-                        &mut attributed,
-                        rid,
-                        ord,
                         tracer,
                     );
                     continue;
                 }
                 let commit_done = start
                     + self.config.commit_overhead
-                    + self.config.commit_per_line * epochs[0].wb.dirty_lines() as u64;
-                let e = epochs.remove(0);
+                    + self.config.commit_per_line * run.epochs[0].wb.dirty_lines() as u64;
+                let e = run.epochs.remove(0);
                 if T::FINE {
                     tracer.fine(Fine::PredictionsVerified(e.predicted.len() as u64));
                 }
@@ -889,13 +970,13 @@ impl<'m> Machine<'m> {
                         });
                     }
                     self.mem.write(a, v);
-                    self.caches.install(e.core, a);
-                    self.caches.invalidate_others(e.core, a);
+                    self.caches.install(e.thread.core, a);
+                    self.caches.invalidate_others(e.thread.core, a);
                 }
                 for (chan, v) in e.sync.sent_scalars() {
                     self.chan_regs[chan.index()] = v;
                 }
-                committed_out.absorb(&e.sync);
+                run.committed_out.absorb(&e.sync);
                 self.output.extend(e.outputs.iter().copied());
                 self.result.max_signal_buffer = self
                     .result
@@ -904,27 +985,27 @@ impl<'m> Machine<'m> {
                 // Attempt accounting.
                 let cycles = commit_done.saturating_sub(e.attempt_start);
                 let slots = cycles * w;
-                let busy = e.timer.graduated().min(slots);
+                let busy = e.thread.timer.graduated().min(slots);
                 let sync = (e.sync_cycles * w).min(slots - busy);
-                stats.slots.add(&SlotBreakdown {
+                run.stats.slots.add(&SlotBreakdown {
                     busy,
                     fail: 0,
                     sync,
                     other: slots - busy - sync,
                 });
-                attributed += slots;
-                stats.epochs += 1;
-                stats.epoch_cycles.record(cycles);
+                run.attributed += slots;
+                run.stats.epochs += 1;
+                run.stats.epoch_cycles.record(cycles);
                 token_time = commit_done;
                 if T::ENABLED {
                     tracer.event(TraceEvent::EpochCommit {
                         rid,
                         ord,
                         epoch: e.index,
-                        core: e.core,
+                        core: e.thread.core,
                         start: e.attempt_start,
                         end: commit_done,
-                        graduated: e.timer.graduated(),
+                        graduated: e.thread.timer.graduated(),
                         sync_cycles: e.sync_cycles,
                     });
                     while commit_done >= next_sample {
@@ -932,47 +1013,32 @@ impl<'m> Machine<'m> {
                             rid,
                             ord,
                             time: next_sample,
-                            slots: stats.slots,
+                            slots: run.stats.slots,
                         });
                         next_sample += self.config.trace_interval;
                     }
                 }
                 // Wake the new oldest epoch if it was stalling till oldest.
-                if let Some(head) = epochs.first_mut() {
-                    if let Status::WaitOldest(since) = head.status {
-                        head.status = Status::Running;
-                        head.clock = since.max(commit_done);
-                        head.sync_cycles += head.clock - since;
-                        head.timer.stall_until(head.clock);
-                        if T::ENABLED {
-                            tracer.event(TraceEvent::WaitEnd {
-                                rid,
-                                ord,
-                                epoch: head.index,
-                                core: head.core,
-                                kind: WaitKind::Oldest,
-                                since,
-                                time: head.clock,
-                            });
-                        }
+                if let Some(head) = run.epochs.first_mut() {
+                    if let Status::Wait(WaitKind::Oldest, _) = head.status {
+                        Self::end_wait(tracer, rid, ord, head, commit_done);
                     }
                 }
                 // Fire pending violations produced by this commit.
-                let fired: Vec<Pending> = pendings
+                let fired: Vec<Pending> = run
+                    .pendings
                     .iter()
                     .copied()
                     .filter(|p| p.producer == e.index)
                     .collect();
-                pendings.retain(|p| p.producer != e.index);
+                run.pendings.retain(|p| p.producer != e.index);
                 if let Some(v) = fired
                     .iter()
-                    .filter(|p| epochs.iter().any(|x| x.index == p.consumer))
+                    .filter(|p| run.epochs.iter().any(|x| x.index == p.consumer))
                     .min_by_key(|p| p.consumer)
                 {
                     self.squash(
-                        &mut epochs,
-                        &base,
-                        header,
+                        &mut run,
                         SquashReq {
                             victim: v.consumer,
                             time: commit_done,
@@ -982,155 +1048,88 @@ impl<'m> Machine<'m> {
                             producer: Some(v.producer),
                             kind: ViolationKind::CommitTime,
                         },
-                        &mut pendings,
-                        &mut stats,
-                        &mut attributed,
-                        rid,
-                        ord,
                         tracer,
                     );
                 }
                 if let Some(exit_block) = exit {
                     // Region ends: cancel remaining speculative epochs.
-                    for cancelled in &epochs {
+                    for cancelled in &mut run.epochs {
                         let cycles = commit_done.saturating_sub(cancelled.attempt_start);
-                        stats.slots.fail += cycles * w;
-                        attributed += cycles * w;
+                        run.stats.slots.fail += cycles * w;
+                        run.attributed += cycles * w;
+                        let end = commit_done.max(cancelled.attempt_start);
+                        Self::end_wait(tracer, rid, ord, cancelled, end);
                         if T::ENABLED {
-                            Self::emit_wait_end(
-                                tracer,
-                                rid,
-                                ord,
-                                cancelled,
-                                commit_done.max(cancelled.attempt_start),
-                            );
                             tracer.event(TraceEvent::EpochCancel {
                                 rid,
                                 ord,
                                 epoch: cancelled.index,
-                                core: cancelled.core,
+                                core: cancelled.thread.core,
                                 start: cancelled.attempt_start,
-                                end: commit_done.max(cancelled.attempt_start),
+                                end,
                             });
                         }
                     }
-                    let final_regs = e.frames[0].regs.clone();
+                    let final_regs = e.thread.frames[0].regs.clone();
                     self.spare_epochs.push(e);
-                    self.spare_epochs.append(&mut epochs);
+                    self.spare_epochs.append(&mut run.epochs);
                     break 'region (exit_block, final_regs, commit_done);
                 }
                 // Freed core picks up the next epoch.
                 let spawn_at = commit_done + self.config.spawn_overhead;
-                let core = e.core;
+                let core = e.thread.core;
                 self.spare_epochs.push(e);
-                let ep = self.spawn_epoch(next_index, core, spawn_at, &base, header);
+                let ep = self.spawn_epoch(next_index, core, spawn_at, &run.base, header);
                 if T::ENABLED {
                     tracer.event(TraceEvent::EpochSpawn {
                         rid,
                         ord,
                         epoch: ep.index,
-                        core: ep.core,
+                        core: ep.thread.core,
                         time: spawn_at,
                     });
                 }
-                epochs.push(ep);
+                run.epochs.push(ep);
                 next_index += 1;
             }
 
             // 2. Wake epochs whose signals have arrived.
-            for i in 0..epochs.len() {
-                let (older, cur) = epochs.split_at_mut(i);
-                let pred_out = older.last().map_or(&committed_out, |p| &p.sync);
+            for i in 0..run.epochs.len() {
+                let (older, cur) = run.epochs.split_at_mut(i);
+                let pred_out = older.last().map_or(&run.committed_out, |p| &p.sync);
                 let e = &mut cur[0];
-                match e.status {
-                    Status::WaitScalar(chan, since) => {
-                        if let Some((_, ready)) = pred_out.scalar(chan) {
-                            e.status = Status::Running;
-                            e.clock = since.max(ready);
-                            e.sync_cycles += e.clock - since;
-                            e.timer.stall_until(e.clock);
-                            if T::ENABLED {
-                                tracer.event(TraceEvent::WaitEnd {
-                                    rid,
-                                    ord,
-                                    epoch: e.index,
-                                    core: e.core,
-                                    kind: WaitKind::Scalar(chan),
-                                    since,
-                                    time: e.clock,
-                                });
-                            }
-                        }
+                let arrived = match e.status {
+                    Status::Wait(WaitKind::Scalar(chan), _) => pred_out.scalar(chan).map(|s| s.1),
+                    Status::Wait(WaitKind::Mem(group), _) => {
+                        pred_out.mem(group).map(|s| s.ready_at)
                     }
-                    Status::WaitMem(group, since) => {
-                        if let Some(sig) = pred_out.mem(group) {
-                            e.status = Status::Running;
-                            e.clock = since.max(sig.ready_at);
-                            e.sync_cycles += e.clock - since;
-                            e.timer.stall_until(e.clock);
-                            if T::ENABLED {
-                                tracer.event(TraceEvent::WaitEnd {
-                                    rid,
-                                    ord,
-                                    epoch: e.index,
-                                    core: e.core,
-                                    kind: WaitKind::Mem(group),
-                                    since,
-                                    time: e.clock,
-                                });
-                            }
-                        }
-                    }
-                    _ => {}
+                    _ => None,
+                };
+                if let Some(at) = arrived {
+                    Self::end_wait(tracer, rid, ord, e, at);
                 }
             }
 
             // 3. Step the runnable epoch with the smallest clock.
-            let Some(i) = epochs
+            let Some(i) = run
+                .epochs
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| e.status == Status::Running)
-                .min_by_key(|(_, e)| (e.clock, e.index))
+                .min_by_key(|(_, e)| (e.thread.clock, e.index))
                 .map(|(i, _)| i)
             else {
-                if epochs.first().is_some_and(|e| e.status == Status::Done) {
+                if run.epochs.first().is_some_and(|e| e.status == Status::Done) {
                     continue; // commit loop will handle it
                 }
-                return Err(SimError::Deadlock { time: self.time });
+                return Err(SimError::Deadlock { time: t0 });
             };
-            // `self.time` is frozen at region entry while epochs run on
-            // their own clocks, so the cycle budget must watch those.
-            if epochs[i].clock > self.config.max_cycles {
-                return Err(SimError::CycleBudgetExceeded(self.config.max_cycles));
-            }
-            self.bump_steps()?;
-            let req = self.step_epoch(
-                &mut epochs,
-                i,
-                ord,
-                header,
-                rid,
-                &committed_out,
-                &mut pendings,
-                tracer,
-            )?;
-            if let Some(req) = req {
-                self.squash(
-                    &mut epochs,
-                    &base,
-                    header,
-                    req,
-                    &mut pendings,
-                    &mut stats,
-                    &mut attributed,
-                    rid,
-                    ord,
-                    tracer,
-                );
+            self.bump_steps(run.epochs[i].thread.clock)?;
+            if let Some(req) = self.step_epoch(&mut run, i, tracer)? {
+                self.squash(&mut run, req, tracer);
             }
         };
 
-        let (exit_block, final_regs, end_time) = end;
         if T::ENABLED {
             tracer.event(TraceEvent::RegionExit {
                 rid,
@@ -1138,6 +1137,11 @@ impl<'m> Machine<'m> {
                 time: end_time,
             });
         }
+        let RegionRun {
+            mut stats,
+            attributed,
+            ..
+        } = run;
         stats.cycles += end_time.saturating_sub(t0);
         let total_slots = (cores as u64) * w * end_time.saturating_sub(t0);
         stats.slots.other += total_slots.saturating_sub(attributed);
@@ -1157,34 +1161,60 @@ impl<'m> Machine<'m> {
         self.result.total_violations += stats.violations;
 
         // Resume sequential execution.
-        self.time = end_time;
-        timer.flush(end_time);
-        let frame = frames.last_mut().expect("nonempty");
+        seq.clock = end_time;
+        seq.timer.flush(end_time);
+        let frame = seq.frames.last_mut().expect("nonempty");
         frame.regs = final_regs;
-        frame.ready.iter_mut().for_each(|r| *r = end_time);
+        frame.ready.fill(end_time);
         frame.block = exit_block;
         frame.idx = 0;
         Ok(())
     }
 
-    /// Emit a `WaitEnd` closing `e`'s open wait, if it has one, at `time`
-    /// (used when a squash or cancel ends an attempt mid-wait).
-    fn emit_wait_end<T: Tracer>(tracer: &mut T, rid: RegionId, ord: u64, e: &Epoch, time: u64) {
-        let (kind, since) = match e.status {
-            Status::WaitScalar(chan, since) => (WaitKind::Scalar(chan), since),
-            Status::WaitMem(group, since) => (WaitKind::Mem(group), since),
-            Status::WaitOldest(since) => (WaitKind::Oldest, since),
-            Status::Running | Status::Done => return,
+    /// Block `e` on `kind` from its current clock. The waiting instruction
+    /// re-executes once [`Machine::end_wait`] wakes the epoch.
+    fn begin_wait<T: Tracer>(
+        tracer: &mut T,
+        rid: RegionId,
+        ord: u64,
+        e: &mut Epoch,
+        kind: WaitKind,
+    ) {
+        e.status = Status::Wait(kind, e.thread.clock);
+        if T::ENABLED {
+            tracer.event(TraceEvent::WaitBegin {
+                rid,
+                ord,
+                epoch: e.index,
+                core: e.thread.core,
+                kind,
+                time: e.thread.clock,
+            });
+        }
+    }
+
+    /// End `e`'s wait, if it has one, at `at` or when it began if that is
+    /// later; the cycles waited count as synchronization. A squash or cancel
+    /// that ends an attempt mid-wait closes the wait the same way.
+    fn end_wait<T: Tracer>(tracer: &mut T, rid: RegionId, ord: u64, e: &mut Epoch, at: u64) {
+        let Status::Wait(kind, since) = e.status else {
+            return;
         };
-        tracer.event(TraceEvent::WaitEnd {
-            rid,
-            ord,
-            epoch: e.index,
-            core: e.core,
-            kind,
-            since,
-            time: time.max(since),
-        });
+        e.status = Status::Running;
+        e.thread.clock = since.max(at);
+        e.sync_cycles += e.thread.clock - since;
+        e.thread.timer.stall_until(e.thread.clock);
+        if T::ENABLED {
+            tracer.event(TraceEvent::WaitEnd {
+                rid,
+                ord,
+                epoch: e.index,
+                core: e.thread.core,
+                kind,
+                since,
+                time: e.thread.clock,
+            });
+        }
     }
 
     /// Emit the trace events for one adaptive controller consultation
@@ -1223,26 +1253,15 @@ impl<'m> Machine<'m> {
     }
 
     /// Squash `req.victim` and every later active epoch; restart them.
-    #[allow(clippy::too_many_arguments)]
-    fn squash<T: Tracer>(
-        &mut self,
-        epochs: &mut [Epoch],
-        base: &Frame,
-        header: BlockId,
-        req: SquashReq,
-        pendings: &mut Vec<Pending>,
-        stats: &mut RegionStats,
-        attributed: &mut u64,
-        rid: RegionId,
-        ord: u64,
-        tracer: &mut T,
-    ) {
+    fn squash<T: Tracer>(&mut self, run: &mut RegionRun, req: SquashReq, tracer: &mut T) {
+        let (rid, ord) = (run.rid, run.ord);
         let w = self.config.issue_width;
+        let victim_core = run
+            .epochs
+            .iter()
+            .find(|e| e.index == req.victim)
+            .map_or(0, |e| e.thread.core);
         if T::ENABLED {
-            let core = epochs
-                .iter()
-                .find(|e| e.index == req.victim)
-                .map_or(0, |e| e.core);
             tracer.event(TraceEvent::Violation {
                 rid,
                 ord,
@@ -1252,49 +1271,51 @@ impl<'m> Machine<'m> {
                 addr: req.addr,
                 producer: req.producer,
                 consumer: req.victim,
-                core,
+                core: victim_core,
                 time: req.time,
             });
         }
         if let Some(sid) = req.load_sid {
-            let class = match (
-                self.marked_loads[sid.index()],
-                self.viol_table.probe(sid),
-            ) {
+            let class = match (self.marked_loads[sid.index()], self.viol_table.probe(sid)) {
                 (false, false) => ViolationClass::Neither,
                 (true, false) => ViolationClass::CompilerOnly,
                 (false, true) => ViolationClass::HardwareOnly,
                 (true, true) => ViolationClass::Both,
             };
-            *stats.violation_classes.entry(class).or_insert(0) += 1;
-            *stats.violations_by_load.entry(sid).or_insert(0) += 1;
+            *run.stats.violation_classes.entry(class).or_insert(0) += 1;
+            *run.stats.violations_by_load.entry(sid).or_insert(0) += 1;
             self.viol_table.record_violation(sid, req.time);
             if let Some(ctl) = self.adapt.as_mut() {
                 // The controller observes every violation attributed to a
                 // load; an escalation here is what arms STALL/PREDICT for
                 // the restarted attempt.
                 let out = ctl.record_violation(sid, req.kind, req.time);
-                let core = epochs
-                    .iter()
-                    .find(|e| e.index == req.victim)
-                    .map_or(0, |e| e.core);
-                Self::emit_adapt(tracer, rid, ord, req.victim, core, sid, &out, req.time);
+                Self::emit_adapt(
+                    tracer,
+                    rid,
+                    ord,
+                    req.victim,
+                    victim_core,
+                    sid,
+                    &out,
+                    req.time,
+                );
             }
         }
-        for e in epochs.iter_mut().filter(|e| e.index >= req.victim) {
+        for e in run.epochs.iter_mut().filter(|e| e.index >= req.victim) {
             let now = req.time.max(e.attempt_start);
             let cycles = now - e.attempt_start;
-            stats.slots.fail += cycles * w;
-            *attributed += cycles * w;
-            stats.violations += 1;
-            let restart = req.time.max(e.clock) + self.config.restart_penalty;
+            run.stats.slots.fail += cycles * w;
+            run.attributed += cycles * w;
+            run.stats.violations += 1;
+            let restart = req.time.max(e.thread.clock) + self.config.restart_penalty;
+            Self::end_wait(tracer, rid, ord, e, now);
             if T::ENABLED {
-                Self::emit_wait_end(tracer, rid, ord, e, now);
                 tracer.event(TraceEvent::EpochSquash {
                     rid,
                     ord,
                     epoch: e.index,
-                    core: e.core,
+                    core: e.thread.core,
                     start: e.attempt_start,
                     end: now,
                     restart,
@@ -1302,171 +1323,75 @@ impl<'m> Machine<'m> {
                     store_sid: req.store_sid,
                 });
             }
-            Self::restart_epoch(e, base, header, restart);
+            Self::restart_epoch(e, &run.base, run.header, restart);
         }
-        pendings.retain(|p| p.producer < req.victim && p.consumer < req.victim);
+        run.pendings
+            .retain(|p| p.producer < req.victim && p.consumer < req.victim);
     }
 
     /// Execute one instruction (or terminator) of epoch `i`; returns a
     /// squash request if the step violated a later epoch.
-    #[allow(clippy::too_many_arguments)]
     fn step_epoch<T: Tracer>(
         &mut self,
-        epochs: &mut [Epoch],
+        run: &mut RegionRun,
         i: usize,
-        ord: u64,
-        header: BlockId,
-        rid: RegionId,
-        committed_out: &SyncState,
-        pendings: &mut Vec<Pending>,
         tracer: &mut T,
     ) -> Result<Option<SquashReq>, SimError> {
-        let (older, rest) = epochs.split_at_mut(i);
+        let (rid, ord) = (run.rid, run.ord);
+        let (older, rest) = run.epochs.split_at_mut(i);
         let (cur, younger) = rest.split_at_mut(1);
         let e = &mut cur[0];
-        let is_oldest = older.is_empty();
-        let pred_out = older.last().map_or(committed_out, |p| &p.sync);
-        let depth = e.frames.len();
-        let frame = e.frames.last_mut().expect("epoch has frames");
-        let cb = self.code.block_at(frame.func, frame.block);
-
-        if frame.idx >= self.code.lens[cb] as usize {
-            // Terminator.
-            let term = self.code.terms[cb];
-            if T::FINE {
-                tracer.fine(Fine::Retire(OpClass::of_term(&term)));
-            }
-            match term {
-                Terminator::Jump(to) => {
-                    let (issue, _) = e.timer.issue(0, self.config.lat_alu);
-                    e.clock = issue;
-                    Self::epoch_transfer(e, to, depth, header, &self.region_blocks[rid.index()]);
-                }
-                Terminator::Br { cond, t, f } => {
-                    let (c, ready) = eval_in(&self.code.global_addrs,frame, cond);
-                    let (issue, complete) = e.timer.issue(ready, self.config.lat_alu);
-                    e.clock = issue;
-                    let taken = c != 0;
-                    let key = (frame.func.0 as u64) << 32 | frame.block.0 as u64;
-                    if !self.branch[e.core].update(key, taken) {
-                        e.timer
-                            .stall_until(complete + self.config.mispredict_penalty);
-                    }
-                    let to = if taken { t } else { f };
-                    Self::epoch_transfer(e, to, depth, header, &self.region_blocks[rid.index()]);
-                }
-                Terminator::Ret(v) => {
-                    if depth == 1 {
-                        let name = self.module.func(frame.func).name.clone();
-                        return Err(SimError::RetInRegion(name));
-                    }
-                    let rv = v.map(|op| eval_in(&self.code.global_addrs, frame, op));
-                    let (issue, complete) = e.timer.issue(rv.map_or(0, |r| r.1), self.config.lat_alu);
-                    e.clock = issue;
-                    let done = e.frames.pop().expect("nonempty");
-                    let caller = e.frames.last_mut().expect("depth > 1");
-                    if let Some(dst) = done.ret_to {
-                        caller.regs[dst.index()] = rv.map_or(0, |r| r.0);
-                        caller.ready[dst.index()] = complete;
-                    }
-                }
-            }
-            return Ok(None);
-        }
-
-        let instr = self.code.instrs[self.code.starts[cb] as usize + frame.idx];
-        if T::FINE {
-            tracer.fine(Fine::Retire(OpClass::of(instr)));
-        }
-        match instr {
-            Instr::Assign { dst, src } => {
-                let (v, r) = eval_in(&self.code.global_addrs,frame, *src);
-                let (issue, complete) = e.timer.issue(r, self.config.lat_alu);
-                e.clock = issue;
-                frame.regs[dst.index()] = v;
-                frame.ready[dst.index()] = complete;
-                frame.idx += 1;
-            }
-            Instr::Bin { dst, op, a, b } => {
-                let (va, ra) = eval_in(&self.code.global_addrs,frame, *a);
-                let (vb, rb) = eval_in(&self.code.global_addrs,frame, *b);
-                let (issue, complete) = e.timer.issue(ra.max(rb), self.bin_latency(*op));
-                e.clock = issue;
-                frame.regs[dst.index()] = op.eval(va, vb);
-                frame.ready[dst.index()] = complete;
-                frame.idx += 1;
-            }
-            Instr::Output { val } => {
-                let (v, r) = eval_in(&self.code.global_addrs,frame, *val);
-                let (issue, _) = e.timer.issue(r, self.config.lat_alu);
-                e.clock = issue;
+        let index = e.index as i64;
+        let step = self.exec(&mut e.thread, || index, tracer)?;
+        let instr = match step {
+            Step::Mem(instr) => instr,
+            Step::Next => return Ok(None),
+            Step::Output(v) => {
                 e.outputs.push(v);
-                frame.idx += 1;
+                return Ok(None);
             }
-            Instr::EpochId { dst } => {
-                let (issue, complete) = e.timer.issue(0, self.config.lat_alu);
-                e.clock = issue;
-                frame.regs[dst.index()] = e.index as i64;
-                frame.ready[dst.index()] = complete;
-                frame.idx += 1;
-            }
-            Instr::Call { dst, func: callee, args, .. } => {
-                if e.frames.len() >= MAX_CALL_DEPTH {
-                    return Err(SimError::CallDepth(MAX_CALL_DEPTH));
+            Step::Jump(to) | Step::Branch(to) => {
+                if let Step::Jump(_) = step {
+                    // Inside an epoch a jump takes an issue slot; on the
+                    // sequential path it is free (DESIGN.md §4).
+                    e.thread.clock = e.thread.timer.issue(0, self.config.lat_alu).0;
                 }
-                let (issue, complete) = e.timer.issue(0, self.config.lat_alu);
-                e.clock = issue;
-                let mut nf = Frame::new(self.module, *callee, complete);
-                for (k, arg) in args.iter().enumerate() {
-                    let (v, r) = eval_in(&self.code.global_addrs,e.frames.last().expect("nonempty"), *arg);
-                    nf.regs[k] = v;
-                    nf.ready[k] = r.max(complete);
-                }
-                nf.ret_to = *dst;
-                e.frames.last_mut().expect("nonempty").idx += 1;
-                e.frames.push(nf);
+                Self::epoch_transfer(e, to, run.header, &self.region_blocks[rid.index()]);
+                return Ok(None);
             }
-            Instr::WaitScalar { dst, chan } => {
-                match pred_out.scalar(*chan) {
-                    None => {
-                        e.status = Status::WaitScalar(*chan, e.clock);
-                        // Do not advance idx: re-execute on wake.
-                        if T::ENABLED {
-                            tracer.event(TraceEvent::WaitBegin {
-                                rid,
-                                ord,
-                                epoch: e.index,
-                                core: e.core,
-                                kind: WaitKind::Scalar(*chan),
-                                time: e.clock,
-                            });
-                        }
-                    }
-                    Some((v, ready)) => {
-                        let (issue, complete) = e.timer.issue(ready, self.config.lat_alu);
-                        e.clock = issue;
-                        frame.regs[dst.index()] = v;
-                        frame.ready[dst.index()] = complete;
-                        frame.idx += 1;
-                        if T::ENABLED {
-                            tracer.event(TraceEvent::SignalRecv {
-                                rid,
-                                ord,
-                                epoch: e.index,
-                                core: e.core,
-                                kind: SignalKind::Scalar(*chan),
-                                addr: None,
-                                value: v,
-                                time: issue,
-                            });
-                        }
+            Step::Return(_) if e.thread.frames.is_empty() => {
+                let name = self.module.func(run.base.func).name.clone();
+                return Err(SimError::RetInRegion(name));
+            }
+            Step::Return(_) => return Ok(None),
+        };
+        let is_oldest = older.is_empty();
+        let pred_out = older.last().map_or(&run.committed_out, |p| &p.sync);
+        let lat_alu = self.config.lat_alu;
+        let frame = e.thread.frames.last_mut().expect("epoch has frames");
+        match instr {
+            Instr::WaitScalar { dst, chan } => match pred_out.scalar(*chan) {
+                None => Self::begin_wait(tracer, rid, ord, e, WaitKind::Scalar(*chan)),
+                Some((v, ready)) => {
+                    let issue = e.thread.issue_write(*dst, v, ready, lat_alu);
+                    if T::ENABLED {
+                        tracer.event(TraceEvent::SignalRecv {
+                            rid,
+                            ord,
+                            epoch: e.index,
+                            core: e.thread.core,
+                            kind: SignalKind::Scalar(*chan),
+                            addr: None,
+                            value: v,
+                            time: issue,
+                        });
                     }
                 }
-            }
+            },
             Instr::SignalScalar { chan, val } => {
-                let (v, r) = eval_in(&self.code.global_addrs,frame, *val);
-                let (issue, _) = e.timer.issue(r, self.config.lat_alu);
-                e.clock = issue;
+                let (v, r) = self.eval(frame, *val);
+                let (issue, _) = e.thread.timer.issue(r, lat_alu);
+                e.thread.clock = issue;
                 let mut ready_at = issue + self.config.forward_lat;
                 if let Some(plan) = self.config.inject.as_mut() {
                     // Scalar sync is non-speculative (no recovery net), so
@@ -1490,7 +1415,7 @@ impl<'m> Machine<'m> {
                         rid,
                         ord,
                         epoch: e.index,
-                        core: e.core,
+                        core: e.thread.core,
                         kind: SignalKind::Scalar(*chan),
                         addr: None,
                         value: v,
@@ -1498,12 +1423,18 @@ impl<'m> Machine<'m> {
                     });
                 }
             }
-            Instr::SignalMem { group, addr, off, val, .. } => {
-                let (a, ra) = eval_in(&self.code.global_addrs,frame, *addr);
-                let (v, rv) = eval_in(&self.code.global_addrs,frame, *val);
+            Instr::SignalMem {
+                group,
+                addr,
+                off,
+                val,
+                ..
+            } => {
+                let (a, ra) = self.eval(frame, *addr);
+                let (v, rv) = self.eval(frame, *val);
                 let a = a.wrapping_add(*off);
-                let (issue, _) = e.timer.issue(ra.max(rv), self.config.lat_alu);
-                e.clock = issue;
+                let (issue, _) = e.thread.timer.issue(ra.max(rv), lat_alu);
+                e.thread.clock = issue;
                 let ready_at = issue + self.config.forward_lat;
                 let mut wire = MemSignal {
                     addr: Some(a),
@@ -1560,7 +1491,7 @@ impl<'m> Machine<'m> {
                         rid,
                         ord,
                         epoch: e.index,
-                        core: e.core,
+                        core: e.thread.core,
                         kind: SignalKind::Mem(*group),
                         addr: wire.addr,
                         value: wire.value,
@@ -1569,8 +1500,8 @@ impl<'m> Machine<'m> {
                 }
             }
             Instr::SignalMemNull { group } => {
-                let (issue, _) = e.timer.issue(0, self.config.lat_alu);
-                e.clock = issue;
+                let (issue, _) = e.thread.timer.issue(0, lat_alu);
+                e.thread.clock = issue;
                 let sig = if self.config.relay_forwarding {
                     pred_out.mem(*group)
                 } else {
@@ -1601,7 +1532,8 @@ impl<'m> Machine<'m> {
                         e.sync.push_sig_buf(*group, a);
                     }
                     _ => {
-                        e.sync.send_mem(*group, MemSignal::null(issue + self.config.forward_lat));
+                        e.sync
+                            .send_mem(*group, MemSignal::null(issue + self.config.forward_lat));
                     }
                 }
                 if T::ENABLED {
@@ -1610,7 +1542,7 @@ impl<'m> Machine<'m> {
                         rid,
                         ord,
                         epoch: e.index,
-                        core: e.core,
+                        core: e.thread.core,
                         kind: SignalKind::MemNull(*group),
                         addr: sent.addr,
                         value: sent.value,
@@ -1619,12 +1551,17 @@ impl<'m> Machine<'m> {
                 }
                 frame.idx += 1;
             }
-            Instr::Store { val, addr, off, sid } => {
-                let (a, ra) = eval_in(&self.code.global_addrs,frame, *addr);
-                let (v, rv) = eval_in(&self.code.global_addrs,frame, *val);
+            Instr::Store {
+                val,
+                addr,
+                off,
+                sid,
+            } => {
+                let (a, ra) = self.eval(frame, *addr);
+                let (v, rv) = self.eval(frame, *val);
                 let a = a.wrapping_add(*off);
-                let (issue, _) = e.timer.issue(ra.max(rv), self.config.lat_alu);
-                e.clock = issue;
+                let (issue, _) = e.thread.timer.issue(ra.max(rv), lat_alu);
+                e.thread.clock = issue;
                 e.wb.store(a, v, *sid);
                 if T::FINE {
                     tracer.fine(Fine::WbOccupancy {
@@ -1637,7 +1574,7 @@ impl<'m> Machine<'m> {
                         rid,
                         ord,
                         epoch: e.index,
-                        core: e.core,
+                        core: e.thread.core,
                         sid: *sid,
                         addr: a,
                         value: v,
@@ -1665,7 +1602,7 @@ impl<'m> Machine<'m> {
                             rid,
                             ord,
                             epoch: e.index,
-                            core: e.core,
+                            core: e.thread.core,
                             kind: SignalKind::Mem(g),
                             addr: Some(a),
                             value: v,
@@ -1717,7 +1654,7 @@ impl<'m> Machine<'m> {
                                     // pending check squashes the consumer
                                     // when this epoch commits, later.
                                     (EagerFault::Defer, Some(lsid)) => {
-                                        pendings.push(Pending {
+                                        run.pendings.push(Pending {
                                             producer: e.index,
                                             consumer: v0,
                                             sid: lsid,
@@ -1751,214 +1688,135 @@ impl<'m> Machine<'m> {
                     }));
                 }
             }
-            Instr::Load { dst, addr, off, sid } => {
-                let (a, r) = eval_in(&self.code.global_addrs,frame, *addr);
-                let a = a.wrapping_add(*off);
-                let occ = e.occ[sid.index()];
-                e.occ[sid.index()] += 1;
-                // Perfect prediction (modes O and Figure 6)?
-                let oracle_hit = match self.oracle {
-                    Some(o) if self.oracle_loads[sid.index()] => o.value(
-                        OracleKey { region_ord: ord, epoch: e.index, sid: *sid },
-                        occ as usize,
-                    ),
-                    _ => None,
+            Instr::Load {
+                dst,
+                addr,
+                off,
+                sid,
+            } => {
+                let (a, r) = self.eval(frame, *addr);
+                let ld = LoadOp {
+                    dst: *dst,
+                    sid: *sid,
+                    addr: a.wrapping_add(*off),
+                    ready: r,
+                    sync: false,
                 };
-                if let Some(v) = oracle_hit {
-                    let lat = self.caches.access(e.core, a);
-                    if T::FINE {
-                        tracer.fine(Fine::Access(self.caches.level_of(lat)));
+                let occ = e.occ[sid.index()];
+                'issued: {
+                    // Perfect prediction (modes O and Figure 6)?
+                    let oracle_hit = match self.oracle {
+                        Some(o) if self.oracle_loads[sid.index()] => o.value(
+                            OracleKey {
+                                region_ord: ord,
+                                epoch: e.index,
+                                sid: *sid,
+                            },
+                            occ as usize,
+                        ),
+                        _ => None,
+                    };
+                    if let Some(v) = oracle_hit {
+                        let lat = self.caches.access(e.thread.core, ld.addr);
+                        if T::FINE {
+                            tracer.fine(Fine::Access(self.caches.level_of(lat)));
+                        }
+                        e.thread.issue_write(ld.dst, v, r, lat);
+                        break 'issued;
                     }
-                    let (issue, complete) = e.timer.issue(r, lat);
-                    e.clock = issue;
-                    frame.regs[dst.index()] = v;
-                    frame.ready[dst.index()] = complete;
-                    frame.idx += 1;
-                    return Ok(None);
-                }
-                // Hardware-inserted synchronization / Figure 11 marking:
-                // stall a flagged load until this epoch is the oldest.
-                let hw_flagged = self.config.hw_sync && self.viol_table.contains(*sid, e.clock);
-                let mark_flagged = self.stall_loads[sid.index()];
-                if !is_oldest && (hw_flagged || mark_flagged) {
-                    e.occ[sid.index()] -= 1;
-                    e.status = Status::WaitOldest(e.clock);
-                    if T::ENABLED {
-                        tracer.event(TraceEvent::WaitBegin {
-                            rid,
-                            ord,
-                            epoch: e.index,
-                            core: e.core,
-                            kind: WaitKind::Oldest,
-                            time: e.clock,
-                        });
+                    // Hardware-inserted synchronization / Figure 11 marking:
+                    // stall a flagged load until this epoch is the oldest.
+                    let hw_flagged =
+                        self.config.hw_sync && self.viol_table.contains(*sid, e.thread.clock);
+                    if !is_oldest && (hw_flagged || self.stall_loads[sid.index()]) {
+                        Self::begin_wait(tracer, rid, ord, e, WaitKind::Oldest);
+                        break 'issued;
                     }
-                    return Ok(None);
-                }
-                // Hardware value prediction (mode P) for flagged loads. A
-                // load whose word this epoch already wrote must read its own
-                // buffer — prediction only replaces values that would come
-                // from (possibly stale) memory.
-                if self.config.hw_predict
-                    && !is_oldest
-                    && !e.wb.wrote_word(a)
-                    && self.viol_table.contains(*sid, e.clock)
-                {
-                    let mut pred_opt = self.predictor.predict(*sid);
-                    if let Some(plan) = self.config.inject.as_mut() {
-                        if plan.wants(FaultClass::CorruptPrediction) {
-                            // Perturb the prediction (forcing one from a
-                            // below-threshold table entry if none was
-                            // confident). Maskable: commit-time verification
-                            // re-reads memory and squashes on mismatch.
-                            if let Some(base) = pred_opt.or_else(|| self.predictor.peek(*sid)) {
-                                if let Some(d) = plan.on_prediction()? {
-                                    pred_opt = Some(base.wrapping_add(d));
-                                    if T::ENABLED {
-                                        tracer.event(TraceEvent::FaultInject {
-                                            class: FaultClass::CorruptPrediction,
-                                            epoch: Some(e.index),
-                                            addr: Some(a),
-                                            time: e.clock,
-                                        });
+                    // Hardware value prediction (mode P) for flagged loads. A
+                    // load whose word this epoch already wrote must read its
+                    // own buffer — prediction only replaces values that would
+                    // come from (possibly stale) memory.
+                    if self.config.hw_predict
+                        && !is_oldest
+                        && !e.wb.wrote_word(ld.addr)
+                        && self.viol_table.contains(*sid, e.thread.clock)
+                    {
+                        let mut pred_opt = self.predictor.predict(*sid);
+                        if let Some(plan) = self.config.inject.as_mut() {
+                            if plan.wants(FaultClass::CorruptPrediction) {
+                                // Perturb the prediction (forcing one from a
+                                // below-threshold table entry if none was
+                                // confident). Maskable: commit-time
+                                // verification re-reads memory and squashes
+                                // on mismatch.
+                                if let Some(base) = pred_opt.or_else(|| self.predictor.peek(*sid)) {
+                                    if let Some(d) = plan.on_prediction()? {
+                                        pred_opt = Some(base.wrapping_add(d));
+                                        if T::ENABLED {
+                                            tracer.event(TraceEvent::FaultInject {
+                                                class: FaultClass::CorruptPrediction,
+                                                epoch: Some(e.index),
+                                                addr: Some(ld.addr),
+                                                time: e.thread.clock,
+                                            });
+                                        }
                                     }
                                 }
                             }
                         }
-                    }
-                    if let Some(pred) = pred_opt {
-                        let (issue, complete) = e.timer.issue(r, self.config.lat_alu);
-                        e.clock = issue;
-                        frame.regs[dst.index()] = pred;
-                        frame.ready[dst.index()] = complete;
-                        e.predicted.push((*sid, a, pred));
-                        if T::ENABLED {
-                            tracer.event(TraceEvent::PredictedLoad {
-                                rid,
-                                ord,
-                                epoch: e.index,
-                                core: e.core,
-                                sid: *sid,
-                                addr: a,
-                                value: pred,
-                                time: issue,
-                            });
+                        if let Some(pred) = pred_opt {
+                            self.use_prediction(tracer, rid, ord, e, ld, pred, true);
+                            break 'issued;
                         }
-                        frame.idx += 1;
-                        return Ok(None);
+                    }
+                    if !self.adapt_load(tracer, rid, ord, e, ld, is_oldest) {
+                        self.plain_load(tracer, rid, ord, e, older, &mut run.pendings, ld)?;
                     }
                 }
-                // Adaptive per-dependence policy (modes A/A-T/A-U): the
-                // controller decides how this load synchronizes. FORWARD
-                // falls through to plain speculation below; STALL mirrors
-                // the hardware-sync wait; PREDICT mirrors mode P with
-                // commit-time verification.
-                if self.adapt.is_some() && !is_oldest {
-                    // The predictor is consulted before the controller is
-                    // borrowed mutably; the fields are disjoint.
-                    let confident = self.predictor.predict(*sid).is_some();
-                    let Some(ctl) = self.adapt.as_mut() else { unreachable!() };
-                    let out = ctl.decide(*sid, e.clock, confident);
-                    Self::emit_adapt(tracer, rid, ord, e.index, e.core, *sid, &out, e.clock);
-                    match out.policy {
-                        Policy::Stall => {
-                            e.occ[sid.index()] -= 1;
-                            e.status = Status::WaitOldest(e.clock);
-                            if T::ENABLED {
-                                tracer.event(TraceEvent::WaitBegin {
-                                    rid,
-                                    ord,
-                                    epoch: e.index,
-                                    core: e.core,
-                                    kind: WaitKind::Oldest,
-                                    time: e.clock,
-                                });
-                            }
-                            return Ok(None);
-                        }
-                        Policy::Predict if !e.wb.wrote_word(a) => {
-                            if let Some(pred) = self.predictor.predict(*sid) {
-                                let (issue, complete) = e.timer.issue(r, self.config.lat_alu);
-                                e.clock = issue;
-                                frame.regs[dst.index()] = pred;
-                                frame.ready[dst.index()] = complete;
-                                // Test-only mutation: skip the verification
-                                // entry so a wrong prediction commits
-                                // silently — only the model can object.
-                                if !self.config.break_adaptive_forwarding {
-                                    e.predicted.push((*sid, a, pred));
-                                }
-                                if T::ENABLED {
-                                    tracer.event(TraceEvent::PredictedLoad {
-                                        rid,
-                                        ord,
-                                        epoch: e.index,
-                                        core: e.core,
-                                        sid: *sid,
-                                        addr: a,
-                                        value: pred,
-                                        time: issue,
-                                    });
-                                }
-                                frame.idx += 1;
-                                return Ok(None);
-                            }
-                        }
-                        Policy::Forward | Policy::Predict => {}
-                    }
+                // A load that waits re-executes on wake; it counts once it
+                // issues.
+                if e.status == Status::Running {
+                    e.occ[sid.index()] = occ + 1;
                 }
-                let dst = *dst;
-                let sid = *sid;
-                self.epoch_plain_load(e, older, a, sid, pendings, r, dst, false, rid, ord, tracer)?;
-                e.frames.last_mut().expect("nonempty").idx += 1;
             }
-            Instr::SyncLoad { dst, addr, off, group, sid } => {
-                let (a, r) = eval_in(&self.code.global_addrs,frame, *addr);
-                let a = a.wrapping_add(*off);
-                let (dst, group, sid) = (*dst, *group, *sid);
+            Instr::SyncLoad {
+                dst,
+                addr,
+                off,
+                group,
+                sid,
+            } => {
+                let (a, r) = self.eval(frame, *addr);
+                let ld = LoadOp {
+                    dst: *dst,
+                    sid: *sid,
+                    addr: a.wrapping_add(*off),
+                    ready: r,
+                    sync: true,
+                };
                 match self.config.sync_load_policy {
                     SyncLoadPolicy::Oracle => {
-                        let occ = e.occ[sid.index()];
-                        e.occ[sid.index()] += 1;
-                        let val = self.oracle.and_then(|o| {
-                            o.value(
-                                OracleKey { region_ord: ord, epoch: e.index, sid },
-                                occ as usize,
-                            )
-                        });
-                        if let Some(v) = val {
-                            let (issue, complete) = e.timer.issue(r, self.config.lat_alu);
-                            e.clock = issue;
-                            let frame = e.frames.last_mut().expect("nonempty");
-                            frame.regs[dst.index()] = v;
-                            frame.ready[dst.index()] = complete;
-                        } else {
-                            e.occ[sid.index()] -= 1;
-                            self.epoch_plain_load(
-                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
-                            )?;
+                        let occ = &mut e.occ[sid.index()];
+                        let key = OracleKey {
+                            region_ord: ord,
+                            epoch: e.index,
+                            sid: *sid,
+                        };
+                        match self.oracle.and_then(|o| o.value(key, *occ as usize)) {
+                            Some(v) => {
+                                *occ += 1;
+                                e.thread.issue_write(ld.dst, v, r, lat_alu);
+                            }
+                            None => {
+                                self.plain_load(tracer, rid, ord, e, older, &mut run.pendings, ld)?
+                            }
                         }
-                        e.frames.last_mut().expect("nonempty").idx += 1;
+                    }
+                    SyncLoadPolicy::StallTillOldest if !is_oldest => {
+                        Self::begin_wait(tracer, rid, ord, e, WaitKind::Oldest);
                     }
                     SyncLoadPolicy::StallTillOldest => {
-                        if !is_oldest {
-                            e.status = Status::WaitOldest(e.clock);
-                            if T::ENABLED {
-                                tracer.event(TraceEvent::WaitBegin {
-                                    rid,
-                                    ord,
-                                    epoch: e.index,
-                                    core: e.core,
-                                    kind: WaitKind::Oldest,
-                                    time: e.clock,
-                                });
-                            }
-                        } else {
-                            self.epoch_plain_load(
-                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
-                            )?;
-                            e.frames.last_mut().expect("nonempty").idx += 1;
-                        }
+                        self.plain_load(tracer, rid, ord, e, older, &mut run.pendings, ld)?;
                     }
                     SyncLoadPolicy::Forward => {
                         // Adaptive override (modes A/A-T): a compiler-
@@ -1967,61 +1825,8 @@ impl<'m> Machine<'m> {
                         // dependence is better served by the hardware
                         // stall or by last-value prediction — e.g. when a
                         // phase shift made the profiled placement wrong.
-                        if self.adapt.is_some() && !is_oldest {
-                            // Predictor first, controller second — the
-                            // fields are disjoint, the borrows are not.
-                            let confident = self.predictor.predict(sid).is_some();
-                            let Some(ctl) = self.adapt.as_mut() else { unreachable!() };
-                            let out = ctl.decide(sid, e.clock, confident);
-                            Self::emit_adapt(tracer, rid, ord, e.index, e.core, sid, &out, e.clock);
-                            match out.policy {
-                                Policy::Stall => {
-                                    e.status = Status::WaitOldest(e.clock);
-                                    if T::ENABLED {
-                                        tracer.event(TraceEvent::WaitBegin {
-                                            rid,
-                                            ord,
-                                            epoch: e.index,
-                                            core: e.core,
-                                            kind: WaitKind::Oldest,
-                                            time: e.clock,
-                                        });
-                                    }
-                                    return Ok(None);
-                                }
-                                Policy::Predict if !e.wb.wrote_word(a) => {
-                                    if let Some(pred) = self.predictor.predict(sid) {
-                                        let (issue, complete) =
-                                            e.timer.issue(r, self.config.lat_alu);
-                                        e.clock = issue;
-                                        let frame =
-                                            e.frames.last_mut().expect("nonempty");
-                                        frame.regs[dst.index()] = pred;
-                                        frame.ready[dst.index()] = complete;
-                                        // Test-only mutation: skip the
-                                        // verification entry (see the plain-
-                                        // load site).
-                                        if !self.config.break_adaptive_forwarding {
-                                            e.predicted.push((sid, a, pred));
-                                        }
-                                        if T::ENABLED {
-                                            tracer.event(TraceEvent::PredictedLoad {
-                                                rid,
-                                                ord,
-                                                epoch: e.index,
-                                                core: e.core,
-                                                sid,
-                                                addr: a,
-                                                value: pred,
-                                                time: issue,
-                                            });
-                                        }
-                                        e.frames.last_mut().expect("nonempty").idx += 1;
-                                        return Ok(None);
-                                    }
-                                }
-                                Policy::Forward | Policy::Predict => {}
-                            }
+                        if self.adapt_load(tracer, rid, ord, e, ld, is_oldest) {
+                            return Ok(None);
                         }
                         // Hybrid enhancement (iii): hardware tracks whether
                         // this load's forwarded value is actually usable.
@@ -2041,172 +1846,199 @@ impl<'m> Machine<'m> {
                         if !is_oldest
                             && self.config.hw_sync
                             && (!self.config.hybrid_filter || filtered_out)
-                            && self.viol_table.contains(sid, e.clock)
+                            && self.viol_table.contains(*sid, e.thread.clock)
                         {
-                            e.status = Status::WaitOldest(e.clock);
-                            if T::ENABLED {
-                                tracer.event(TraceEvent::WaitBegin {
-                                    rid,
-                                    ord,
-                                    epoch: e.index,
-                                    core: e.core,
-                                    kind: WaitKind::Oldest,
-                                    time: e.clock,
-                                });
-                            }
+                            Self::begin_wait(tracer, rid, ord, e, WaitKind::Oldest);
                             return Ok(None);
                         }
                         if filtered_out {
-                            self.epoch_plain_load(
-                                e, older, a, sid, pendings, r, dst, true, rid, ord, tracer,
-                            )?;
-                            e.frames.last_mut().expect("nonempty").idx += 1;
+                            self.plain_load(tracer, rid, ord, e, older, &mut run.pendings, ld)?;
                             return Ok(None);
                         }
-                        match pred_out.mem(group) {
-                            None => {
-                                e.status = Status::WaitMem(group, e.clock);
+                        let Some(sig) = pred_out.mem(*group) else {
+                            Self::begin_wait(tracer, rid, ord, e, WaitKind::Mem(*group));
+                            return Ok(None);
+                        };
+                        // `use_forwarded_value` (§2.2): the forwarded value
+                        // stands in for the load when the signal carries its
+                        // address and this epoch has not overwritten the word.
+                        let useful = sig.addr == Some(ld.addr) && !e.wb.wrote_word(ld.addr);
+                        let usage = &mut self.forward_usefulness[sid.index()];
+                        usage.0 += 1;
+                        usage.1 += u32::from(useful);
+                        let ready = r.max(sig.ready_at);
+                        // With the test-only fault injection the value is
+                        // consumed even on a mismatch, which the
+                        // differential fuzzer must catch.
+                        let broken = self.config.break_forwarded_recovery
+                            && sig.addr.is_some()
+                            && !e.wb.wrote_word(ld.addr);
+                        if !(useful || broken) {
+                            // Own write, NULL or mismatched address: an
+                            // ordinary speculative load.
+                            let ld = LoadOp { ready, ..ld };
+                            self.plain_load(tracer, rid, ord, e, older, &mut run.pendings, ld)?;
+                            return Ok(None);
+                        }
+                        // Exempt from violation tracking.
+                        let (issue, complete) = e.thread.timer.issue(ready, lat_alu);
+                        e.thread.clock = issue;
+                        e.consumed[group.index()] = true;
+                        let mut used = sig.value;
+                        if let Some(plan) = self.config.inject.as_mut() {
+                            // Contract-breaking: corrupt the value at the
+                            // consume site, address intact. §2.2 only
+                            // re-checks addresses, so no machinery below can
+                            // catch this.
+                            if let Some(d) = plan.on_signal_recv()? {
+                                used = used.wrapping_add(d);
                                 if T::ENABLED {
-                                    tracer.event(TraceEvent::WaitBegin {
-                                        rid,
-                                        ord,
-                                        epoch: e.index,
-                                        core: e.core,
-                                        kind: WaitKind::Mem(group),
-                                        time: e.clock,
+                                    tracer.event(TraceEvent::FaultInject {
+                                        class: FaultClass::CorruptSignalValue,
+                                        epoch: Some(e.index),
+                                        addr: Some(ld.addr),
+                                        time: issue,
                                     });
                                 }
                             }
-                            Some(sig) => {
-                                self.forward_usefulness[sid.index()].0 += 1;
-                                if sig.addr == Some(a) && !e.wb.wrote_word(a) {
-                                    self.forward_usefulness[sid.index()].1 += 1;
-                                }
-                                if e.wb.wrote_word(a) {
-                                    // Locally overwritten: use our own value
-                                    // (use_forwarded_value cleared).
-                                    let v = e.wb.load(a).expect("wrote_word");
-                                    let (issue, complete) =
-                                        e.timer.issue(r.max(sig.ready_at), self.config.l1_lat);
-                                    e.clock = issue;
-                                    let frame = e.frames.last_mut().expect("nonempty");
-                                    frame.regs[dst.index()] = v;
-                                    frame.ready[dst.index()] = complete;
-                                    if T::ENABLED {
-                                        tracer.event(TraceEvent::SpecLoad {
-                                            rid,
-                                            ord,
-                                            epoch: e.index,
-                                            core: e.core,
-                                            sid,
-                                            addr: a,
-                                            value: v,
-                                            exposed: false,
-                                            time: issue,
-                                        });
-                                    }
-                                } else if sig.addr == Some(a)
-                                    || (self.config.break_forwarded_recovery
-                                        && sig.addr.is_some())
-                                {
-                                    // Address match: use the forwarded value;
-                                    // exempt from violation tracking. (With
-                                    // the test-only fault injection the value
-                                    // is consumed even on a mismatch, which
-                                    // the differential fuzzer must catch.)
-                                    let (issue, complete) =
-                                        e.timer.issue(r.max(sig.ready_at), self.config.lat_alu);
-                                    e.clock = issue;
-                                    e.consumed[group.index()] = true;
-                                    let mut used = sig.value;
-                                    if let Some(plan) = self.config.inject.as_mut() {
-                                        // Contract-breaking: corrupt the value
-                                        // at the consume site, address intact.
-                                        // §2.2 only re-checks addresses, so no
-                                        // machinery below can catch this.
-                                        if let Some(d) = plan.on_signal_recv()? {
-                                            used = used.wrapping_add(d);
-                                            if T::ENABLED {
-                                                tracer.event(TraceEvent::FaultInject {
-                                                    class: FaultClass::CorruptSignalValue,
-                                                    epoch: Some(e.index),
-                                                    addr: Some(a),
-                                                    time: issue,
-                                                });
-                                            }
-                                        }
-                                    }
-                                    let frame = e.frames.last_mut().expect("nonempty");
-                                    frame.regs[dst.index()] = used;
-                                    frame.ready[dst.index()] = complete;
-                                    if T::ENABLED {
-                                        tracer.event(TraceEvent::SignalRecv {
-                                            rid,
-                                            ord,
-                                            epoch: e.index,
-                                            core: e.core,
-                                            kind: SignalKind::Mem(group),
-                                            addr: sig.addr,
-                                            value: used,
-                                            time: issue,
-                                        });
-                                    }
-                                } else {
-                                    // NULL or mismatched address: plain load.
-                                    self.epoch_plain_load(
-                                        e,
-                                        older,
-                                        a,
-                                        sid,
-                                        pendings,
-                                        r.max(sig.ready_at),
-                                        dst,
-                                        true,
-                                        rid,
-                                        ord,
-                                        tracer,
-                                    )?;
-                                }
-                                e.frames.last_mut().expect("nonempty").idx += 1;
-                            }
+                        }
+                        let frame = e.thread.frames.last_mut().expect("epoch has frames");
+                        frame.set(ld.dst, used, complete);
+                        frame.idx += 1;
+                        if T::ENABLED {
+                            tracer.event(TraceEvent::SignalRecv {
+                                rid,
+                                ord,
+                                epoch: e.index,
+                                core: e.thread.core,
+                                kind: SignalKind::Mem(*group),
+                                addr: sig.addr,
+                                value: used,
+                                time: issue,
+                            });
                         }
                     }
                 }
             }
+            _ => unreachable!("`exec` executes ALU instructions and calls"),
         }
         Ok(None)
+    }
+
+    /// Let the adaptive controller (modes A/A-T/A-U) choose how load `ld` of
+    /// a speculative epoch synchronizes: STALL waits until the epoch is the
+    /// oldest, PREDICT uses a confident last-value prediction. Returns
+    /// whether it handled the load; FORWARD, no controller, or the oldest
+    /// epoch leave it to the caller.
+    fn adapt_load<T: Tracer>(
+        &mut self,
+        tracer: &mut T,
+        rid: RegionId,
+        ord: u64,
+        e: &mut Epoch,
+        ld: LoadOp,
+        is_oldest: bool,
+    ) -> bool {
+        if is_oldest || self.adapt.is_none() {
+            return false;
+        }
+        // The predictor is consulted before the controller is borrowed
+        // mutably; the fields are disjoint.
+        let confident = self.predictor.predict(ld.sid).is_some();
+        let ctl = self.adapt.as_mut().expect("checked above");
+        let out = ctl.decide(ld.sid, e.thread.clock, confident);
+        Self::emit_adapt(
+            tracer,
+            rid,
+            ord,
+            e.index,
+            e.thread.core,
+            ld.sid,
+            &out,
+            e.thread.clock,
+        );
+        match out.policy {
+            Policy::Stall => {
+                Self::begin_wait(tracer, rid, ord, e, WaitKind::Oldest);
+                true
+            }
+            Policy::Predict if !e.wb.wrote_word(ld.addr) => match self.predictor.predict(ld.sid) {
+                Some(pred) => {
+                    // Test-only mutation: skip the verification entry so a
+                    // wrong prediction commits silently — only the model
+                    // can object.
+                    let verify = !self.config.break_adaptive_forwarding;
+                    self.use_prediction(tracer, rid, ord, e, ld, pred, verify);
+                    true
+                }
+                None => false,
+            },
+            Policy::Forward | Policy::Predict => false,
+        }
+    }
+
+    /// Use the predicted value `pred` for load `ld` (modes P and A). With
+    /// `verify`, the commit re-reads memory and squashes on a mismatch.
+    #[allow(clippy::too_many_arguments)]
+    fn use_prediction<T: Tracer>(
+        &self,
+        tracer: &mut T,
+        rid: RegionId,
+        ord: u64,
+        e: &mut Epoch,
+        ld: LoadOp,
+        pred: i64,
+        verify: bool,
+    ) {
+        let issue = e
+            .thread
+            .issue_write(ld.dst, pred, ld.ready, self.config.lat_alu);
+        if verify {
+            e.predicted.push((ld.sid, ld.addr, pred));
+        }
+        if T::ENABLED {
+            tracer.event(TraceEvent::PredictedLoad {
+                rid,
+                ord,
+                epoch: e.index,
+                core: e.thread.core,
+                sid: ld.sid,
+                addr: ld.addr,
+                value: pred,
+                time: issue,
+            });
+        }
     }
 
     /// The shared "ordinary speculative load" path: own write buffer, else
     /// committed memory with read-set tracking and pending-violation
     /// registration.
     #[allow(clippy::too_many_arguments)]
-    fn epoch_plain_load<T: Tracer>(
+    fn plain_load<T: Tracer>(
         &mut self,
-        e: &mut Epoch,
-        older: &[Epoch],
-        a: i64,
-        sid: Sid,
-        pendings: &mut Vec<Pending>,
-        ready: u64,
-        dst: Var,
-        from_sync: bool,
+        tracer: &mut T,
         rid: RegionId,
         ord: u64,
-        tracer: &mut T,
-    ) -> Result<i64, SimError> {
-        let frame = e.frames.last_mut().expect("nonempty");
+        e: &mut Epoch,
+        older: &[Epoch],
+        pendings: &mut Vec<Pending>,
+        ld: LoadOp,
+    ) -> Result<(), SimError> {
+        let LoadOp {
+            dst,
+            sid,
+            addr: a,
+            ready,
+            sync,
+        } = ld;
         if let Some(v) = e.wb.load(a) {
-            let (issue, complete) = e.timer.issue(ready, self.config.l1_lat);
-            e.clock = issue;
-            frame.regs[dst.index()] = v;
-            frame.ready[dst.index()] = complete;
+            let issue = e.thread.issue_write(dst, v, ready, self.config.l1_lat);
             if T::ENABLED {
                 tracer.event(TraceEvent::SpecLoad {
                     rid,
                     ord,
                     epoch: e.index,
-                    core: e.core,
+                    core: e.thread.core,
                     sid,
                     addr: a,
                     value: v,
@@ -2214,15 +2046,15 @@ impl<'m> Machine<'m> {
                     time: issue,
                 });
             }
-            return Ok(v);
+            return Ok(());
         }
         let v = self.mem.read(a);
         // Timing-identical to `access`; the eviction report only feeds the
         // tracer.
         let (lat, evicted) = if T::ENABLED {
-            self.caches.access_evict(e.core, a)
+            self.caches.access_evict(e.thread.core, a)
         } else {
-            (self.caches.access(e.core, a), None)
+            (self.caches.access(e.thread.core, a), None)
         };
         if T::FINE {
             tracer.fine(Fine::Access(self.caches.level_of(lat)));
@@ -2231,16 +2063,13 @@ impl<'m> Machine<'m> {
             let speculative =
                 e.reads.line_reader(victim_line).is_some() || e.wb.wrote_line(victim_line);
             tracer.event(TraceEvent::LineEvict {
-                core: e.core,
+                core: e.thread.core,
                 line: victim_line,
                 speculative,
-                time: e.clock,
+                time: e.thread.clock,
             });
         }
-        let (issue, complete) = e.timer.issue(ready, lat);
-        e.clock = issue;
-        frame.regs[dst.index()] = v;
-        frame.ready[dst.index()] = complete;
+        let issue = e.thread.issue_write(dst, v, ready, lat);
         let mut spurious_evict = false;
         if let Some(plan) = self.config.inject.as_mut() {
             spurious_evict = plan.on_spec_load()?;
@@ -2248,7 +2077,7 @@ impl<'m> Machine<'m> {
         if spurious_evict {
             // Maskable: knock the just-accessed line out of the local L1
             // (and L2) so the next touch misses. Timing only.
-            self.caches.invalidate_local(e.core, a);
+            self.caches.invalidate_local(e.thread.core, a);
             if T::ENABLED {
                 tracer.event(TraceEvent::FaultInject {
                     class: FaultClass::EvictLine,
@@ -2265,7 +2094,7 @@ impl<'m> Machine<'m> {
                 rid,
                 ord,
                 epoch: e.index,
-                core: e.core,
+                core: e.thread.core,
                 sid,
                 addr: a,
                 value: v,
@@ -2273,7 +2102,7 @@ impl<'m> Machine<'m> {
                 time: issue,
             });
         }
-        if !(self.config.break_exposed_read_marking && from_sync) {
+        if !(self.config.break_exposed_read_marking && sync) {
             e.reads.insert(a, sid);
         }
         // Commit-time dependence: an older epoch holds an uncommitted store
@@ -2300,42 +2129,26 @@ impl<'m> Machine<'m> {
         if self.config.hw_predict || self.config.adapt.is_some() {
             self.predictor.train(sid, v);
         }
-        Ok(v)
+        Ok(())
     }
 
     /// Apply an intra-epoch control transfer; reaching the region header or
     /// leaving the region's blocks ends the epoch.
-    fn epoch_transfer(
-        e: &mut Epoch,
-        to: BlockId,
-        depth: usize,
-        header: BlockId,
-        region_blocks: &[bool],
-    ) {
-        if depth == 1 && to == header {
+    fn epoch_transfer(e: &mut Epoch, to: BlockId, header: BlockId, region_blocks: &[bool]) {
+        let bottom = e.thread.frames.len() == 1;
+        if bottom && to == header {
             e.status = Status::Done;
-            e.finish = Some((None, e.clock));
+            e.finish = Some((None, e.thread.clock));
             return;
         }
-        if depth == 1 && !region_blocks[to.index()] {
+        if bottom && !region_blocks[to.index()] {
             e.status = Status::Done;
-            e.finish = Some((Some(to), e.clock));
+            e.finish = Some((Some(to), e.thread.clock));
             return;
         }
-        let frame = e.frames.last_mut().expect("nonempty");
+        let frame = e.thread.frames.last_mut().expect("nonempty");
         frame.block = to;
         frame.idx = 0;
-    }
-}
-
-/// Evaluate `op` in `frame`; `global_addrs` is the dense per-`GlobalId`
-/// address table of [`Code`].
-#[inline]
-fn eval_in(global_addrs: &[i64], frame: &Frame, op: Operand) -> (i64, u64) {
-    match op {
-        Operand::Var(v) => (frame.regs[v.index()], frame.ready[v.index()]),
-        Operand::Const(c) => (c, 0),
-        Operand::Global(g) => (global_addrs[g.index()], 0),
     }
 }
 
@@ -2769,8 +2582,9 @@ mod tests {
 
     #[test]
     fn cycle_budget_catches_nonterminating_epoch() {
-        // The same spin inside a speculative region: `self.time` is frozen
-        // at region entry, so the budget must watch the epoch clocks.
+        // The same spin inside a speculative region: the sequential clock
+        // stands still at region entry, so the budget must watch the epoch
+        // clocks.
         let mut mb = ModuleBuilder::new();
         let f = mb.declare("main", 0);
         let mut fb = mb.define(f);
@@ -2793,6 +2607,76 @@ mod tests {
         match Machine::new(&m, cfg).run() {
             Err(SimError::CycleBudgetExceeded(10_000)) => {}
             other => panic!("expected cycle-budget error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unbounded_recursion_hits_call_depth_on_the_sequential_path() {
+        let mut mb = ModuleBuilder::new();
+        let f = mb.declare("main", 0);
+        let mut fb = mb.define(f);
+        fb.call(None, f, vec![]);
+        fb.ret(None);
+        fb.finish();
+        mb.set_entry(f);
+        let m = mb.build().expect("valid");
+        match Machine::new(&m, SimConfig::sequential()).run() {
+            Err(SimError::CallDepth(256)) => {}
+            other => panic!("expected call-depth error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unbounded_recursion_hits_call_depth_inside_an_epoch() {
+        let mut mb = ModuleBuilder::new();
+        let rec = mb.declare("rec", 0);
+        let main = mb.declare("main", 0);
+        let mut fb = mb.define(rec);
+        fb.call(None, rec, vec![]);
+        fb.ret(None);
+        fb.finish();
+        let mut fb = mb.define(main);
+        let ep = fb.var("ep");
+        let head = fb.block("head");
+        let body = fb.block("body");
+        fb.jump(head);
+        fb.switch_to(head);
+        fb.epoch_id(ep);
+        fb.jump(body);
+        fb.switch_to(body);
+        fb.call(None, rec, vec![]);
+        fb.jump(head);
+        fb.finish();
+        mb.set_entry(main);
+        mark_region(&mut mb, main, BlockId(1), vec![BlockId(1), BlockId(2)]);
+        let m = mb.build().expect("valid");
+        match Machine::new(&m, SimConfig::cgo2004()).run() {
+            Err(SimError::CallDepth(256)) => {}
+            other => panic!("expected call-depth error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn return_out_of_a_region_is_an_error() {
+        let mut mb = ModuleBuilder::new();
+        let f = mb.declare("main", 0);
+        let mut fb = mb.define(f);
+        let ep = fb.var("ep");
+        let head = fb.block("head");
+        let body = fb.block("body");
+        fb.jump(head);
+        fb.switch_to(head);
+        fb.epoch_id(ep);
+        fb.jump(body);
+        fb.switch_to(body);
+        fb.ret(None);
+        fb.finish();
+        mb.set_entry(f);
+        mark_region(&mut mb, f, BlockId(1), vec![BlockId(1), BlockId(2)]);
+        let m = mb.build().expect("valid");
+        match Machine::new(&m, SimConfig::cgo2004()).run() {
+            Err(SimError::RetInRegion(name)) => assert_eq!(name, "main"),
+            other => panic!("expected ret-in-region error, got {other:?}"),
         }
     }
 

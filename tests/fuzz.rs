@@ -6,7 +6,7 @@
 
 use std::path::Path;
 
-use tls_repro::experiments::fuzz::{self, FuzzConfig};
+use tls_repro::experiments::fuzz::{self, FailureKind, FuzzConfig};
 use tls_repro::experiments::{Harness, Mode};
 use tls_repro::ir::{generate, GenConfig, GenFamily};
 
@@ -146,4 +146,45 @@ fn regression_corpus_stays_fixed() {
         }
     }
     assert!(checked >= 2, "regression corpus missing ({checked} found)");
+}
+
+/// Two malformed headers that validation used to accept and the
+/// interpreter then panicked on: an entry function with a parameter, and a
+/// called function with more parameters than registers. Replaying either
+/// artifact must report an invalid module.
+#[test]
+fn malformed_parameter_headers_replay_as_invalid() {
+    const ENTRY_WITH_PARAM: &str = "tlsir 1
+entry 0
+counts sid=0 chan=0 group=0 globals_end=1048576
+func main params=1 vars=1
+block entry
+  output v0
+  term ret #0
+";
+    const PARAMS_WITHOUT_REGISTERS: &str = "tlsir 1
+entry 1
+counts sid=1 chan=0 group=0 globals_end=1048576
+func helper params=1 vars=0
+block entry
+  term ret #0
+func main params=0 vars=1
+block entry
+  call v0 f0 s0 #7
+  output v0
+  term ret #0
+";
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("malformed_parameter_headers");
+    std::fs::create_dir_all(&dir).expect("create the artifact directory");
+    for (name, text) in [
+        ("entry_with_param", ENTRY_WITH_PARAM),
+        ("params_without_registers", PARAMS_WITHOUT_REGISTERS),
+    ] {
+        let path = dir.join(format!("{name}.txt"));
+        std::fs::write(&path, text).expect("write the artifact");
+        match fuzz::replay(&path, &FuzzConfig::default()) {
+            Ok(Err(f)) if f.kind == FailureKind::Invalid => {}
+            other => panic!("{name}: expected an invalid-module failure, got {other:?}"),
+        }
+    }
 }
