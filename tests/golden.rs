@@ -6,10 +6,13 @@
 //! the table rendering that shifts a number shows up as a byte diff here.
 //! `tests/golden/counters/` pins `repro metrics` the same way, and
 //! `tests/golden/sim_fingerprints.json` pins the raw simulated numbers of
-//! every program × mode run. Refresh intentionally with:
+//! every program × mode run. Release builds also pin the full-scale
+//! `repro all` output, `results/repro_all_ref.txt`. Refresh intentionally
+//! with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden
+//! UPDATE_GOLDEN=1 cargo test --release --test golden
 //! ```
 
 use std::path::PathBuf;
@@ -55,6 +58,47 @@ fn figures_match_golden_snapshots() {
         stale.is_empty(),
         "golden snapshots differ for {stale:?}; inspect the diff and refresh \
          with UPDATE_GOLDEN=1 cargo test --test golden"
+    );
+}
+
+/// The full-scale pin: `results/repro_all_ref.txt` is the exact stdout of
+/// `repro all`, every [`figures::TARGETS`] entry rendered at
+/// [`Scale::Full`] and followed by a blank line. The quick-scale snapshots
+/// above never reach the ref inputs, so this is what holds the published
+/// numbers still. Ref scale takes seconds in a release build and far longer
+/// in a debug one, so only release builds run it.
+#[cfg(not(debug_assertions))]
+#[test]
+fn full_scale_output_matches_results_file() {
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let harnesses =
+        Harness::prepare_all(&tls_repro::workloads::all(), Scale::Full).expect("prepare workloads");
+    let mut want = String::new();
+    for target in figures::TARGETS {
+        let table = figures::by_name(target, &harnesses)
+            .expect("known target")
+            .unwrap_or_else(|e| panic!("{target} failed: {e}"));
+        want.push_str(&format!("{table}\n"));
+    }
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("results/repro_all_ref.txt");
+    if update {
+        std::fs::write(&path, &want).expect("write results/repro_all_ref.txt");
+        return;
+    }
+    let got = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{} unreadable ({e}); run UPDATE_GOLDEN=1", path.display()));
+    let first = want
+        .lines()
+        .zip(got.lines())
+        .position(|(w, g)| w != g)
+        .map_or_else(|| "past the shorter file".to_string(), |i| format!("{}", i + 1));
+    assert!(
+        got == want,
+        "repro all output differs from {} (first at line {first}; {} vs {} lines); inspect \
+         the diff and refresh with UPDATE_GOLDEN=1 cargo test --release --test golden",
+        path.display(),
+        want.lines().count(),
+        got.lines().count()
     );
 }
 
