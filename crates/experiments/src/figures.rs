@@ -5,6 +5,11 @@
 //! bars or table rows. Region bars are normalized execution time
 //! (sequential = 100) split into busy/fail/sync/other, exactly like the
 //! paper's stacked bars.
+//!
+//! The drivers over prepared harnesses read [`Harness::summary`], so a mode
+//! that several figures show (`U` is in five, `C` in six) is simulated once
+//! per harness however many of them render. [`sweep`] and [`adaptive`]
+//! build their own harnesses and run them directly.
 
 use tls_profile::DIST_BUCKETS;
 
@@ -13,8 +18,7 @@ use crate::par;
 use crate::report::{f2, pct, Table};
 
 fn bar_cells(h: &Harness, mode: Mode) -> Result<Vec<String>, ExperimentError> {
-    let r = h.run(mode)?;
-    let b = h.bar(mode, &r);
+    let b = h.summary(mode)?.bar;
     Ok(vec![
         mode.label(),
         f2(b.norm_time),
@@ -229,8 +233,7 @@ pub fn fig11(harnesses: &[Harness]) -> Result<Table, ExperimentError> {
     );
     let modes = FIG11_MODES;
     let rows = run_pairs(harnesses, &modes, |h, mode| {
-        let r = h.run(mode)?;
-        let cls = r.violation_class_totals();
+        let cls = h.summary(mode)?.violation_classes;
         let get = |c: VC| cls.get(&c).copied().unwrap_or(0);
         let total: u64 = cls.values().sum();
         Ok(vec![
@@ -265,8 +268,7 @@ pub fn fig12(harnesses: &[Harness]) -> Result<Table, ExperimentError> {
     );
     let modes = FIG12_MODES;
     let stats = run_pairs(harnesses, &modes, |h, mode| {
-        let r = h.run(mode)?;
-        Ok(h.program_stats(mode, &r))
+        Ok(h.summary(mode)?.stats)
     })?;
     for (h, chunk) in harnesses.iter().zip(stats.chunks(modes.len())) {
         let mut cells = vec![h.name.clone(), pct(chunk[0].coverage)];
@@ -294,8 +296,7 @@ pub fn table2(harnesses: &[Harness]) -> Result<Table, ExperimentError> {
     );
     let modes = TABLE2_MODES;
     let stats = run_pairs(harnesses, &modes, |h, mode| {
-        let r = h.run(mode)?;
-        Ok(h.program_stats(mode, &r))
+        Ok(h.summary(mode)?.stats)
     })?;
     for (h, chunk) in harnesses.iter().zip(stats.chunks(modes.len())) {
         let (sb, sc) = (&chunk[0], &chunk[1]);
@@ -323,8 +324,10 @@ pub fn compiler_report(harnesses: &[Harness]) -> Result<Table, ExperimentError> 
             "clones", "growth", "sigbuf",
         ],
     );
-    let runs = run_pairs(harnesses, &REPORT_MODES, |h, mode| h.run(mode))?;
-    for (h, r) in harnesses.iter().zip(&runs) {
+    let sigbufs = run_pairs(harnesses, &REPORT_MODES, |h, mode| {
+        Ok(h.summary(mode)?.max_signal_buffer)
+    })?;
+    for (h, sigbuf) in harnesses.iter().zip(&sigbufs) {
         let rep = &h.set_c.report;
         let unrolls: Vec<String> = h.set_c.regions.iter().map(|r| r.unroll.to_string()).collect();
         t.row(vec![
@@ -338,7 +341,7 @@ pub fn compiler_report(harnesses: &[Harness]) -> Result<Table, ExperimentError> 
             rep.signalled_stores.to_string(),
             rep.clones.to_string(),
             f2(rep.code_growth()),
-            r.max_signal_buffer.to_string(),
+            sigbuf.to_string(),
         ]);
     }
     Ok(t)

@@ -1,6 +1,6 @@
 //! Per-workload harness: compile once, run any evaluation mode.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
@@ -9,7 +9,7 @@ use tls_core::{compile_all, loads_above_threshold, CompilationSet, CompileError,
 use tls_profile::{record_oracle, ExecError, ValueOracle};
 use tls_sim::{
     check_conformance, AdaptConfig, Machine, MachineCounters, ModelConfig, NullTracer, OracleSel,
-    RecordingTracer, SimConfig, SimError, SimResult, SyncLoadPolicy, Tracer,
+    RecordingTracer, SimConfig, SimError, SimResult, SyncLoadPolicy, Tracer, ViolationClass,
 };
 use tls_workloads::{InputSet, Workload};
 
@@ -247,7 +247,7 @@ impl Mode {
 }
 
 /// Why a harness step failed.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum ExperimentError {
     /// Compilation (including profiling runs) failed.
     Compile(CompileError),
@@ -358,6 +358,9 @@ pub struct Harness {
     // modes stay constant-memory.
     oracle_u: OnceLock<Result<ValueOracle, ExecError>>,
     oracle_c: OnceLock<Result<ValueOracle, ExecError>>,
+    // One slot per `MODES` entry, filled by the first `summary` of that
+    // mode; see `Harness::summary` for why `run` never reads them.
+    summaries: [OnceLock<Result<RunSummary, ExperimentError>>; MODES.len()],
 }
 
 /// Which value oracle a mode consumes (see [`Harness::resolve`]).
@@ -485,6 +488,7 @@ impl Harness {
             base: SimConfig::cgo2004(),
             oracle_u: OnceLock::new(),
             oracle_c: OnceLock::new(),
+            summaries: Default::default(),
         })
     }
 
@@ -521,6 +525,38 @@ impl Harness {
             Ok(result)
         } else {
             self.run_traced(mode, &mut NullTracer)
+        }
+    }
+
+    /// What the figures read of `mode`'s checked run ([`Harness::run`]).
+    ///
+    /// A mode in [`MODES`] is simulated on its first request only; every
+    /// later request, from any figure, gets the same summary, and a failed
+    /// run gets the same error. So one `repro all` simulates each mode
+    /// once per harness. A mode outside [`MODES`] is simulated on every
+    /// call. The slot is filled against `base` as it is at that moment and
+    /// is not cleared if `base` changes later.
+    ///
+    /// [`Harness::run`] itself never reads these slots: the callers that
+    /// time or check every run (the benchmark's long runs and region
+    /// speedups, `repro bench`, the fuzzer) must keep getting fresh
+    /// simulations.
+    ///
+    /// # Errors
+    /// The error of the mode's first run.
+    pub fn summary(&self, mode: Mode) -> Result<RunSummary, ExperimentError> {
+        let summarize = || {
+            let r = self.run(mode)?;
+            Ok(RunSummary {
+                bar: self.bar(mode, &r),
+                stats: self.program_stats(mode, &r),
+                violation_classes: r.violation_class_totals(),
+                max_signal_buffer: r.max_signal_buffer,
+            })
+        };
+        match MODES.iter().position(|&m| m == mode) {
+            Some(i) => self.summaries[i].get_or_init(summarize).clone(),
+            None => summarize(),
         }
     }
 
@@ -872,6 +908,21 @@ pub struct RegionBar {
     pub other: f64,
     /// Squashed epoch attempts during the run.
     pub violations: u64,
+}
+
+/// The part of one mode's run that the figure drivers read (see
+/// [`Harness::summary`]). It keeps no per-region maps, output or memory,
+/// so holding one per mode costs a harness next to nothing.
+#[derive(Clone, Debug)]
+pub struct RunSummary {
+    /// The normalized region bar (Figures 2, 6, 8, 9 and 10).
+    pub bar: RegionBar,
+    /// Coverage and speedups (Figure 12 and Table 2).
+    pub stats: ProgramStats,
+    /// Violations by would-be-synchronizing scheme (Figure 11).
+    pub violation_classes: BTreeMap<ViolationClass, u64>,
+    /// Peak signal-address-buffer occupancy (the compiler report).
+    pub max_signal_buffer: usize,
 }
 
 /// Program-level numbers (Table 2 row fragment).

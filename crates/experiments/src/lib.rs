@@ -32,7 +32,9 @@
 //! the [`tls_sim::SimResult`].
 //!
 //! The [`figures`] module renders each of the paper's tables and figures
-//! from these runs; the `repro` binary drives it from the command line.
+//! from these runs, each (harness, mode) simulated once and shared between
+//! figures through [`Harness::summary`]; the `repro` binary drives it from
+//! the command line.
 //! Harness preparation and per-figure mode runs fan out over the [`par`]
 //! scoped-thread pool (deterministic: output is byte-identical to a serial
 //! run); the [`bench`] module measures the pipeline itself.
@@ -54,6 +56,6 @@ mod report;
 pub mod worker;
 
 pub use harness::{
-    spec_modes, ExperimentError, Harness, Mode, ProgramStats, RegionBar, Scale, MODES,
+    spec_modes, ExperimentError, Harness, Mode, ProgramStats, RegionBar, RunSummary, Scale, MODES,
 };
 pub use report::Table;

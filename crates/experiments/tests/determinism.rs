@@ -17,11 +17,14 @@ fn harness(name: &str) -> Harness {
 
 #[test]
 fn figure_output_is_byte_identical_serial_vs_parallel() {
-    let hs = vec![harness("parser"), harness("gcc")];
+    // Each rendering gets its own harnesses: a harness keeps the run
+    // summaries a figure reads, so the parallel rendering on the serial
+    // one's harnesses would simulate nothing.
+    let fresh = || vec![harness("parser"), harness("gcc")];
     par::set_jobs(1);
-    let serial = figures::fig8(&hs).expect("fig8 serial").to_string();
+    let serial = figures::fig8(&fresh()).expect("fig8 serial").to_string();
     par::set_jobs(4);
-    let parallel = figures::fig8(&hs).expect("fig8 parallel").to_string();
+    let parallel = figures::fig8(&fresh()).expect("fig8 parallel").to_string();
     par::set_jobs(0);
     assert_eq!(serial, parallel, "fan-out must not change figure output");
     assert!(serial.contains("parser") && serial.contains("gcc"));
