@@ -267,9 +267,7 @@ pub fn fig12(harnesses: &[Harness]) -> Result<Table, ExperimentError> {
         &["bench", "coverage", "U", "C", "H", "B"],
     );
     let modes = FIG12_MODES;
-    let stats = run_pairs(harnesses, &modes, |h, mode| {
-        Ok(h.summary(mode)?.stats)
-    })?;
+    let stats = run_pairs(harnesses, &modes, |h, mode| Ok(h.summary(mode)?.stats))?;
     for (h, chunk) in harnesses.iter().zip(stats.chunks(modes.len())) {
         let mut cells = vec![h.name.clone(), pct(chunk[0].coverage)];
         cells.extend(chunk.iter().map(|s| f2(s.program_speedup)));
@@ -295,9 +293,7 @@ pub fn table2(harnesses: &[Harness]) -> Result<Table, ExperimentError> {
         ],
     );
     let modes = TABLE2_MODES;
-    let stats = run_pairs(harnesses, &modes, |h, mode| {
-        Ok(h.summary(mode)?.stats)
-    })?;
+    let stats = run_pairs(harnesses, &modes, |h, mode| Ok(h.summary(mode)?.stats))?;
     for (h, chunk) in harnesses.iter().zip(stats.chunks(modes.len())) {
         let (sb, sc) = (&chunk[0], &chunk[1]);
         t.row(vec![

@@ -60,7 +60,11 @@ fn render(target: &str, hs: &[Harness]) -> (Result<String, String>, u64) {
 #[test]
 fn figures_simulate_each_mode_once_per_harness() {
     let distinct: BTreeSet<&str> = SHARED.iter().flat_map(|(_, m)| m.iter().copied()).collect();
-    assert_eq!(distinct.len(), 16, "the shared targets show 16 distinct modes");
+    assert_eq!(
+        distinct.len(),
+        16,
+        "the shared targets show 16 distinct modes"
+    );
 
     // First rendering: a target simulates only the modes no earlier target
     // showed, once on each harness.
@@ -82,30 +86,26 @@ fn figures_simulate_each_mode_once_per_harness() {
         assert_eq!(out.as_ref(), Ok(want), "{target}: second rendering");
     }
 
-    // A mode in MODES that no figure showed fills its slot on first use; a
-    // mode outside MODES has no slot. `Harness::run` never reads the slots.
-    let h = &hs[0];
-    let count = |f: &dyn Fn()| {
+    // A mode in MODES that no figure showed fills its slot on first use, a
+    // mode outside MODES has no slot, and `Harness::run` never reads them.
+    let (unshown, outside, u) = (mode("B+"), Mode::Threshold(50), mode("U"));
+    assert!(!distinct.contains("B+") && MODES.contains(&unshown) && !MODES.contains(&outside));
+    for (what, m, via_run, want) in [
+        ("first summary of an unshown mode", unshown, false, 1),
+        ("second summary of an unshown mode", unshown, false, 0),
+        ("summary of a mode outside MODES", outside, false, 1),
+        ("the same summary again", outside, false, 1),
+        ("Harness::run of a shown mode", u, true, 1),
+        ("the same run again", u, true, 1),
+    ] {
         let before = simulations();
-        f();
-        simulations() - before
-    };
-    let unshown = mode("B+");
-    assert!(MODES.contains(&unshown) && !distinct.contains("B+"));
-    let outside = Mode::Threshold(50);
-    assert!(!MODES.contains(&outside));
-    let summary = |m: Mode| {
-        h.summary(m).expect("summary");
-    };
-    assert_eq!(count(&|| summary(unshown)), 1, "first summary of an unshown mode");
-    assert_eq!(count(&|| summary(unshown)), 0, "second summary of an unshown mode");
-    assert_eq!(count(&|| summary(outside)), 1, "mode outside MODES");
-    assert_eq!(count(&|| summary(outside)), 1, "mode outside MODES, again");
-    let run = |m: Mode| {
-        h.run(m).expect("run");
-    };
-    assert_eq!(count(&|| run(mode("U"))), 1, "Harness::run after the figures");
-    assert_eq!(count(&|| run(mode("U"))), 1, "Harness::run, again");
+        if via_run {
+            hs[0].run(m).expect(what);
+        } else {
+            hs[0].summary(m).expect(what);
+        }
+        assert_eq!(simulations() - before, want, "{what}");
+    }
 
     // A step budget that `B` and `C` fit in and `U` does not: each mode is
     // simulated once, failing or not, and a target fails with the error of
@@ -127,7 +127,11 @@ fn figures_simulate_each_mode_once_per_harness() {
         for (target, labels) in SHARED {
             let new = labels.iter().filter(|l| seen.insert(**l)).count() as u64;
             let (out, sims) = render(target, &hs);
-            assert_eq!(sims, if round == 0 { new } else { 0 }, "{target}: round {round}");
+            assert_eq!(
+                sims,
+                if round == 0 { new } else { 0 },
+                "{target}: round {round}"
+            );
             match labels.iter().find(|l| fails(l)) {
                 None => assert!(out.is_ok(), "{target}: {out:?}"),
                 Some(&l) => {
