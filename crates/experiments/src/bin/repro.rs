@@ -7,7 +7,7 @@
 //!             [--perfetto path] [--attrib path] [--width N]
 //! repro trace-check <perfetto.json>
 //! repro fuzz [--seed S] [--iters N] [--jobs N] [--family F] [--break-forwarding]
-//!            [--replay path] [--artifacts dir] [--resume] [--panic-seed S]
+//!            [--replay path] [--artifacts dir] [--panic-seed S]
 //! repro conform <bench> [--mode M] [--quick] [--scale S]
 //! repro conform --fuzz [--seed S] [--seeds N] [--jobs N]
 //! repro inject <bench> [--mode M] [--faults F] [--seed S] [--campaign K]
@@ -112,9 +112,9 @@
 //! adversarial scenario family instead of the baseline generator
 //! (`phase_shift`, `false_sharing`, `deep_clone`, `mixed_nests`; see
 //! `tls_ir::GenFamily`). Failures are shrunk and written
-//! under `--artifacts dir` (default `results/fuzz`). Progress is
-//! checkpointed to `journal.txt` in the artifact directory; `--resume`
-//! continues a killed campaign from that checkpoint. `--break-forwarding`
+//! under `--artifacts dir` (default `results/fuzz`). A campaign that must
+//! survive a crash runs as `repro campaign fuzz`, which journals finished
+//! shards and continues with `--resume`. `--break-forwarding`
 //! injects the forwarded-value recovery fault (the harness must then report
 //! mismatches — a self-test of the fuzzer). `--panic-seed S` deliberately
 //! panics the worker handling seed S — a self-test of panic isolation: the
@@ -238,7 +238,7 @@ fn usage() -> CliError {
          [--perfetto path] [--attrib path] [--width N]\n\
          \x20      repro trace-check <perfetto.json>\n\
          \x20      repro fuzz [--seed S] [--iters N] [--jobs N] [--family F] [--break-forwarding] \
-         [--replay path] [--artifacts dir] [--resume] [--panic-seed S]\n\
+         [--replay path] [--artifacts dir] [--panic-seed S]\n\
          \x20      repro conform <bench> [--mode M] [--quick] [--scale S]\n\
          \x20      repro conform --fuzz [--seed S] [--seeds N] [--jobs N]\n\
          \x20      repro inject <bench> [--mode M] [--faults F] [--seed S] [--campaign K] \
@@ -551,7 +551,6 @@ fn run_fuzz_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
     let mut cfg = fuzz::FuzzConfig::default();
     let mut replay: Option<String> = None;
     let mut artifacts = String::from("results/fuzz");
-    let mut resume = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -585,7 +584,6 @@ fn run_fuzz_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
                 },
                 None => return Err(usage()),
             },
-            "--resume" => resume = true,
             "--panic-seed" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => cfg.panic_on_seed = Some(n),
                 None => return Err(usage()),
@@ -616,23 +614,16 @@ fn run_fuzz_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
         };
     }
     eprintln!(
-        "fuzzing {iters} seed(s) from {seed} across {} modes{}{}...",
+        "fuzzing {iters} seed(s) from {seed} across {} modes{}...",
         fuzz::ALL_MODES.len(),
         if cfg.break_forwarded_recovery {
             " with the forwarded-recovery fault injected"
         } else {
             ""
-        },
-        if resume { ", resuming from the journal" } else { "" }
+        }
     );
-    let report = fuzz::run_fuzz_resumable(
-        seed,
-        iters,
-        &cfg,
-        Some(std::path::Path::new(&artifacts)),
-        resume,
-    )
-    .map_err(CliError::Sim)?;
+    let report = fuzz::run_fuzz(seed, iters, &cfg, Some(std::path::Path::new(&artifacts)))
+        .map_err(CliError::Sim)?;
     println!("{}", report.summary());
     for f in &report.failures {
         println!(

@@ -123,7 +123,6 @@ pub fn conform_fuzz(seed0: u64, seeds: u64, cfg: &FuzzConfig) -> ConformFuzzOutc
     let campaign = std::time::Instant::now();
     let per_seed = par::par_map_isolated(
         (0..seeds).map(|i| seed0 + i).collect::<Vec<u64>>(),
-        std::time::Duration::from_secs(300),
         |_, seed| format!("conform seed {seed}"),
         |_, seed| conform_seed(seed, cfg).map_err(|e| format!("seed {seed}: {e}")),
     );

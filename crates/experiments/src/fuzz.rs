@@ -56,11 +56,6 @@ pub struct FuzzConfig {
     /// a self-test of panic isolation: the campaign must complete and
     /// report exactly one structured [`par::RunError`].
     pub panic_on_seed: Option<u64>,
-    /// Hard wall-clock budget per seed: a seed that runs longer is recorded
-    /// as a [`par::RunErrorKind::Timeout`] run error (and lands in the
-    /// journal's `errored=` list, so `--resume` retries it) instead of
-    /// silently dominating the campaign's tail latency.
-    pub seed_budget: std::time::Duration,
 }
 
 impl Default for FuzzConfig {
@@ -73,9 +68,6 @@ impl Default for FuzzConfig {
             max_interp_steps: 2_000_000,
             max_sim_steps: 20_000_000,
             panic_on_seed: None,
-            // Generous: the step caps bound simulated work, so only a host
-            // pathologically starved of CPU should ever hit this.
-            seed_budget: std::time::Duration::from_secs(1200),
         }
     }
 }
@@ -548,124 +540,22 @@ pub fn artifact_text(f: &FuzzFailure) -> String {
     )
 }
 
-/// Seeds per journal checkpoint: long campaigns flush their progress to
-/// `journal.txt` in the artifact directory after every chunk, so a killed
-/// nightly restarts with `--resume` instead of from scratch.
-const JOURNAL_CHUNK: usize = 256;
-
-/// Persisted campaign progress (`<artifacts>/journal.txt`), a `key=value`
-/// text file: the seed range, the contiguous prefix already completed, the
-/// accumulated coverage counters, and the seeds that failed (`failed=`) or
-/// whose worker panicked (`errored=`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Journal {
-    /// First seed of the campaign.
-    pub seed0: u64,
-    /// Total seeds the campaign was asked for.
-    pub iters: u64,
-    /// Contiguous prefix of the seed range already processed.
-    pub done: u64,
-    /// Seeds whose compilation selected at least one region.
-    pub regions: u64,
-    /// Seeds with at least one synchronized load.
-    pub sync_loads: u64,
-    /// Seeds with at least one violation.
-    pub violations: u64,
-    /// Total oracle steps.
-    pub oracle_steps: u64,
-    /// Seeds that failed a property check.
-    pub failed: Vec<u64>,
-    /// Seeds whose worker panicked (retried first on resume).
-    pub errored: Vec<u64>,
-}
-
-impl Journal {
-    /// Parse the `key=value` text (unknown keys are ignored).
-    ///
-    /// # Errors
-    /// A description of the first malformed line.
-    pub fn parse(text: &str) -> Result<Journal, String> {
-        let mut j = Journal::default();
-        for (n, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("journal line {}: expected key=value, got `{line}`", n + 1))?;
-            let parsed: u64 = value
-                .parse()
-                .map_err(|_| format!("journal line {}: `{key}` is not a number: `{value}`", n + 1))?;
-            match key {
-                "seed0" => j.seed0 = parsed,
-                "iters" => j.iters = parsed,
-                "done" => j.done = parsed,
-                "regions" => j.regions = parsed,
-                "sync_loads" => j.sync_loads = parsed,
-                "violations" => j.violations = parsed,
-                "oracle_steps" => j.oracle_steps = parsed,
-                "failed" => j.failed.push(parsed),
-                "errored" => j.errored.push(parsed),
-                _ => {}
-            }
-        }
-        Ok(j)
-    }
-
-    /// Render back to the `key=value` text form.
-    pub fn render(&self) -> String {
-        let mut s = format!(
-            "# repro fuzz journal; resume with: repro fuzz --resume --artifacts <this dir>\n\
-             seed0={}\niters={}\ndone={}\nregions={}\nsync_loads={}\nviolations={}\n\
-             oracle_steps={}\n",
-            self.seed0, self.iters, self.done, self.regions, self.sync_loads, self.violations,
-            self.oracle_steps
-        );
-        for f in &self.failed {
-            s.push_str(&format!("failed={f}\n"));
-        }
-        for e in &self.errored {
-            s.push_str(&format!("errored={e}\n"));
-        }
-        s
-    }
-}
-
 /// Run `iters` seeds starting at `seed0`; shrink each failure and, when
-/// `out_dir` is given, write the artifact there. Equivalent to
-/// [`run_fuzz_resumable`] with `resume = false`.
-///
-/// # Panics
-/// If `cfg.gen` is rejected by [`GenConfig::validated`]; use
-/// [`run_fuzz_resumable`] to handle that as an error.
-pub fn run_fuzz(seed0: u64, iters: u64, cfg: &FuzzConfig, out_dir: Option<&Path>) -> FuzzReport {
-    run_fuzz_resumable(seed0, iters, cfg, out_dir, false)
-        .expect("a fresh campaign with a valid generator config never fails to start")
-}
-
-/// The journaled campaign driver behind `repro fuzz [--resume]`.
+/// `out_dir` is given, write its artifact there.
 ///
 /// Seeds fan out over [`par::par_map_isolated`]: a panicking worker is
 /// captured as a [`par::RunError`] and the rest of the campaign completes.
-/// With an artifact directory, progress is checkpointed to `journal.txt`
-/// every [`JOURNAL_CHUNK`] seeds; `resume` picks up from that checkpoint —
-/// previously-errored seeds are retried first, previously-failed seeds are
-/// re-checked (and re-shrunk if still failing), then the remaining range
-/// continues. Journal *write* failures only warn: losing a checkpoint must
-/// not kill a running campaign.
+/// Campaigns that must survive a crash run through `repro campaign fuzz`
+/// ([`crate::orchestrate`]), which journals, resumes and retries shards.
 ///
 /// # Errors
 /// A generator configuration rejected by [`GenConfig::validated`] (knob
-/// combinations that could only produce empty or single-epoch programs),
-/// or on `resume`: a missing/corrupt journal, or one recorded for a
-/// different `--seed`/`--iters` range.
-pub fn run_fuzz_resumable(
+/// combinations that could only produce empty or single-epoch programs).
+pub fn run_fuzz(
     seed0: u64,
     iters: u64,
     cfg: &FuzzConfig,
     out_dir: Option<&Path>,
-    resume: bool,
 ) -> Result<FuzzReport, String> {
     // Reject degenerate knob combinations before burning any seeds: a
     // campaign over zero-epoch programs would report green while testing
@@ -678,123 +568,37 @@ pub fn run_fuzz_resumable(
         ..cfg.clone()
     };
     let cfg = &cfg;
-    let journal_path = out_dir.map(|d| d.join("journal.txt"));
-    let mut j = Journal {
-        seed0,
-        iters,
-        ..Journal::default()
-    };
-    let mut retry: Vec<u64> = Vec::new();
-    if resume {
-        let Some(path) = &journal_path else {
-            return Err("--resume needs an artifact directory to read the journal from".into());
-        };
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot resume: read {}: {e}", path.display()))?;
-        // Checkpoints are written atomically, but a journal produced by an
-        // older build (or a copy truncated in transit) may end mid-line;
-        // the torn tail is dropped rather than refusing to resume.
-        let (clean, torn) = crate::journal::drop_torn_tail(&text);
-        if torn {
-            eprintln!(
-                "warning: fuzz journal {} has a torn final line; resuming from the intact prefix",
-                path.display()
-            );
-        }
-        let prev = Journal::parse(clean)?;
-        if prev.seed0 != seed0 || prev.iters != iters {
-            return Err(format!(
-                "journal {} records a campaign of {} seed(s) from {}, not {iters} from {seed0}",
-                path.display(),
-                prev.iters,
-                prev.seed0
-            ));
-        }
-        // Panicked and failed seeds are inside the completed prefix but
-        // have no verdict / may be fixed now: run them again.
-        retry = prev.errored.clone();
-        retry.extend(prev.failed.iter().copied());
-        retry.sort_unstable();
-        retry.dedup();
-        j = Journal {
-            failed: Vec::new(),
-            errored: Vec::new(),
-            ..prev
-        };
-    }
+    let campaign = std::time::Instant::now();
+    let seeds: Vec<u64> = (0..iters).map(|i| seed0.wrapping_add(i)).collect();
+    let outcomes = par::par_map_isolated(
+        seeds.clone(),
+        |_, seed| format!("fuzz seed {seed}"),
+        |_, seed| {
+            if cfg.panic_on_seed == Some(seed) {
+                panic!("deliberate worker panic on seed {seed} (--panic-seed)");
+            }
+            check_seed(seed, cfg)
+        },
+    );
     let mut report = FuzzReport {
         iters,
-        seeds_with_regions: j.regions,
-        seeds_with_sync_loads: j.sync_loads,
-        seeds_with_violations: j.violations,
-        oracle_steps: j.oracle_steps,
         ..FuzzReport::default()
     };
-    let checkpoint = |j: &Journal| {
-        // Journal progress doubles as the campaign's coarse progress gauge
-        // (`--metrics`), whether or not a journal file is being written.
-        crate::metrics::set_gauge("fuzz.journal.done", j.done as f64);
-        crate::metrics::set_gauge("fuzz.journal.total", j.iters as f64);
-        if let Some(path) = &journal_path {
-            // Atomic tmp+rename: a kill mid-checkpoint leaves the previous
-            // complete journal, never a torn one.
-            if let Err(e) = crate::journal::write_atomic(path, &j.render()) {
-                eprintln!("warning: failed to write fuzz journal {}: {e}", path.display());
+    for (seed, outcome) in seeds.into_iter().zip(outcomes) {
+        match outcome {
+            Ok(Ok(stats)) => {
+                report.seeds_with_regions += u64::from(stats.regions > 0);
+                report.seeds_with_sync_loads += u64::from(stats.sync_loads > 0);
+                report.seeds_with_violations += u64::from(stats.violations > 0);
+                report.oracle_steps += stats.oracle_steps;
             }
+            Ok(Err(f)) => report.failures.push(shrink_failure(seed, f, cfg, out_dir)),
+            Err(e) => report.run_errors.push(e),
         }
-    };
-    let process = |seeds: &[u64], j: &mut Journal, report: &mut FuzzReport| {
-        let outcomes = par::par_map_isolated_budgeted(
-            seeds.to_vec(),
-            std::time::Duration::from_secs(300),
-            Some(cfg.seed_budget),
-            |_, seed| format!("fuzz seed {seed}"),
-            |_, seed| {
-                if cfg.panic_on_seed == Some(seed) {
-                    panic!("deliberate worker panic on seed {seed} (--panic-seed)");
-                }
-                check_seed(seed, cfg)
-            },
-        );
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let seed = seeds[i];
-            match outcome {
-                Ok(Ok(stats)) => {
-                    report.seeds_with_regions += u64::from(stats.regions > 0);
-                    report.seeds_with_sync_loads += u64::from(stats.sync_loads > 0);
-                    report.seeds_with_violations += u64::from(stats.violations > 0);
-                    report.oracle_steps += stats.oracle_steps;
-                    j.regions = report.seeds_with_regions;
-                    j.sync_loads = report.seeds_with_sync_loads;
-                    j.violations = report.seeds_with_violations;
-                    j.oracle_steps = report.oracle_steps;
-                }
-                Ok(Err(f)) => {
-                    j.failed.push(seed);
-                    report.failures.push(shrink_failure(seed, f, cfg, out_dir));
-                }
-                Err(e) => {
-                    j.errored.push(seed);
-                    report.run_errors.push(e);
-                }
-            }
-        }
-    };
-    let campaign = std::time::Instant::now();
-    if !retry.is_empty() {
-        process(&retry, &mut j, &mut report);
-        checkpoint(&j);
-    }
-    let remaining: Vec<u64> = (j.done..iters).map(|i| seed0.wrapping_add(i)).collect();
-    let checked = (retry.len() + remaining.len()) as f64;
-    for chunk in remaining.chunks(JOURNAL_CHUNK) {
-        process(chunk, &mut j, &mut report);
-        j.done += chunk.len() as u64;
-        checkpoint(&j);
     }
     crate::metrics::set_gauge(
         "fuzz.seeds_per_sec",
-        checked / campaign.elapsed().as_secs_f64().max(1e-9),
+        iters as f64 / campaign.elapsed().as_secs_f64().max(1e-9),
     );
     Ok(report)
 }
@@ -893,90 +697,17 @@ mod tests {
     }
 
     #[test]
-    fn journal_round_trips() {
-        let j = Journal {
-            seed0: 17,
-            iters: 1000,
-            done: 512,
-            regions: 400,
-            sync_loads: 300,
-            violations: 120,
-            oracle_steps: 99_999,
-            failed: vec![23, 77],
-            errored: vec![501],
-        };
-        assert_eq!(Journal::parse(&j.render()), Ok(j));
-        assert!(Journal::parse("done\n").is_err());
-        assert!(Journal::parse("done=many\n").is_err());
-        // Unknown keys and comments are tolerated.
-        let tolerant = Journal::parse("# note\nfuture_key=9\nseed0=3\n").expect("parses");
-        assert_eq!(tolerant.seed0, 3);
-    }
-
-    #[test]
-    fn panicking_seed_is_isolated_and_journaled() {
-        let dir = std::env::temp_dir().join(format!("tls_fuzz_journal_{}", std::process::id()));
+    fn panicking_seed_is_isolated() {
         let cfg = FuzzConfig {
             panic_on_seed: Some(2),
             ..FuzzConfig::default()
         };
-        let report =
-            run_fuzz_resumable(1, 4, &cfg, Some(&dir), false).expect("fresh campaign starts");
+        let report = run_fuzz(1, 4, &cfg, None).expect("campaign starts");
         assert_eq!(report.run_errors.len(), 1, "exactly one worker died");
         assert!(report.run_errors[0].detail.contains("deliberate worker panic"));
+        assert_eq!(report.run_errors[0].label, "fuzz seed 2");
         assert!(report.failures.is_empty(), "a panic is not a property failure");
-        let journal = std::fs::read_to_string(dir.join("journal.txt")).expect("journal written");
-        let j = Journal::parse(&journal).expect("journal parses");
-        assert_eq!((j.done, j.errored.as_slice()), (4, &[2u64][..]));
-        // Resume with the panic gone: the errored seed is retried and the
-        // campaign ends clean.
-        let resumed = run_fuzz_resumable(1, 4, &FuzzConfig::default(), Some(&dir), true)
-            .expect("journal resumes");
-        assert!(resumed.run_errors.is_empty());
-        assert!(resumed.failures.is_empty());
-        // A mismatched range is refused.
-        assert!(run_fuzz_resumable(9, 4, &FuzzConfig::default(), Some(&dir), true).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_tolerates_a_torn_journal_tail() {
-        let dir = std::env::temp_dir().join(format!("tls_fuzz_torn_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        // A checkpoint of 4 seeds done out of 6 whose writer was killed
-        // mid-line: the final `errored=` record lost its value and newline.
-        std::fs::write(
-            dir.join("journal.txt"),
-            "seed0=1\niters=6\ndone=4\nregions=3\nsync_loads=2\nviolations=1\n\
-             oracle_steps=777\nerrored=",
-        )
-        .expect("write fixture");
-        let report = run_fuzz_resumable(1, 6, &FuzzConfig::default(), Some(&dir), true)
-            .expect("torn journal resumes from the intact prefix");
-        // The torn `errored=` line is dropped, so only seeds 5..6 rerun.
-        assert!(report.run_errors.is_empty());
-        assert!(report.failures.is_empty());
-        let j = Journal::parse(
-            &std::fs::read_to_string(dir.join("journal.txt")).expect("rewritten"),
-        )
-        .expect("rewritten journal parses");
-        assert_eq!(j.done, 6, "campaign completed from the recovered prefix");
-        assert!(j.errored.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpoints_leave_no_tmp_file_behind() {
-        let dir = std::env::temp_dir().join(format!("tls_fuzz_atomic_{}", std::process::id()));
-        let report = run_fuzz_resumable(3, 2, &FuzzConfig::default(), Some(&dir), false)
-            .expect("fresh campaign");
-        assert!(report.failures.is_empty());
-        assert!(dir.join("journal.txt").exists());
-        assert!(
-            !dir.join("journal.tmp").exists(),
-            "atomic writes rename their temp file away"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(report.seeds_with_regions, 3, "the other seeds still ran");
     }
 
     #[test]
@@ -988,7 +719,7 @@ mod tests {
             },
             ..FuzzConfig::default()
         };
-        let err = run_fuzz_resumable(0, 1, &cfg, None, false).unwrap_err();
+        let err = run_fuzz(0, 1, &cfg, None).unwrap_err();
         assert!(err.contains("generator config rejected"), "{err}");
     }
 

@@ -21,8 +21,6 @@
 //! per-class squashes-added / cycles-lost breakdown and a [soundness
 //! verdict](DegradationReport::sound).
 
-use std::time::Duration;
-
 use tls_sim::{FaultClass, FaultPlan, NullTracer, RecordingTracer};
 
 use crate::par::{self, RunError};
@@ -95,8 +93,6 @@ pub struct InjectConfig {
     /// CI mutation proving panic isolation: the campaign must complete
     /// with exactly one [`RunError`].
     pub panic_on_plan: Option<u64>,
-    /// Wall-clock soft deadline per plan before the watchdog warns.
-    pub soft_deadline: Duration,
 }
 
 impl Default for InjectConfig {
@@ -108,7 +104,6 @@ impl Default for InjectConfig {
             budget: 8,
             partition: Partition::Both,
             panic_on_plan: None,
-            soft_deadline: Duration::from_secs(120),
         }
     }
 }
@@ -435,7 +430,6 @@ pub fn run_campaign(
         .collect();
     let outcomes = par::par_map_isolated(
         items,
-        cfg.soft_deadline,
         |_, (seed, class)| format!("{}/{} plan {} ({})", h.name, mode.label(), seed, class.name()),
         |k, (seed, class)| {
             if cfg.panic_on_plan == Some(k as u64) {

@@ -1,12 +1,13 @@
-//! Crash-safe journal primitives shared by the fuzz journal and the
-//! campaign orchestrator.
+//! Crash-safe journal primitives shared by the campaign orchestrator
+//! ([`crate::orchestrate`]) and the compile cache ([`crate::cache`]).
 //!
 //! Two complementary durability idioms live here:
 //!
 //! * **Atomic snapshot writes** ([`write_atomic`]): the whole file is
 //!   written to a temporary sibling and renamed into place, so a reader
 //!   (or a crash mid-write) sees either the old snapshot or the new one,
-//!   never a torn mixture. The fuzz `journal.txt` checkpoints use this.
+//!   never a torn mixture. The campaign journal's header and repairs and
+//!   the compile-cache entries use this.
 //! * **Checksummed append-only records** ([`seal_line`] /
 //!   [`read_sealed`]): each record carries an FNV-1a digest of its
 //!   payload, appended with [`append_line`]. On recovery a torn or
@@ -20,12 +21,7 @@ use std::path::Path;
 /// FNV-1a 64-bit hash — the content digest used for journal record seals
 /// and compile-cache keys. Deterministic across hosts and runs.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
 
 /// Extend an FNV-1a digest with more bytes (for chained hashing of
@@ -64,9 +60,9 @@ pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 
 /// Strip a torn final line: if `text` does not end in a newline the last
 /// (partial) line is dropped. Returns the clean prefix and whether
-/// anything was dropped. The crash-recovery path for snapshot-style
-/// journals whose writer died mid-line.
-pub fn drop_torn_tail(text: &str) -> (&str, bool) {
+/// anything was dropped: the first step of [`parse_sealed`]'s recovery
+/// from a writer that died mid-line.
+fn drop_torn_tail(text: &str) -> (&str, bool) {
     if text.is_empty() || text.ends_with('\n') {
         (text, false)
     } else {
@@ -224,9 +220,14 @@ mod tests {
     #[test]
     fn atomic_write_and_append_round_trip() {
         let dir = std::env::temp_dir().join(format!("tls_journal_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("log.txt");
         write_atomic(&path, &format!("{}\n", seal_line("header"))).expect("atomic write");
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .expect("list dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        assert_eq!(entries, ["log.txt"], "the temp file is renamed into place");
         append_line(&path, &seal_line("rec 1")).expect("append");
         append_line(&path, &seal_line("rec 2")).expect("append");
         let log = read_sealed(&path).expect("parses");

@@ -16,7 +16,6 @@
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Global worker-count cap; 0 = auto (available parallelism).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -81,33 +80,16 @@ where
         .collect()
 }
 
-/// Why an isolated fan-out item failed: it panicked, or it completed but
-/// blew past its wall-clock budget. Campaign retry accounting treats the
-/// two differently (a timeout names a wedged-simulator seed worth a
-/// deadline bump; a panic names a reproducible bug).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RunErrorKind {
-    /// The item panicked; `detail` carries the panic payload.
-    Panic,
-    /// The item exceeded the hard wall-clock budget.
-    Timeout,
-}
-
 /// One failed unit of an isolated fan-out ([`par_map_isolated`]): which
-/// item died, its human-readable label, how long it ran, and the panic
-/// payload (or timeout description) that killed it.
+/// item panicked, its human-readable label, and the panic payload.
 #[derive(Clone, Debug)]
 pub struct RunError {
     /// Item index in the input vector.
     pub index: usize,
     /// The label the caller attached to the item (workload/mode/seed).
     pub label: String,
-    /// Panic message or error description.
+    /// The panic message.
     pub detail: String,
-    /// How the item failed (panic vs wall-clock budget).
-    pub kind: RunErrorKind,
-    /// Wall-clock time the item ran before failing, in milliseconds.
-    pub elapsed_ms: u64,
 }
 
 impl std::fmt::Display for RunError {
@@ -126,177 +108,29 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Like [`par_map`], but each item runs under `catch_unwind`: one
-/// panicking worker is converted into a [`RunError`] in its slot while the
-/// rest of the fan-out completes. A monitor thread additionally warns on
-/// stderr (once per item) when an item runs past `soft_deadline` — a
-/// wall-clock watchdog for campaign items stuck in the simulator, which
-/// cannot be killed but can at least be named.
+/// [`par_map`] with each item under `catch_unwind`: a panicking item
+/// becomes a [`RunError`] in its slot while the rest of the fan-out
+/// completes. Wall-clock deadlines are not enforced here: the step and
+/// cycle budgets bound every simulation, and only the campaign
+/// orchestrator ([`crate::orchestrate`]) can kill a stuck worker.
 ///
 /// `label` names each item for the error report; it is called before the
 /// work starts, so it must be cheap and panic-free.
-pub fn par_map_isolated<T, R, F, L>(
-    items: Vec<T>,
-    soft_deadline: Duration,
-    label: L,
-    f: F,
-) -> Vec<Result<R, RunError>>
+pub fn par_map_isolated<T, R, F, L>(items: Vec<T>, label: L, f: F) -> Vec<Result<R, RunError>>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
     L: Fn(usize, &T) -> String + Sync,
 {
-    par_map_isolated_budgeted(items, soft_deadline, None, label, f)
-}
-
-/// [`par_map_isolated`] with an additional *hard* wall-clock budget: an
-/// item whose execution exceeds `hard_budget` has its result discarded and
-/// replaced with a [`RunErrorKind::Timeout`] error that names the item
-/// index and its elapsed time, so campaign retry accounting knows exactly
-/// which seed wedged. (Threads cannot be killed mid-simulation, so the
-/// budget is enforced at completion — the item still runs to the end, but
-/// its slot reports the deadline violation instead of the stale result.)
-/// Timeouts are counted under the `par.timeouts` metric.
-pub fn par_map_isolated_budgeted<T, R, F, L>(
-    items: Vec<T>,
-    soft_deadline: Duration,
-    hard_budget: Option<Duration>,
-    label: L,
-    f: F,
-) -> Vec<Result<R, RunError>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-    L: Fn(usize, &T) -> String + Sync,
-{
-    let n = items.len();
-    let workers = jobs_for(n);
-    let guarded = |i: usize, item: T, lbl: &str| -> Result<R, RunError> {
-        let started = Instant::now();
-        let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(i, item)));
-        let elapsed = started.elapsed();
-        let elapsed_ms = elapsed.as_millis() as u64;
-        match out {
-            Ok(r) => {
-                if let Some(budget) = hard_budget {
-                    if elapsed > budget {
-                        crate::metrics::add_counter("par.timeouts", 1);
-                        return Err(RunError {
-                            index: i,
-                            label: lbl.to_string(),
-                            detail: format!(
-                                "exceeded the {:.1} s wall-clock budget (ran {:.1} s)",
-                                budget.as_secs_f64(),
-                                elapsed.as_secs_f64()
-                            ),
-                            kind: RunErrorKind::Timeout,
-                            elapsed_ms,
-                        });
-                    }
-                }
-                Ok(r)
-            }
-            Err(p) => Err(RunError {
-                index: i,
-                label: lbl.to_string(),
-                detail: panic_text(p),
-                kind: RunErrorKind::Panic,
-                elapsed_ms,
-            }),
-        }
-    };
-    if workers <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| {
-                let lbl = label(i, &x);
-                guarded(i, x, &lbl)
-            })
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let results: Vec<Mutex<Option<Result<R, RunError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    // Per-worker "currently running" slots the watchdog polls.
-    let active: Vec<Mutex<Option<(usize, String, Instant)>>> =
-        (0..workers).map(|_| Mutex::new(None)).collect();
-    let completed = AtomicUsize::new(0);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for active_slot in &active {
-            let slots = &slots;
-            let results = &results;
-            let next = &next;
-            let completed = &completed;
-            let guarded = &guarded;
-            let label = &label;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = slots[i]
-                    .lock()
-                    .expect("slot lock")
-                    .take()
-                    .expect("each slot is claimed once");
-                let lbl = label(i, &item);
-                *active_slot.lock().expect("active lock") = Some((i, lbl.clone(), Instant::now()));
-                let r = guarded(i, item, &lbl);
-                *active_slot.lock().expect("active lock") = None;
-                *results[i].lock().expect("result lock") = Some(r);
-                completed.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // Watchdog: warn once per item running past the soft deadline,
-        // until every item has completed. Each poll doubles as the
-        // campaign's liveness heartbeat: worker occupancy and progress are
-        // published to the metrics registry for `--metrics` exports.
-        let active_ref = &active;
-        let completed_ref = &completed;
-        s.spawn(move || {
-            let mut warned = vec![false; n];
-            crate::metrics::set_gauge("par.items.total", n as f64);
-            loop {
-                let done = completed_ref.load(Ordering::Relaxed);
-                let busy = active_ref
-                    .iter()
-                    .filter(|s| s.lock().expect("active lock").is_some())
-                    .count();
-                crate::metrics::set_gauge("par.items.completed", done as f64);
-                crate::metrics::set_gauge("par.workers.active", busy as f64);
-                crate::metrics::add_counter("par.watchdog.ticks", 1);
-                if done >= n {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(50));
-                for slot in active_ref {
-                    if let Some((i, lbl, started)) = slot.lock().expect("active lock").as_ref() {
-                        if started.elapsed() > soft_deadline && !warned[*i] {
-                            warned[*i] = true;
-                            eprintln!(
-                                "warning: {} (item {}) still running after {:.1} s",
-                                lbl,
-                                i,
-                                started.elapsed().as_secs_f64()
-                            );
-                        }
-                    }
-                }
-            }
-        });
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result lock")
-                .expect("every index was processed")
+    par_map(items, |i, item| {
+        let label = label(i, &item);
+        std::panic::catch_unwind(AssertUnwindSafe(|| f(i, item))).map_err(|p| RunError {
+            index: i,
+            label,
+            detail: panic_text(p),
         })
-        .collect()
+    })
 }
 
 #[cfg(test)]
@@ -325,7 +159,6 @@ mod tests {
     fn isolated_map_contains_a_panicking_worker() {
         let out = par_map_isolated(
             (0..32).collect::<Vec<u64>>(),
-            Duration::from_secs(60),
             |_, x| format!("item-{x}"),
             |_, x| {
                 if x == 13 {
@@ -351,51 +184,10 @@ mod tests {
     fn isolated_map_single_item_is_caught_inline() {
         let out = par_map_isolated(
             vec![0u64],
-            Duration::from_secs(60),
             |_, _| "solo".into(),
             |_, _| -> u64 { panic!("solo failure") },
         );
         assert!(out[0].as_ref().is_err_and(|e| e.detail.contains("solo failure")));
-    }
-
-    #[test]
-    fn budgeted_map_names_the_item_that_blew_the_budget() {
-        let out = par_map_isolated_budgeted(
-            (0..4).collect::<Vec<u64>>(),
-            Duration::from_secs(60),
-            Some(Duration::from_millis(20)),
-            |_, x| format!("seed-{x}"),
-            |_, x| {
-                if x == 2 {
-                    std::thread::sleep(Duration::from_millis(60));
-                }
-                x + 1
-            },
-        );
-        for (i, r) in out.iter().enumerate() {
-            if i == 2 {
-                let e = r.as_ref().expect_err("item 2 overran its budget");
-                assert_eq!(e.index, 2);
-                assert_eq!(e.kind, RunErrorKind::Timeout);
-                assert_eq!(e.label, "seed-2");
-                assert!(e.elapsed_ms >= 20, "elapsed recorded: {}", e.elapsed_ms);
-                assert!(e.detail.contains("wall-clock budget"), "{}", e.detail);
-            } else {
-                assert_eq!(*r.as_ref().expect("in-budget items succeed"), i as u64 + 1);
-            }
-        }
-    }
-
-    #[test]
-    fn panics_are_tagged_with_their_kind_and_elapsed_time() {
-        let out = par_map_isolated(
-            vec![0u64],
-            Duration::from_secs(60),
-            |_, _| "solo".into(),
-            |_, _| -> u64 { panic!("kind check") },
-        );
-        let e = out[0].as_ref().expect_err("panicked");
-        assert_eq!(e.kind, RunErrorKind::Panic);
     }
 
     #[test]

@@ -226,7 +226,9 @@ pub struct ShardStats {
     pub regions: u64,
     /// Fuzz: seeds with ≥ 1 compiler-synchronized load.
     pub sync_loads: u64,
-    /// Fuzz: seeds that saw ≥ 1 violation in some mode.
+    /// Fuzz: violations summed over every seed and mode (unlike
+    /// [`crate::fuzz::FuzzReport::seeds_with_violations`], which counts
+    /// seeds).
     pub violations: u64,
     /// Fuzz: total dynamic oracle instructions.
     pub oracle_steps: u64,

@@ -117,7 +117,6 @@ fn a_panicking_worker_is_one_structured_error() {
         budget: 4,
         partition: Partition::Classes(vec![FaultClass::CorruptSignal]),
         panic_on_plan: Some(2),
-        ..InjectConfig::default()
     };
     let h = quick("mcf");
     let report =
