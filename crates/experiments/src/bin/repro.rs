@@ -15,9 +15,6 @@
 //!              [--out path] [--panic-plan K]
 //! repro metrics <bench> [--mode M] [--quick] [--scale S] [--out path]
 //!               [--prom path]
-//! repro bench [--quick] [--scale S] [--workloads a,b,c] [--jobs N]
-//!             [--rounds N] [--out path] [--check baseline.json]
-//!             [--tolerance P] [--handicap X]
 //! repro campaign <fuzz|conform|inject> [--seed S] [--iters N] [--shard N]
 //!             [--workers W] [--family F] [--break-forwarding] [--bench B]
 //!             [--mode M] [--quick] [--scale S] [--faults F] [--rate R]
@@ -30,12 +27,12 @@
 //! repro worker
 //!
 //! targets: fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 table2 sweep adaptive
-//!          report all bench list run trace trace-check fuzz conform inject
+//!          report all list run trace trace-check fuzz conform inject
 //!          metrics campaign worker
 //! global flags: --verbose --quiet --metrics path
 //! exit codes: 0 success, 2 usage, 3 simulation/internal error,
-//!             4 correctness-check failure, 5 performance regression,
-//!             6 campaign finished with partial coverage
+//!             4 correctness-check failure, 6 campaign finished with
+//!             partial coverage
 //! ```
 //!
 //! `--quick` measures the train inputs (fast); the default measures ref.
@@ -47,8 +44,7 @@
 //! `--jobs N` caps the worker threads of the parallel fan-out (default: one
 //! per CPU; `--jobs 1` forces the serial pipeline). `--out path` writes the
 //! results as JSON in addition to the text tables on stdout: an array of
-//! table objects for figure targets, the benchmark report for `bench`
-//! (default `BENCH_repro.json` there), the degradation report for `inject`.
+//! table objects for figure targets, the degradation report for `inject`.
 //!
 //! `--verbose` adds detail (per-epoch and wait tables under `trace`);
 //! `--quiet` suppresses progress chatter and the per-target resource
@@ -68,15 +64,6 @@
 //! `--prom` as Prometheus text exposition; both exports contain only
 //! simulated values, so they are byte-identical across hosts and `--jobs`
 //! settings.
-//!
-//! `bench` times the repro pipeline itself (see `tls_experiments::bench`):
-//! `--rounds N` (default 3) repeats each pass and reports the median
-//! round. `--check baseline.json` turns the run into a perf-regression
-//! gate: every workload whose simulated-instructions-per-second falls more
-//! than `--tolerance P` percent (default 10) below the committed baseline
-//! is reported and the driver exits 5. `--handicap X` divides the measured
-//! throughput by X before gating — the self-test knob CI uses to prove the
-//! gate trips.
 //!
 //! `trace` runs one workload under one mode (default `U`; see
 //! `Mode::from_label` for the letters) with event tracing enabled, prints
@@ -166,8 +153,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use tls_experiments::{
-    attrib, bench, conform, figures, fuzz, inject, metrics, orchestrate, par, proto, worker,
-    Harness, Mode, Scale, Table, MODES,
+    attrib, conform, figures, fuzz, inject, metrics, orchestrate, par, proto, worker, Harness,
+    Mode, Scale, Table, MODES,
 };
 use tls_ir::{GenConfig, GenFamily};
 use tls_sim::{
@@ -193,10 +180,6 @@ enum CliError {
     /// A correctness check failed: fuzz property, conformance divergence,
     /// trace invariant, or campaign soundness (exit 4).
     Check(String),
-    /// The perf-regression gate tripped: throughput fell below the
-    /// committed baseline by more than the tolerance (exit 5). Distinct
-    /// from `Check` so CI can tell "wrong answer" from "slow answer".
-    Perf(String),
     /// A campaign completed but with partial coverage — some shards never
     /// finished (retry budget or worker pool exhausted, or a drain was
     /// requested). Exit 6: distinct from both success and `Check` so CI
@@ -217,10 +200,6 @@ impl CliError {
                 eprintln!("{msg}");
                 ExitCode::from(4)
             }
-            CliError::Perf(msg) => {
-                eprintln!("{msg}");
-                ExitCode::from(5)
-            }
             CliError::Partial(msg) => {
                 eprintln!("{msg}");
                 ExitCode::from(6)
@@ -231,7 +210,7 @@ impl CliError {
 
 fn usage() -> CliError {
     eprintln!(
-        "usage: repro <fig2|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table2|sweep|adaptive|report|all|bench|list> \
+        "usage: repro <fig2|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table2|sweep|adaptive|report|all|list> \
          [--quick] [--scale S] [--workloads a,b,c] [--jobs N] [--out path]\n\
          \x20      repro run <bench> [--mode M|all] [--quick] [--scale S] [--out path]\n\
          \x20      repro trace <bench> [--mode M] [--quick] [--scale S] [--interval N] \
@@ -245,8 +224,6 @@ fn usage() -> CliError {
          [--rate R] [--budget B] [--quick] [--scale S] [--jobs N] [--out path] [--panic-plan K]\n\
          \x20      repro metrics <bench> [--mode M] [--quick] [--scale S] [--out path] \
          [--prom path]\n\
-         \x20      repro bench [--quick] [--scale S] [--workloads a,b,c] [--jobs N] [--rounds N] \
-         [--out path] [--check baseline.json] [--tolerance P] [--handicap X]\n\
          \x20      repro campaign <fuzz|conform|inject> [--seed S] [--iters N] [--shard N] \
          [--workers W] [--family F] [--break-forwarding] [--bench B] [--mode M] [--quick] \
          [--scale S] [--faults F] [--rate R] [--budget B] [--cache dir|--no-cache] \
@@ -259,7 +236,7 @@ fn usage() -> CliError {
          \x20      --family: baseline | phase_shift | false_sharing | deep_clone | mixed_nests\n\
          \x20      global flags: --verbose --quiet --metrics path (host-metrics JSON snapshot)\n\
          \x20      exit codes: 0 ok, 2 usage, 3 sim/internal error, 4 check failure, \
-         5 perf regression, 6 partial campaign coverage"
+         6 partial campaign coverage"
     );
     CliError::Usage
 }
@@ -967,136 +944,6 @@ fn run_metrics_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError
     Ok(())
 }
 
-/// `repro bench`: time the pipeline (median of `--rounds`), optionally
-/// gate against a committed baseline with `--check`.
-fn run_bench_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
-    let span = metrics::span("bench");
-    let mut scale = Scale::Full;
-    let mut filter: Option<Vec<String>> = None;
-    let mut jobs: usize = 0;
-    let mut rounds: usize = 3;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut tolerance: f64 = 10.0;
-    let mut handicap: f64 = 1.0;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--scale" => match it.next() {
-                Some(s) => scale = parse_scale(s)?,
-                None => return Err(usage()),
-            },
-            "--workloads" => match it.next() {
-                Some(list) => filter = Some(list.split(',').map(str::to_string).collect()),
-                None => return Err(usage()),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return Err(usage()),
-            },
-            "--rounds" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => rounds = n,
-                None => return Err(usage()),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.clone()),
-                None => return Err(usage()),
-            },
-            "--check" => match it.next() {
-                Some(p) => check = Some(p.clone()),
-                None => return Err(usage()),
-            },
-            "--tolerance" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(p) => tolerance = p,
-                None => return Err(usage()),
-            },
-            "--handicap" => match it.next().and_then(|x| x.parse().ok()) {
-                Some(x) => handicap = x,
-                None => return Err(usage()),
-            },
-            _ => return Err(usage()),
-        }
-    }
-    let workloads: Vec<Workload> = match &filter {
-        None => tls_workloads::all(),
-        Some(names) => {
-            let mut ws = Vec::new();
-            for n in names {
-                match tls_workloads::by_name(n) {
-                    Some(w) => ws.push(w),
-                    None => return Err(CliError::Sim(format!("unknown workload `{n}`"))),
-                }
-            }
-            ws
-        }
-    };
-    if verbosity > Verbosity::Quiet {
-        eprintln!(
-            "benchmarking the pipeline on {} workload(s) at {:?} scale \
-             ({} round(s), serial pass then parallel)...",
-            workloads.len(),
-            scale,
-            rounds.max(1)
-        );
-    }
-    let mut report = bench::run_bench(&workloads, scale, jobs, rounds)
-        .map_err(|e| CliError::Sim(format!("bench failed: {e}")))?;
-    if handicap != 1.0 {
-        eprintln!("handicapping throughput by {handicap}x (gate self-test)");
-        report.handicap(handicap);
-    }
-    println!(
-        "serial {:.1} ms, parallel {:.1} ms ({} jobs, {} cores): speedup {:.2}x \
-         (median of {} round(s))",
-        report.serial_wall_ms,
-        report.parallel_wall_ms,
-        report.jobs,
-        report.host_cores,
-        report.speedup,
-        report.rounds
-    );
-    println!(
-        "tracing overhead: null {:.0} instr/s vs counting {:.0} instr/s ({:+.2}%, + = slower)",
-        report.null_tracer_ips, report.counting_tracer_ips, report.tracing_overhead_pct
-    );
-    println!(
-        "counter overhead: null {:.0} instr/s vs counted {:.0} instr/s ({:+.2}%, + = slower)",
-        report.counters_null_ips, report.counters_ips, report.counters_overhead_pct
-    );
-    // A gate run does not overwrite the committed baseline unless asked:
-    // without --check the report lands at --out (default BENCH_repro.json);
-    // with --check it is only written when --out names a path explicitly.
-    match (&check, &out) {
-        (Some(_), None) => {}
-        (_, path) => {
-            write_out(path.as_deref().unwrap_or("BENCH_repro.json"), &report.to_json())?;
-        }
-    }
-    if let Some(baseline_path) = check {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| CliError::Sim(format!("failed to read {baseline_path}: {e}")))?;
-        let regressions = bench::check_report(&report, &baseline, tolerance)
-            .map_err(|e| CliError::Sim(format!("perf gate: {e}")))?;
-        if regressions.is_empty() {
-            println!(
-                "perf gate: ok — within {tolerance}% of {baseline_path} on every compared figure"
-            );
-        } else {
-            for r in &regressions {
-                eprintln!("perf regression: {r}");
-            }
-            report_resources(verbosity, span);
-            return Err(CliError::Perf(format!(
-                "{} figure(s) regressed beyond {tolerance}% of {baseline_path}",
-                regressions.len()
-            )));
-        }
-    }
-    report_resources(verbosity, span);
-    Ok(())
-}
-
 /// `repro campaign <fuzz|conform|inject>`: a sharded multi-process
 /// campaign through the fault-tolerant orchestrator.
 fn run_campaign_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
@@ -1509,7 +1356,6 @@ fn real_main() -> Result<(), CliError> {
         "trace" => run_trace_cmd(&args[1..], verbosity),
         "trace-check" => run_trace_check_cmd(&args[1..]),
         "metrics" => run_metrics_cmd(&args[1..], verbosity),
-        "bench" => run_bench_cmd(&args[1..], verbosity),
         "campaign" => run_campaign_cmd(&args[1..], verbosity),
         "worker" => run_worker_cmd(),
         t => run_figures(t, &args[1..], verbosity),

@@ -6,7 +6,7 @@
 //! * [`conform_bench`] — one workload, one mode or the whole speculative
 //!   matrix ([`crate::spec_modes`]);
 //! * [`conform_fuzz`] — generated programs (the differential fuzzer's
-//!   [`tls_ir::generate`]), every speculative mode per seed, fanned out
+//!   [`tls_ir::generate()`]), every speculative mode per seed, fanned out
 //!   over the [`crate::par`] pool.
 //!
 //! Debug builds additionally run the same check inside every
@@ -122,7 +122,9 @@ impl ConformFuzzOutcome {
 pub fn conform_fuzz(seed0: u64, seeds: u64, cfg: &FuzzConfig) -> ConformFuzzOutcome {
     let campaign = std::time::Instant::now();
     let per_seed = par::par_map_isolated(
-        (0..seeds).map(|i| seed0 + i).collect::<Vec<u64>>(),
+        (0..seeds)
+            .map(|i| seed0.wrapping_add(i))
+            .collect::<Vec<u64>>(),
         |_, seed| format!("conform seed {seed}"),
         |_, seed| conform_seed(seed, cfg).map_err(|e| format!("seed {seed}: {e}")),
     );
@@ -181,5 +183,24 @@ mod tests {
         }
         assert!(report.runs > 0);
         assert!(report.stats.instances > 0, "{}", report.summary());
+    }
+
+    #[test]
+    fn fuzz_seed_range_wraps_past_u64_max() {
+        let cfg = FuzzConfig::default();
+        let out = conform_fuzz(u64::MAX, 2, &cfg);
+        assert!(
+            out.failures.is_empty() && out.errors.is_empty(),
+            "{}",
+            out.summary()
+        );
+        let mut expected = ConformReport::default();
+        for seed in [u64::MAX, 0] {
+            let sub = conform_seed(seed, &cfg).expect("seed conforms");
+            expected.runs += sub.runs;
+            expected.stats.merge(&sub.stats);
+        }
+        assert_eq!(out.report.runs, expected.runs);
+        assert_eq!(out.report.stats, expected.stats);
     }
 }

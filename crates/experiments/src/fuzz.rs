@@ -1,7 +1,7 @@
 //! Differential fuzzing: random TLS programs cross-checked against the
 //! sequential oracle.
 //!
-//! Each seed drives [`tls_ir::generate`] to produce a well-formed program
+//! Each seed drives [`tls_ir::generate()`] to produce a well-formed program
 //! (plus a second data salt for the profile-on-train modes), which is then
 //! pushed through the entire pipeline — profile, region selection, scalar
 //! and memory-resident synchronization insertion — and executed under the

@@ -383,8 +383,8 @@ impl Harness {
         Self::with_options(workload, scale, &CompileOptions::default())
     }
 
-    /// Like [`Harness::new`] with custom compiler options (used by the
-    /// ablation benches).
+    /// Like [`Harness::new`] with custom compiler options (the signal
+    /// scheduling ablation in `tests/paper_claims.rs`).
     pub fn with_options(
         workload: Workload,
         scale: Scale,
@@ -539,8 +539,7 @@ impl Harness {
     ///
     /// [`Harness::run`] itself never reads these slots: the callers that
     /// time or check every run (the benchmark's long runs and region
-    /// speedups, `repro bench`, the fuzzer) must keep getting fresh
-    /// simulations.
+    /// speedups, the fuzzer) must keep getting fresh simulations.
     ///
     /// # Errors
     /// The error of the mode's first run.

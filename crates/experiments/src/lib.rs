@@ -37,10 +37,9 @@
 //! the command line.
 //! Harness preparation and per-figure mode runs fan out over the [`par`]
 //! scoped-thread pool (deterministic: output is byte-identical to a serial
-//! run); the [`bench`] module measures the pipeline itself.
+//! run).
 
 pub mod attrib;
-pub mod bench;
 pub mod cache;
 pub mod conform;
 pub mod figures;

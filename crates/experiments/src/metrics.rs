@@ -22,8 +22,8 @@
 //! come out of one [`snapshot`] regardless of `--jobs`.
 //!
 //! Everything is hand-rolled on `std` (the workspace builds offline): the
-//! registry is three `Mutex<BTreeMap>`s, the Prometheus export is the
-//! plain text exposition format, ready for a future `repro serve`.
+//! registry is three `Mutex<BTreeMap>`s, and the machine-counter
+//! Prometheus export is the plain text exposition format.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -202,41 +202,6 @@ impl MetricsSnapshot {
         s.push_str(&format!("}},\"peak_rss_kb\":{}}}", self.peak_rss_kb));
         s
     }
-
-    /// Render in the Prometheus text exposition format (the payload a
-    /// future `repro serve` would answer `/metrics` with).
-    pub fn to_prometheus(&self) -> String {
-        let mut s = String::new();
-        s.push_str("# TYPE repro_phase_seconds_total counter\n");
-        for (path, st) in &self.spans {
-            s.push_str(&format!(
-                "repro_phase_seconds_total{{path=\"{path}\"}} {:.6}\n",
-                st.total_ms / 1e3
-            ));
-        }
-        s.push_str("# TYPE repro_phase_calls_total counter\n");
-        for (path, st) in &self.spans {
-            s.push_str(&format!("repro_phase_calls_total{{path=\"{path}\"}} {}\n", st.count));
-        }
-        s.push_str("# TYPE repro_phase_max_seconds gauge\n");
-        for (path, st) in &self.spans {
-            s.push_str(&format!(
-                "repro_phase_max_seconds{{path=\"{path}\"}} {:.6}\n",
-                st.max_ms / 1e3
-            ));
-        }
-        s.push_str("# TYPE repro_gauge gauge\n");
-        for (name, v) in &self.gauges {
-            s.push_str(&format!("repro_gauge{{name=\"{name}\"}} {v:.6}\n"));
-        }
-        s.push_str("# TYPE repro_counter counter\n");
-        for (name, v) in &self.counters {
-            s.push_str(&format!("repro_counter{{name=\"{name}\"}} {v}\n"));
-        }
-        s.push_str("# TYPE repro_peak_rss_kb gauge\n");
-        s.push_str(&format!("repro_peak_rss_kb {}\n", self.peak_rss_kb));
-        s
-    }
 }
 
 /// Peak resident-set size of this process in kB (`VmHWM` from
@@ -358,11 +323,6 @@ mod tests {
         // BTreeMap keys: "a" renders before "b/x" regardless of insertion.
         assert!(json.find("\"a\"").expect("a") < json.find("\"b/x\"").expect("b/x"), "{json}");
         assert_eq!(json, snap.to_json(), "same snapshot, same bytes");
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("repro_phase_seconds_total{path=\"b/x\"} 0.003500"), "{prom}");
-        assert!(prom.contains("repro_gauge{name=\"z.g\"} 0.250000"), "{prom}");
-        assert!(prom.contains("repro_counter{name=\"c.n\"} 9"), "{prom}");
-        assert!(prom.contains("repro_peak_rss_kb 1024"), "{prom}");
     }
 
     #[test]

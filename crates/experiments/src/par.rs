@@ -9,7 +9,7 @@
 //! order no matter how the OS schedules the workers. Figure output is
 //! therefore byte-identical to a serial run.
 //!
-//! The worker count comes from [`jobs`], capped by [`set_jobs`] (the
+//! The worker count comes from [`jobs_for`], capped by [`set_jobs`] (the
 //! `repro --jobs N` flag); `0` (the default) means one worker per available
 //! CPU. No external crates: plain `std::thread::scope`.
 

@@ -4,11 +4,11 @@
 //! One message per line in each direction over the worker's stdio, encoded
 //! with the repo's hand-rolled JSON (no external crates): the orchestrator
 //! writes [`ToWorker`] messages to the worker's stdin, the worker answers
-//! with [`FromWorker`] messages on stdout. Workers send a [`Hello`]
-//! (`FromWorker::Hello`) on startup, a [`Heartbeat`](FromWorker::Heartbeat)
-//! while a shard runs (the orchestrator's liveness watchdog feeds on
-//! these), and exactly one [`Result`](FromWorker::Result) or
-//! [`Error`](FromWorker::Error) per job.
+//! with [`FromWorker`] messages on stdout. Workers send a
+//! [`Hello`](FromWorker::Hello) on startup, a
+//! [`Heartbeat`](FromWorker::Heartbeat) while a shard runs (the
+//! orchestrator's liveness watchdog feeds on these), and exactly one
+//! [`Result`](FromWorker::Result) or [`Error`](FromWorker::Error) per job.
 //!
 //! Numbers ride JSON doubles; every value here (seeds, counters) stays
 //! under 2^53, which the campaign seed scheme guarantees.

@@ -1,12 +1,12 @@
 //! Campaign worker: the subprocess side of the orchestrator protocol.
 //!
-//! `repro worker` reads [`ToWorker`](crate::proto::ToWorker) lines from
-//! stdin and answers with [`FromWorker`](crate::proto::FromWorker) lines on
-//! stdout (see [`crate::proto`]). Workers are crash-only: they hold no
-//! campaign state worth saving, so the orchestrator may kill one at any
-//! moment and re-dispatch its shard to a fresh process. Each seed runs
-//! under `catch_unwind`, so a panicking seed lands in the shard's
-//! `errored` list instead of taking the whole shard down with it.
+//! `repro worker` reads [`ToWorker`] lines from stdin and answers with
+//! [`FromWorker`] lines on stdout (see [`crate::proto`]). Workers are
+//! crash-only: they hold no campaign state worth saving, so the
+//! orchestrator may kill one at any moment and re-dispatch its shard to a
+//! fresh process. Each seed runs under `catch_unwind`, so a panicking seed
+//! lands in the shard's `errored` list instead of taking the whole shard
+//! down with it.
 
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -55,7 +55,7 @@ pub enum GenFamily {
     /// every epoch at line grain.
     FalseSharing,
     /// The region's only dependence is a `shared` read-modify-write buried
-    /// [`CLONE_DEPTH`] calls deep, forcing synchronization insertion to
+    /// four calls deep (`CLONE_DEPTH`), forcing synchronization insertion to
     /// clone the entire chain.
     DeepClone,
     /// Alternating independent and dependent top-level loop nests, so one

@@ -12,7 +12,8 @@
 //! disabled: every emission site in the machine is guarded by the
 //! associated constant [`Tracer::ENABLED`], so with the default
 //! [`NullTracer`] the event construction is compiled out of the hot loop
-//! entirely (the bench guard in `tls-experiments` pins this property).
+//! entirely (`disabled_tracing_pays_nothing` in the root
+//! `tests/trace_invariants.rs` pins this property).
 //! It is the machine's only observation channel: the
 //! [`crate::MachineCounters`] bank is itself a tracer folding this stream,
 //! plus the per-instruction [`Fine`] facts it opts into.

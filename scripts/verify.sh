@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification gate (see ROADMAP.md): release build, full test
-# suite, and clippy with warnings denied. Everything runs offline — the
-# workspace has no external dependencies by design.
+# suite, and clippy and rustdoc with warnings denied. Everything runs
+# offline — the workspace has no external dependencies by design.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,5 +13,8 @@ cargo test -q --workspace
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "verify: OK"

@@ -8,11 +8,17 @@
 //! totals the simulator reported — proving the stream is complete, not
 //! just well-formed; and (c) counts one squash event per reported
 //! violation, the invariant the attribution reports rely on.
+//! `disabled_tracing_pays_nothing` guards the other side: a run with
+//! tracing off pays nothing for the hooks.
+
+use std::time::Instant;
 
 use tls_repro::experiments::fuzz::FuzzConfig;
-use tls_repro::experiments::{spec_modes, Harness, Mode};
+use tls_repro::experiments::{spec_modes, Harness, Mode, Scale};
 use tls_repro::ir::{generate, GenConfig, GenFamily};
-use tls_repro::sim::{check_event_stream, replay_slots, AdaptConfig, RecordingTracer, TraceEvent};
+use tls_repro::sim::{
+    check_event_stream, replay_slots, AdaptConfig, CountingTracer, RecordingTracer, TraceEvent,
+};
 
 const SEEDS: u64 = 30;
 
@@ -190,4 +196,52 @@ fn adaptive_events_replay_and_match_counters() {
         assert_eq!(rep.slots, reg.slots, "region {rid:?}: slot breakdown");
         assert_eq!(rep.cycles, reg.cycles, "region {rid:?}: cycles");
     }
+}
+
+/// The regression guard for the zero-cost-when-disabled claim: the
+/// default hot loop (`NullTracer`, hooks compiled out) must not run
+/// slower than the tracing-enabled loop beyond measurement noise. If a
+/// change makes the disabled path pay for event construction, the two
+/// converge and this fails. The rounds interleave the two sides, so host
+/// frequency drift biases neither, and the assertion is on their
+/// *medians*, which unlike best-of cannot be rescued (or sunk) by one
+/// lucky round.
+#[test]
+fn disabled_tracing_pays_nothing() {
+    // Odd, so the median is a real round.
+    const ROUNDS: usize = 7;
+    let w = tls_repro::workloads::by_name("ijpeg").expect("workload exists");
+    let h = Harness::new(w, Scale::Quick).expect("harness builds");
+    let ips = |start: Instant, instructions: u64| {
+        instructions as f64 / start.elapsed().as_secs_f64().max(1e-9)
+    };
+    let (mut null, mut counting) = (Vec::with_capacity(ROUNDS), Vec::with_capacity(ROUNDS));
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        let r = h.run(Mode::Unsync).expect("untraced run");
+        null.push(ips(start, r.instructions));
+        let start = Instant::now();
+        let mut counter = CountingTracer::default();
+        let r = h
+            .run_traced(Mode::Unsync, &mut counter)
+            .expect("traced run");
+        counting.push(ips(start, r.instructions));
+    }
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
+        xs[ROUNDS / 2]
+    };
+    let (null_ips, counting_ips) = (median(null), median(counting));
+    assert!(null_ips > 0.0 && counting_ips > 0.0);
+    // The throughput claim is only meaningful with optimizations on:
+    // debug builds inline nothing, so the relative cost of the two
+    // monomorphizations is noise and the comparison flakes.
+    if cfg!(debug_assertions) {
+        return;
+    }
+    assert!(
+        null_ips >= counting_ips * 0.98,
+        "tracing-disabled throughput regressed: null {null_ips:.0} instr/s vs \
+         enabled {counting_ips:.0} instr/s (medians)"
+    );
 }
