@@ -158,7 +158,7 @@ use tls_experiments::{
 };
 use tls_ir::{GenConfig, GenFamily};
 use tls_sim::{
-    ascii_timeline, check_event_stream, perfetto_json, validate_perfetto, RecordingTracer,
+    ascii_timeline, check_event_stream, json, perfetto_json, validate_perfetto, RecordingTracer,
 };
 use tls_workloads::Workload;
 
@@ -247,6 +247,17 @@ fn parse_scale(s: &str) -> Result<Scale, CliError> {
         eprintln!("bad --scale `{s}`: expected quick, ref, N, NxM or quick:NxM");
         CliError::Usage
     })
+}
+
+/// Parse a `--rate` operand: a per-decision probability, so finite and in
+/// [0, 1].
+fn parse_rate(s: Option<&String>) -> Result<f64, CliError> {
+    s.and_then(|s| s.parse().ok())
+        .filter(|r| (0.0..=1.0).contains(r))
+        .ok_or_else(|| {
+            eprintln!("bad --rate: expected a probability in [0, 1]");
+            CliError::Usage
+        })
 }
 
 /// One-line wall-time + peak-RSS report for a finished target. Consumes
@@ -351,33 +362,32 @@ fn run_run_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
             r.total_violations,
             epochs
         );
-        rows.push(format!(
-            "{{\"mode\":\"{}\",\"cycles\":{},\"speedup\":{:.6},\"violations\":{},\
-             \"epochs\":{},\"epoch_cycle_count\":{},\"epoch_cycle_mean\":{:.3},\
-             \"epoch_cycle_p50\":{},\"epoch_cycle_p99\":{},\"epoch_cycle_max\":{}}}",
-            mode.label(),
-            r.total_cycles,
-            speedup,
-            r.total_violations,
-            epochs,
-            ec.count,
-            ec.mean(),
-            ec.quantile(0.5),
-            ec.quantile(0.99),
-            if ec.is_empty() { 0 } else { ec.max }
-        ));
+        rows.push(json::object(|w| {
+            w.str("mode", &mode.label())
+                .raw("cycles", r.total_cycles)
+                .raw("speedup", format_args!("{speedup:.6}"))
+                .raw("violations", r.total_violations)
+                .raw("epochs", epochs)
+                .raw("epoch_cycle_count", ec.count)
+                .raw("epoch_cycle_mean", format_args!("{:.3}", ec.mean()))
+                .raw("epoch_cycle_p50", ec.quantile(0.5))
+                .raw("epoch_cycle_p99", ec.quantile(0.99))
+                .raw("epoch_cycle_max", if ec.is_empty() { 0 } else { ec.max });
+        }));
     }
     if let Some(path) = out {
-        write_out(
-            &path,
-            &format!(
-                "{{\"bench\":\"{bench_name}\",\"scale\":\"{}\",\"seq_cycles\":{seq_cycles},\
-                 \"peak_rss_kb\":{},\"modes\":[{}]}}",
-                scale.label(),
-                metrics::peak_rss_kb().unwrap_or(0),
-                rows.join(",")
-            ),
-        )?;
+        let doc = json::object(|w| {
+            w.str("bench", &bench_name)
+                .str("scale", &scale.label())
+                .raw("seq_cycles", seq_cycles)
+                .raw("peak_rss_kb", metrics::peak_rss_kb().unwrap_or(0))
+                .arr("modes", |w| {
+                    for row in &rows {
+                        w.item_raw(row);
+                    }
+                });
+        });
+        write_out(&path, &doc)?;
     }
     report_resources(verbosity, span);
     Ok(())
@@ -780,10 +790,7 @@ fn run_inject_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError>
                 Some(n) => plans = n,
                 None => return Err(usage()),
             },
-            "--rate" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => cfg.rate = n,
-                None => return Err(usage()),
-            },
+            "--rate" => cfg.rate = parse_rate(it.next())?,
             "--budget" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => cfg.budget = n,
                 None => return Err(usage()),
@@ -1019,10 +1026,7 @@ fn run_campaign_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliErro
                 Some(f) => faults = f.clone(),
                 None => return Err(usage()),
             },
-            "--rate" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => rate = n,
-                None => return Err(usage()),
-            },
+            "--rate" => rate = parse_rate(it.next())?,
             "--budget" => match it.next().and_then(|n| n.parse().ok()) {
                 Some(n) => budget = n,
                 None => return Err(usage()),
@@ -1304,8 +1308,12 @@ fn run_figures(
         }
     }
     if let Some(path) = out {
-        let json: Vec<String> = tables.iter().map(Table::to_json).collect();
-        write_out(&path, &format!("[{}]", json.join(",")))?;
+        let doc = json::array(|w| {
+            for table in &tables {
+                w.item_raw(table.to_json());
+            }
+        });
+        write_out(&path, &doc)?;
     }
     if failed.is_empty() {
         Ok(())

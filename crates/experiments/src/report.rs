@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tls_sim::json;
+
 /// A simple aligned text table.
 #[derive(Clone, Debug, Default)]
 pub struct Table {
@@ -30,34 +32,17 @@ impl Table {
 
     /// Render the table as a JSON object
     /// (`{"title": …, "headers": […], "rows": [[…], …]}`) for the
-    /// `repro --out` flag. Hand-rolled: the workspace builds offline, so no
-    /// serde.
+    /// `repro --out` flag.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"title\":");
-        s.push_str(&json_string(&self.title));
-        s.push_str(",\"headers\":[");
-        for (i, h) in self.headers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&json_string(h));
-        }
-        s.push_str("],\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            for (j, c) in row.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&json_string(c));
-            }
-            s.push(']');
-        }
-        s.push_str("]}");
-        s
+        json::object(|w| {
+            w.str("title", &self.title)
+                .strs("headers", &self.headers)
+                .arr("rows", |w| {
+                    for row in &self.rows {
+                        w.item_strs(row);
+                    }
+                });
+        })
     }
 
     fn widths(&self) -> Vec<usize> {
@@ -104,25 +89,6 @@ impl fmt::Display for Table {
     }
 }
 
-/// Quote and escape `s` as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Format a float with two decimals (bars, speedups).
 pub(crate) fn f2(x: f64) -> String {
     format!("{x:.2}")
@@ -160,7 +126,6 @@ mod tests {
 
     #[test]
     fn json_escapes_and_renders() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         let mut t = Table::new("demo \"x\"", &["bench", "U"]);
         t.row(vec!["go".into(), "1.00".into()]);
         assert_eq!(

@@ -40,6 +40,7 @@ mod counters;
 mod events;
 mod hwsync;
 pub mod inject;
+pub mod json;
 mod machine;
 mod model;
 mod spec;
@@ -59,10 +60,11 @@ pub use model::{check_conformance, ConformanceStats, ModelConfig};
 pub use spec::{MemSignal, ReadSet, SyncState, WriteBuffer};
 pub use stats::{RegionStats, SimResult, SlotBreakdown, StreamingStats, ViolationClass};
 pub use timing::{BranchPredictor, CoreTimer};
+pub use json::{parse_json, Json};
 pub use trace::{
-    ascii_timeline, check_event_stream, events_from_json, events_to_json, parse_json,
-    perfetto_json, replay_slots, validate_perfetto, CountingTracer, EventStreamStats, Json,
-    RecordingTracer, ReplayedRegion,
+    ascii_timeline, check_event_stream, events_from_json, events_to_json, perfetto_json,
+    replay_slots, validate_perfetto, CountingTracer, EventStreamStats, RecordingTracer,
+    ReplayedRegion,
 };
 
 /// Simulate `module` under `config` (no oracle).
