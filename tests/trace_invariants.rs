@@ -17,7 +17,8 @@ use tls_repro::experiments::fuzz::FuzzConfig;
 use tls_repro::experiments::{spec_modes, Harness, Mode, Scale};
 use tls_repro::ir::{generate, GenConfig, GenFamily};
 use tls_repro::sim::{
-    check_event_stream, replay_slots, AdaptConfig, CountingTracer, RecordingTracer, TraceEvent,
+    check_event_stream, replay_slots, AdaptConfig, CountingTracer, NullTracer, RecordingTracer,
+    TraceEvent,
 };
 
 const SEEDS: u64 = 30;
@@ -202,30 +203,49 @@ fn adaptive_events_replay_and_match_counters() {
 /// default hot loop (`NullTracer`, hooks compiled out) must not run
 /// slower than the tracing-enabled loop beyond measurement noise. If a
 /// change makes the disabled path pay for event construction, the two
-/// converge and this fails. The rounds interleave the two sides, so host
-/// frequency drift biases neither, and the assertion is on their
-/// *medians*, which unlike best-of cannot be rescued (or sunk) by one
-/// lucky round.
+/// converge and this fails. The rounds interleave the two sides and
+/// alternate which goes first, so host frequency drift and warm-up bias
+/// neither, and the assertion is on their *medians*, which unlike best-of
+/// cannot be rescued (or sunk) by one lucky round.
 #[test]
 fn disabled_tracing_pays_nothing() {
+    // The throughput claim is only meaningful with optimizations on:
+    // debug builds inline nothing, so the relative cost of the two
+    // monomorphizations is noise. Nothing is asserted there, so nothing
+    // runs.
+    if cfg!(debug_assertions) {
+        return;
+    }
     // Odd, so the median is a real round.
     const ROUNDS: usize = 7;
+    // Run pairs per round: each round times about 25 ms of simulation per
+    // side, interleaved at single-run grain, so host speed drift within a
+    // round falls on both sides alike.
+    const PAIRS: usize = 16;
     let w = tls_repro::workloads::by_name("ijpeg").expect("workload exists");
     let h = Harness::new(w, Scale::Quick).expect("harness builds");
-    let ips = |start: Instant, instructions: u64| {
-        instructions as f64 / start.elapsed().as_secs_f64().max(1e-9)
-    };
     let (mut null, mut counting) = (Vec::with_capacity(ROUNDS), Vec::with_capacity(ROUNDS));
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        let r = h.run(Mode::Unsync).expect("untraced run");
-        null.push(ips(start, r.instructions));
-        let start = Instant::now();
-        let mut counter = CountingTracer::default();
-        let r = h
-            .run_traced(Mode::Unsync, &mut counter)
-            .expect("traced run");
-        counting.push(ips(start, r.instructions));
+    for round in 0..ROUNDS {
+        // (instructions, seconds) per side: [null, counting].
+        let mut sides = [(0u64, 0f64); 2];
+        for pair in 0..PAIRS {
+            // Alternate which side goes first, so warm caches and clock
+            // ramps favour neither.
+            let first = (round + pair) % 2;
+            for side in [first, 1 - first] {
+                let start = Instant::now();
+                let r = if side == 0 {
+                    h.run_traced(Mode::Unsync, &mut NullTracer)
+                } else {
+                    h.run_traced(Mode::Unsync, &mut CountingTracer::default())
+                };
+                sides[side].1 += start.elapsed().as_secs_f64();
+                sides[side].0 += r.expect("run").instructions;
+            }
+        }
+        let ips = |(instructions, secs): (u64, f64)| instructions as f64 / secs.max(1e-9);
+        null.push(ips(sides[0]));
+        counting.push(ips(sides[1]));
     }
     let median = |mut xs: Vec<f64>| {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
@@ -233,12 +253,6 @@ fn disabled_tracing_pays_nothing() {
     };
     let (null_ips, counting_ips) = (median(null), median(counting));
     assert!(null_ips > 0.0 && counting_ips > 0.0);
-    // The throughput claim is only meaningful with optimizations on:
-    // debug builds inline nothing, so the relative cost of the two
-    // monomorphizations is noise and the comparison flakes.
-    if cfg!(debug_assertions) {
-        return;
-    }
     assert!(
         null_ips >= counting_ips * 0.98,
         "tracing-disabled throughput regressed: null {null_ips:.0} instr/s vs \
