@@ -18,8 +18,8 @@
 //! repro campaign <fuzz|conform|inject> [--seed S] [--iters N] [--shard N]
 //!             [--workers W] [--family F] [--break-forwarding] [--bench B]
 //!             [--mode M] [--quick] [--scale S] [--faults F] [--rate R]
-//!             [--budget B] [--cache dir|--no-cache] [--artifacts dir]
-//!             [--resume] [--out path] [--max-attempts N] [--deadline SECS]
+//!             [--budget B] [--artifacts dir] [--resume] [--out path]
+//!             [--max-attempts N] [--deadline SECS]
 //!             [--heartbeat-timeout SECS] [--backoff-ms N]
 //!             [--backoff-cap-ms N] [--worker-failures N] [--worker-exe path]
 //!             [--crash-shard K] [--crash-every-attempt]
@@ -139,10 +139,9 @@
 //! journal and `--metrics` snapshot flush, and the partial report is
 //! written. A campaign that completes with shards still missing (retry or
 //! pool budget exhausted, or a drain) exits 6 — partial coverage — instead
-//! of pretending success or failure. Inject campaigns compile through a
-//! content-hashed, digest-verified on-disk compile cache (default
-//! `<artifacts>/cache`, disable with `--no-cache`); corrupt entries are
-//! detected, discarded and recompiled. `--crash-shard`,
+//! of pretending success or failure. An inject worker compiles its
+//! workload once and keeps the harness for every later shard of the same
+//! spec. `--crash-shard`,
 //! `--crash-every-attempt` and `--die-after-checkpoints` are self-test
 //! knobs that crash a worker mid-shard (every attempt, or just the first)
 //! or abort the orchestrator after N checkpoints, so CI can prove the
@@ -226,7 +225,7 @@ fn usage() -> CliError {
          [--prom path]\n\
          \x20      repro campaign <fuzz|conform|inject> [--seed S] [--iters N] [--shard N] \
          [--workers W] [--family F] [--break-forwarding] [--bench B] [--mode M] [--quick] \
-         [--scale S] [--faults F] [--rate R] [--budget B] [--cache dir|--no-cache] \
+         [--scale S] [--faults F] [--rate R] [--budget B] \
          [--artifacts dir] [--resume] [--out path] [--max-attempts N] [--deadline SECS] \
          [--heartbeat-timeout SECS] [--backoff-ms N] [--backoff-cap-ms N] [--worker-failures N] \
          [--worker-exe path] [--crash-shard K] [--crash-every-attempt] \
@@ -970,8 +969,6 @@ fn run_campaign_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliErro
     let mut faults = String::from("both");
     let mut rate: f64 = 0.05;
     let mut budget: u64 = 8;
-    let mut cache_dir: Option<String> = None;
-    let mut no_cache = false;
     let mut artifacts = String::from("results/campaign");
     let mut resume = false;
     let mut out: Option<String> = None;
@@ -1031,11 +1028,6 @@ fn run_campaign_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliErro
                 Some(n) => budget = n,
                 None => return Err(usage()),
             },
-            "--cache" => match it.next() {
-                Some(d) => cache_dir = Some(d.clone()),
-                None => return Err(usage()),
-            },
-            "--no-cache" => no_cache = true,
             "--artifacts" => match it.next() {
                 Some(d) => artifacts = d.clone(),
                 None => return Err(usage()),
@@ -1106,11 +1098,6 @@ fn run_campaign_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliErro
                 eprintln!("{e}");
                 CliError::Usage
             })?;
-            let cache = if no_cache {
-                None
-            } else {
-                Some(cache_dir.unwrap_or_else(|| format!("{artifacts}/cache")))
-            };
             proto::JobSpec::Inject {
                 bench: bench_name,
                 mode: mode_label,
@@ -1118,7 +1105,6 @@ fn run_campaign_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliErro
                 faults,
                 rate,
                 budget,
-                cache,
             }
         }
         other => {

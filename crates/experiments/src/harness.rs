@@ -390,19 +390,6 @@ impl Harness {
         scale: Scale,
         opts: &CompileOptions,
     ) -> Result<Self, ExperimentError> {
-        Self::new_cached(workload, scale, opts, None)
-    }
-
-    /// Like [`Harness::with_options`], with compilation optionally served
-    /// from a verified on-disk [`CompileCache`](crate::cache::CompileCache)
-    /// — the campaign workers' entry point, where the same workload is
-    /// prepared over and over across processes.
-    pub fn new_cached(
-        workload: Workload,
-        scale: Scale,
-        opts: &CompileOptions,
-        cache: Option<&crate::cache::CompileCache>,
-    ) -> Result<Self, ExperimentError> {
         let measure = match scale {
             Scale::Quick => workload.module(InputSet::Train),
             Scale::Full => workload.module(InputSet::Ref),
@@ -420,7 +407,7 @@ impl Harness {
             // scale.
             Scale::Full | Scale::Scaled(_) => Some(workload.module(InputSet::Train)),
         };
-        Self::from_modules_cached(workload.name, &measure, train.as_ref(), opts, cache)
+        Self::from_modules(workload.name, &measure, train.as_ref(), opts)
     }
 
     /// Compile an arbitrary program (plus an optional train-input variant of
@@ -436,38 +423,15 @@ impl Harness {
         train: Option<&tls_ir::Module>,
         opts: &CompileOptions,
     ) -> Result<Self, ExperimentError> {
-        Self::from_modules_cached(name, measure, train, opts, None)
-    }
-
-    /// [`Harness::from_modules`] with compilation optionally served from a
-    /// verified on-disk cache: a cache hit skips profiling and all three
-    /// module transformations for both compilation sets. A corrupt entry is
-    /// detected (digest), discarded and recompiled, so the result is
-    /// identical either way.
-    ///
-    /// # Errors
-    /// Propagates compilation, oracle and simulation failures.
-    pub fn from_modules_cached(
-        name: impl Into<String>,
-        measure: &tls_ir::Module,
-        train: Option<&tls_ir::Module>,
-        opts: &CompileOptions,
-        cache: Option<&crate::cache::CompileCache>,
-    ) -> Result<Self, ExperimentError> {
         let _prep = metrics::span("prep");
         let (set_c, set_t) = {
             let _compile = metrics::span("compile");
-            match cache {
-                Some(c) => c.get_or_compile(measure, train, opts)?,
-                None => {
-                    let set_c = compile_all(measure, measure, opts)?;
-                    let set_t = match train {
-                        None => set_c.clone(),
-                        Some(t) => compile_all(measure, t, opts)?,
-                    };
-                    (set_c, set_t)
-                }
-            }
+            let set_c = compile_all(measure, measure, opts)?;
+            let set_t = match train {
+                None => set_c.clone(),
+                Some(t) => compile_all(measure, t, opts)?,
+            };
+            (set_c, set_t)
         };
         let seq = {
             let _baseline = metrics::span("baseline");

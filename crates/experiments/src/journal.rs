@@ -1,13 +1,13 @@
-//! Crash-safe journal primitives shared by the campaign orchestrator
-//! ([`crate::orchestrate`]) and the compile cache ([`crate::cache`]).
+//! Crash-safe journal primitives of the campaign orchestrator
+//! ([`crate::orchestrate`]).
 //!
 //! Two complementary durability idioms live here:
 //!
 //! * **Atomic snapshot writes** ([`write_atomic`]): the whole file is
 //!   written to a temporary sibling and renamed into place, so a reader
 //!   (or a crash mid-write) sees either the old snapshot or the new one,
-//!   never a torn mixture. The campaign journal's header and repairs and
-//!   the compile-cache entries use this.
+//!   never a torn mixture. The campaign journal's header and repairs use
+//!   this.
 //! * **Checksummed append-only records** ([`seal_line`] /
 //!   [`read_sealed`]): each record carries an FNV-1a digest of its
 //!   payload, appended with [`append_line`]. On recovery a torn or
@@ -19,7 +19,8 @@ use std::io::Write;
 use std::path::Path;
 
 /// FNV-1a 64-bit hash — the content digest used for journal record seals
-/// and compile-cache keys. Deterministic across hosts and runs.
+/// and the campaign config fingerprint. Deterministic across hosts and
+/// runs.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
@@ -37,9 +38,9 @@ pub fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// Write `contents` to `path` atomically: write a temporary sibling, sync
 /// it, and rename it into place. A crash at any point leaves either the
 /// previous file or the complete new one. The temporary name carries the
-/// writer's pid so concurrent processes targeting the same path (campaign
-/// workers storing the same compile-cache key) never rename each other's
-/// half-written file into place — last rename wins, both succeed.
+/// writer's pid so concurrent processes targeting the same path never
+/// rename each other's half-written file into place — last rename wins,
+/// both succeed.
 ///
 /// # Errors
 /// The underlying I/O error (create, write, sync or rename).

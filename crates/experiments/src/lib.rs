@@ -40,7 +40,6 @@
 //! run).
 
 pub mod attrib;
-pub mod cache;
 pub mod conform;
 pub mod figures;
 pub mod fuzz;

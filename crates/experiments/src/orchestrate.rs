@@ -11,7 +11,7 @@
 //!   `repro campaign --resume` replays the journal, drops a torn tail,
 //!   and re-runs exactly the missing shards — the merged report is
 //!   byte-identical to an uninterrupted run because per-shard stats are
-//!   deterministic and retry/cache accounting never enters the report.
+//!   deterministic and retry accounting never enters the report.
 //! * **Watchdog.** Workers heartbeat between seeds; a worker that misses
 //!   the heartbeat window or blows the per-job deadline is killed and its
 //!   shard retried elsewhere.
@@ -119,10 +119,9 @@ impl CampaignReport {
         self.merged.unsound > 0 || !self.merged.failed.is_empty()
     }
 
-    /// Deterministic JSON rendering. Deliberately excludes retry, backoff
-    /// and cache accounting (those live in the metrics snapshot): a
-    /// resumed campaign must render byte-identically to an uninterrupted
-    /// one.
+    /// Deterministic JSON rendering. Deliberately excludes retry and
+    /// backoff accounting (those live in the metrics snapshot): a resumed
+    /// campaign must render byte-identically to an uninterrupted one.
     pub fn to_json(&self) -> String {
         json::object(|w| {
             w.str("kind", &self.kind)
@@ -606,18 +605,11 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
                             schedule_retry(spec, s, attempt, &mut delayed, &mut exhausted);
                         }
                     }
-                    FromWorker::Result {
-                        shard,
-                        stats,
-                        cache,
-                    } => {
+                    FromWorker::Result { shard, stats } => {
                         slots[idx].last_beat = Instant::now();
                         if slots[idx].job.map(|(s, _)| s) == Some(shard) {
                             slots[idx].job = None;
                         }
-                        metrics::add_counter("campaign.cache.hits", cache.hits);
-                        metrics::add_counter("campaign.cache.misses", cache.misses);
-                        metrics::add_counter("campaign.cache.corrupt", cache.corrupt);
                         if let std::collections::btree_map::Entry::Vacant(slot) =
                             completed.entry(shard)
                         {
@@ -892,7 +884,6 @@ mod tests {
             faults: "both".into(),
             rate: 0.05,
             budget: u64::MAX,
-            cache: None,
         };
         let err = run_campaign(&s).expect_err("budget past 2^53");
         assert!(err.contains("worker protocol"), "{err}");

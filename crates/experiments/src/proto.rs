@@ -49,8 +49,6 @@ pub enum JobSpec {
         rate: f64,
         /// Maximum injections per plan.
         budget: u64,
-        /// Compile-cache directory, if caching is enabled.
-        cache: Option<String>,
     },
 }
 
@@ -87,15 +85,13 @@ impl JobSpec {
                     faults,
                     rate,
                     budget,
-                    cache,
                 } => {
                     w.str("bench", bench)
                         .str("mode", mode)
                         .str("scale", scale)
                         .str("faults", faults)
                         .raw("rate", rate)
-                        .raw("budget", budget)
-                        .opt("cache", cache.as_deref(), Writer::str);
+                        .raw("budget", budget);
                 }
             }
         })
@@ -119,7 +115,6 @@ impl JobSpec {
                 faults: j.str("faults")?.to_string(),
                 rate: j.f64("rate")?,
                 budget: j.uint("budget")?,
-                cache: j.opt("cache", Json::str)?.map(str::to_string),
             }),
             other => Err(format!("unknown job kind `{other}`")),
         }
@@ -201,9 +196,9 @@ impl ToWorker {
 
 /// Aggregated outcome of one shard — the unit persisted in the campaign
 /// journal and merged into the campaign report. Only deterministic run
-/// results live here (cache and retry accounting travel separately), so a
-/// resumed campaign's merged report is byte-identical to an uninterrupted
-/// one.
+/// results live here (retry accounting goes to the metrics registry), so
+/// a resumed campaign's merged report is byte-identical to an
+/// uninterrupted one.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Seeds processed.
@@ -297,20 +292,6 @@ impl ShardStats {
     }
 }
 
-/// Per-job compile-cache counter delta a worker reports with its result.
-/// Kept outside [`ShardStats`] on purpose: cache behaviour varies across
-/// retries and resumes, so it feeds the orchestrator's metrics registry,
-/// never the merged (byte-stable) report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheDelta {
-    /// Verified entries served from disk during the job.
-    pub hits: u64,
-    /// Keys that had no entry.
-    pub misses: u64,
-    /// Entries rejected by integrity verification.
-    pub corrupt: u64,
-}
-
 /// Worker → orchestrator messages.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FromWorker {
@@ -332,8 +313,6 @@ pub enum FromWorker {
         shard: u64,
         /// Deterministic aggregated outcome.
         stats: ShardStats,
-        /// Cache counters accumulated during the job.
-        cache: CacheDelta,
     },
     /// A shard could not run at all (preparation failure, bad spec).
     Error {
@@ -358,19 +337,10 @@ impl FromWorker {
                     .raw("shard", shard)
                     .raw("done", done);
             }
-            FromWorker::Result {
-                shard,
-                stats,
-                cache,
-            } => {
+            FromWorker::Result { shard, stats } => {
                 w.str("type", "result")
                     .raw("shard", shard)
-                    .raw("stats", stats.to_json())
-                    .obj("cache", |w| {
-                        w.raw("hits", cache.hits)
-                            .raw("misses", cache.misses)
-                            .raw("corrupt", cache.corrupt);
-                    });
+                    .raw("stats", stats.to_json());
             }
             FromWorker::Error { shard, detail } => {
                 w.str("type", "error")
@@ -397,18 +367,10 @@ impl FromWorker {
                 shard: j.uint("shard")?,
                 done: j.uint("done")?,
             }),
-            "result" => {
-                let c = j.get("cache").ok_or("result without `cache`")?;
-                Ok(FromWorker::Result {
-                    shard: j.uint("shard")?,
-                    stats: ShardStats::from_json(j.get("stats").ok_or("result without `stats`")?)?,
-                    cache: CacheDelta {
-                        hits: c.uint("hits")?,
-                        misses: c.uint("misses")?,
-                        corrupt: c.uint("corrupt")?,
-                    },
-                })
-            }
+            "result" => Ok(FromWorker::Result {
+                shard: j.uint("shard")?,
+                stats: ShardStats::from_json(j.get("stats").ok_or("result without `stats`")?)?,
+            }),
             "error" => Ok(FromWorker::Error {
                 shard: j.uint("shard")?,
                 detail: j.str("detail")?.to_string(),
@@ -440,7 +402,6 @@ mod tests {
                 faults: "maskable".into(),
                 rate: 0.05,
                 budget: 8,
-                cache: Some("results/cache".into()),
             },
             JobSpec::Inject {
                 bench: "mcf".into(),
@@ -449,7 +410,6 @@ mod tests {
                 faults: "both".into(),
                 rate: 0.25,
                 budget: 2,
-                cache: None,
             },
         ];
         for (i, spec) in specs.into_iter().enumerate() {
@@ -493,11 +453,6 @@ mod tests {
             FromWorker::Result {
                 shard: 3,
                 stats: stats.clone(),
-                cache: CacheDelta {
-                    hits: 1,
-                    misses: 1,
-                    corrupt: 0,
-                },
             },
             FromWorker::Error {
                 shard: 9,
@@ -530,13 +485,12 @@ mod tests {
             family: GenFamily::Baseline,
         };
         let inject = JobSpec::Inject {
-            bench: "go".into(),
+            bench: "dir \"q\"\\x".into(),
             mode: "C".into(),
             scale: "quick".into(),
             faults: "drop-signal,evict-line".into(),
             rate: 0.05,
             budget: 8,
-            cache: Some("dir \"q\"\\x".into()),
         };
         let inject_whole_rate = JobSpec::Inject {
             bench: "mcf".into(),
@@ -545,7 +499,6 @@ mod tests {
             faults: "both".into(),
             rate: 1.0,
             budget: 2,
-            cache: None,
         };
         assert_eq!(
             fuzz.encode(),
@@ -557,11 +510,11 @@ mod tests {
         );
         assert_eq!(
             inject.encode(),
-            r#"{"kind":"inject","bench":"go","mode":"C","scale":"quick","faults":"drop-signal,evict-line","rate":0.05,"budget":8,"cache":"dir \"q\"\\x"}"#
+            r#"{"kind":"inject","bench":"dir \"q\"\\x","mode":"C","scale":"quick","faults":"drop-signal,evict-line","rate":0.05,"budget":8}"#
         );
         assert_eq!(
             inject_whole_rate.encode(),
-            r#"{"kind":"inject","bench":"mcf","mode":"A-T","scale":"ref","faults":"both","rate":1,"budget":2,"cache":null}"#
+            r#"{"kind":"inject","bench":"mcf","mode":"A-T","scale":"ref","faults":"both","rate":1,"budget":2}"#
         );
         let job = |crash_at, spec| {
             ToWorker::Job(Job {
@@ -580,7 +533,7 @@ mod tests {
         );
         assert_eq!(
             job(None, inject).encode(),
-            r#"{"type":"job","shard":3,"attempt":1,"seed0":9007199254740000,"count":64,"index0":192,"crash_at":null,"spec":{"kind":"inject","bench":"go","mode":"C","scale":"quick","faults":"drop-signal,evict-line","rate":0.05,"budget":8,"cache":"dir \"q\"\\x"}}"#
+            r#"{"type":"job","shard":3,"attempt":1,"seed0":9007199254740000,"count":64,"index0":192,"crash_at":null,"spec":{"kind":"inject","bench":"dir \"q\"\\x","mode":"C","scale":"quick","faults":"drop-signal,evict-line","rate":0.05,"budget":8}}"#
         );
         assert_eq!(ToWorker::Shutdown.encode(), r#"{"type":"shutdown"}"#);
         let stats = ShardStats {
@@ -603,15 +556,7 @@ mod tests {
         let msgs = [
             FromWorker::Hello { pid: 4242 },
             FromWorker::Heartbeat { shard: 3, done: 17 },
-            FromWorker::Result {
-                shard: 3,
-                stats,
-                cache: CacheDelta {
-                    hits: 1,
-                    misses: 2,
-                    corrupt: 3,
-                },
-            },
+            FromWorker::Result { shard: 3, stats },
             FromWorker::Error {
                 shard: 9,
                 detail: "unknown workload `nope` — \"q\"\\\n\t\r\u{1}".into(),
@@ -624,7 +569,7 @@ mod tests {
             [
                 r#"{"type":"hello","pid":4242}"#.to_string(),
                 r#"{"type":"heartbeat","shard":3,"done":17}"#.to_string(),
-                format!(r#"{{"type":"result","shard":3,"stats":{stats_json},"cache":{{"hits":1,"misses":2,"corrupt":3}}}}"#),
+                format!(r#"{{"type":"result","shard":3,"stats":{stats_json}}}"#),
                 r#"{"type":"error","shard":9,"detail":"unknown workload `nope` — \"q\"\\\n\t\r\u0001"}"#.to_string(),
                 r#"{"type":"bye"}"#.to_string(),
             ]
@@ -648,7 +593,6 @@ mod tests {
                 faults: "both".into(),
                 rate: 0.5,
                 budget: 8,
-                cache: None,
             },
         })
         .encode();

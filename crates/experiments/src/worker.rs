@@ -12,14 +12,12 @@ use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use tls_core::CompileOptions;
 use tls_sim::FaultClass;
 
-use crate::cache::CompileCache;
 use crate::conform::conform_seed;
 use crate::fuzz::{check_seed, FuzzConfig};
 use crate::inject::{run_plan, InjectConfig, Partition};
-use crate::proto::{CacheDelta, FromWorker, Job, JobSpec, ShardStats, ToWorker};
+use crate::proto::{FromWorker, Job, JobSpec, ShardStats, ToWorker};
 use crate::{Harness, Mode, Scale};
 
 /// Exit code a worker uses when a job's `crash_at` knob fires (distinct
@@ -29,41 +27,15 @@ pub const CRASH_EXIT: i32 = 113;
 /// Minimum quiet period between heartbeats while a shard runs.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(500);
 
-/// Compiled state an inject worker keeps between jobs: the harness is by
-/// far the most expensive thing a job needs, and every shard of one
-/// campaign shares the same workload, so recompiling per shard would
-/// swamp the run. Keyed by the spec fields that affect compilation.
+/// Compiled state an inject worker keeps between jobs: every shard of one
+/// campaign shares the same spec, so the worker compiles its workload
+/// once and reuses the harness until a job brings a different spec.
 struct InjectState {
-    key: String,
+    spec: JobSpec,
     harness: Harness,
     mode: Mode,
     cfg: InjectConfig,
     classes: Vec<FaultClass>,
-    cache: Option<CompileCache>,
-}
-
-fn inject_key(bench: &str, mode: &str, scale: &str, faults: &str, rate: f64, budget: u64, cache: &Option<String>) -> String {
-    format!(
-        "{bench}|{mode}|{scale}|{faults}|{rate}|{budget}|{}",
-        cache.as_deref().unwrap_or("-")
-    )
-}
-
-/// The memo key a job's spec maps to (empty for non-inject specs, which
-/// never match a real key).
-fn inject_job_key(job: &Job) -> String {
-    match &job.spec {
-        JobSpec::Inject {
-            bench,
-            mode,
-            scale,
-            faults,
-            rate,
-            budget,
-            cache,
-        } => inject_key(bench, mode, scale, faults, *rate, *budget, cache),
-        _ => String::new(),
-    }
 }
 
 /// Serve the worker protocol until `Shutdown` or EOF on `input`.
@@ -100,17 +72,6 @@ fn run_job<W: Write>(
     inject: &mut Option<InjectState>,
     output: &mut W,
 ) -> Result<(), String> {
-    // Snapshot cache counters before preparation: the compile inside
-    // `prepare` is where hits/misses/corruptions happen, and the delta
-    // reported with the result must include it. If preparation replaces
-    // the memoized state (different spec), the old instance's counts
-    // don't apply — the fresh cache starts from zero anyway.
-    let cache_before = inject
-        .as_ref()
-        .filter(|s| matches!(&job.spec, JobSpec::Inject { .. }) && s.key == inject_job_key(job))
-        .and_then(|s| s.cache.as_ref())
-        .map(|c| c.stats())
-        .unwrap_or_default();
     // Preparation failures (bad spec, unknown workload, compile error) are
     // the shard's problem, not the worker's: report and await the next job.
     let state = match prepare(job, inject) {
@@ -207,23 +168,11 @@ fn run_job<W: Write>(
         }
     }
 
-    let cache = match inject.as_ref().and_then(|s| s.cache.as_ref()) {
-        Some(c) if matches!(state, Prepared::Inject(())) => {
-            let after = c.stats();
-            CacheDelta {
-                hits: after.hits - cache_before.hits,
-                misses: after.misses - cache_before.misses,
-                corrupt: after.corrupt - cache_before.corrupt,
-            }
-        }
-        _ => CacheDelta::default(),
-    };
     send(
         output,
         &FromWorker::Result {
             shard: job.shard,
             stats,
-            cache,
         },
     )
 }
@@ -257,10 +206,8 @@ fn prepare(job: &Job, inject: &mut Option<InjectState>) -> Result<Prepared, Stri
             faults,
             rate,
             budget,
-            cache,
         } => {
-            let key = inject_key(bench, mode, scale, faults, *rate, *budget, cache);
-            if inject.as_ref().map(|s| s.key.as_str()) != Some(key.as_str()) {
+            if inject.as_ref().map(|s| &s.spec) != Some(&job.spec) {
                 let workload = tls_workloads::by_name(bench)
                     .ok_or_else(|| format!("prepare: unknown workload `{bench}`"))?;
                 let mode = Mode::from_label(mode)
@@ -272,16 +219,10 @@ fn prepare(job: &Job, inject: &mut Option<InjectState>) -> Result<Prepared, Stri
                 if classes.is_empty() {
                     return Err("prepare: empty fault partition".into());
                 }
-                let compile_cache = cache.as_ref().map(CompileCache::new);
-                let harness = Harness::new_cached(
-                    workload,
-                    scale,
-                    &CompileOptions::default(),
-                    compile_cache.as_ref(),
-                )
-                .map_err(|e| format!("prepare: {e}"))?;
+                let harness =
+                    Harness::new(workload, scale).map_err(|e| format!("prepare: {e}"))?;
                 *inject = Some(InjectState {
-                    key,
+                    spec: job.spec.clone(),
                     harness,
                     mode,
                     cfg: InjectConfig {
@@ -291,7 +232,6 @@ fn prepare(job: &Job, inject: &mut Option<InjectState>) -> Result<Prepared, Stri
                         ..InjectConfig::default()
                     },
                     classes,
-                    cache: compile_cache,
                 });
             }
             Ok(Prepared::Inject(()))
@@ -376,7 +316,6 @@ mod tests {
                 faults: "maskable".into(),
                 rate: 0.05,
                 budget: 8,
-                cache: None,
             },
         });
         let script = format!("{}\n{}\n", job.encode(), ToWorker::Shutdown.encode());

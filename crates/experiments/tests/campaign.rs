@@ -3,8 +3,8 @@
 //! These tests drive the real `repro` binary: `repro campaign` spawns
 //! `repro worker` subprocesses over the stdio protocol, so everything
 //! here — worker crashes, orchestrator `kill -9` (simulated by
-//! `--die-after-checkpoints`, which calls `abort()`), journal resume,
-//! cache corruption — exercises the exact production path. The anchor
+//! `--die-after-checkpoints`, which calls `abort()`), journal resume —
+//! exercises the exact production path. The anchor
 //! invariant throughout: a campaign that suffered crashes and resumed
 //! must produce a report **byte-identical** to an uninterrupted run.
 
@@ -201,100 +201,132 @@ fn exhausted_retry_budget_degrades_to_partial_coverage_exit_6() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Inject-campaign flags: 12 maskable plans against go at quick scale in
+/// 3-plan shards.
+fn inject_args(dir: &Path, extra: &[&str]) -> Vec<String> {
+    let mut args: Vec<String> = [
+        "campaign",
+        "inject",
+        "--bench",
+        "go",
+        "--mode",
+        "C",
+        "--quick",
+        "--faults",
+        "maskable",
+        "--seed",
+        "1",
+        "--iters",
+        "12",
+        "--shard",
+        "3",
+        "--workers",
+        "2",
+        "--artifacts",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    args.push(dir.display().to_string());
+    args.extend(extra.iter().map(|s| s.to_string()));
+    args
+}
+
+/// The inject path end to end: a crashed and resumed campaign through the
+/// worker pool reports the bytes of an uninterrupted one, and its merged
+/// counts are the per-class sums of the same plans run in-process.
 #[test]
-fn inject_campaign_survives_cache_corruption_with_identical_report() {
-    let dir = tmp("cache");
-    let cache_dir = dir.join("cache");
-    let args = |artifacts: &Path, out: &Path, metrics: Option<&Path>| {
-        let mut v: Vec<String> = [
-            "campaign",
-            "inject",
-            "--bench",
-            "go",
-            "--mode",
-            "C",
-            "--quick",
-            "--faults",
-            "maskable",
-            "--seed",
-            "1",
-            "--iters",
-            "8",
-            "--shard",
-            "4",
-            "--workers",
-            "2",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        v.extend([
-            "--cache".to_string(),
-            cache_dir.display().to_string(),
-            "--artifacts".to_string(),
-            artifacts.display().to_string(),
-            "--out".to_string(),
-            out.display().to_string(),
-        ]);
-        if let Some(m) = metrics {
-            v.extend(["--metrics".to_string(), m.display().to_string()]);
-        }
-        v
-    };
+fn crashed_and_resumed_inject_campaign_matches_the_in_process_campaign() {
+    use tls_experiments::inject::{run_campaign, InjectConfig, Partition, PlanOutcome};
+    use tls_experiments::proto::ShardStats;
+    use tls_experiments::{Harness, Mode, Scale};
 
-    // First run populates the cache.
-    let first_dir = dir.join("first");
-    let first_out = dir.join("first.json");
+    let clean_dir = tmp("inject_clean");
+    let clean_out = clean_dir.join("report.json");
+    let status = repro()
+        .args(inject_args(&clean_dir, &["--out", &clean_out.display().to_string()]))
+        .status()
+        .expect("spawn repro");
+    assert!(status.success(), "uninterrupted inject campaign failed: {status}");
+    let clean_report = read(&clean_out);
+
+    let crash_dir = tmp("inject_crash");
+    let crash_out = crash_dir.join("report.json");
+    let status = repro()
+        .args(inject_args(
+            &crash_dir,
+            &["--crash-shard", "1", "--die-after-checkpoints", "2"],
+        ))
+        .status()
+        .expect("spawn repro");
+    #[cfg(unix)]
+    {
+        use std::os::unix::process::ExitStatusExt;
+        assert_eq!(status.signal(), Some(6), "orchestrator aborts: {status}");
+    }
+    assert!(!status.success(), "orchestrator was told to abort after 2 checkpoints");
+    assert!(crash_dir.join("campaign.journal").exists(), "journal survives the crash");
     let output = repro()
-        .args(args(&first_dir, &first_out, None))
+        .args(inject_args(
+            &crash_dir,
+            &["--resume", "--out", &crash_out.display().to_string()],
+        ))
         .output()
         .expect("spawn repro");
     assert!(
         output.status.success(),
-        "first inject campaign failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let entries: Vec<PathBuf> = std::fs::read_dir(&cache_dir)
-        .expect("cache dir exists")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "tlscache"))
-        .collect();
-    assert!(!entries.is_empty(), "first run populated the compile cache");
-
-    // Flip one byte in a cache entry. The second run must detect the
-    // corruption, recompile, and still produce the identical report.
-    let victim = &entries[0];
-    let mut bytes = std::fs::read(victim).expect("read cache entry");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x20;
-    std::fs::write(victim, &bytes).expect("corrupt cache entry");
-
-    let second_dir = dir.join("second");
-    let second_out = dir.join("second.json");
-    let metrics_path = dir.join("metrics.json");
-    let output = repro()
-        .args(args(&second_dir, &second_out, Some(&metrics_path)))
-        .output()
-        .expect("spawn repro");
-    assert!(
-        output.status.success(),
-        "inject campaign with a corrupted cache entry failed: {}",
+        "resume failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     assert_eq!(
-        read(&first_out),
-        read(&second_out),
-        "cache corruption must never change campaign results"
+        read(&crash_out),
+        clean_report,
+        "crash + kill -9 + resume must merge to a byte-identical report"
     );
-    // Both workers may race to read the corrupted entry before one of
-    // them recompiles and replaces it, so the count is >= 1, not == 1.
-    let metrics = read(&metrics_path);
-    assert!(
-        counter(&metrics, "campaign.cache.corrupt") >= 1,
-        "corruption is counted: {metrics}"
+
+    let report = tls_sim::parse_json(&clean_report).expect("report is JSON");
+    let merged =
+        ShardStats::from_json(report.get("merged").expect("merged stats")).expect("decodes");
+    let workload = tls_workloads::by_name("go").expect("go exists");
+    let h = Harness::new(workload, Scale::Quick).expect("go prepares");
+    let cfg = InjectConfig {
+        partition: Partition::Maskable,
+        ..InjectConfig::default()
+    };
+    let mode = Mode::from_label("C").expect("mode C");
+    let local = run_campaign(&h, mode, 1, 12, &cfg).expect("in-process campaign");
+    assert!(local.errors.is_empty(), "{:?}", local.errors);
+    let count = |f: fn(&PlanOutcome) -> bool| {
+        local.results.iter().filter(|r| f(&r.outcome)).count() as u64
+    };
+    assert_eq!(
+        (
+            merged.seeds,
+            merged.injected,
+            merged.masked,
+            merged.rejected,
+            merged.dormant,
+            merged.unsound,
+        ),
+        (
+            local.results.len() as u64,
+            local.results.iter().map(|r| r.injected).sum(),
+            count(|o| matches!(o, PlanOutcome::Masked)),
+            count(|o| matches!(o, PlanOutcome::Rejected(_))),
+            count(|o| matches!(o, PlanOutcome::Dormant)),
+            count(|o| {
+                matches!(
+                    o,
+                    PlanOutcome::Diverged(_) | PlanOutcome::Faulted(_) | PlanOutcome::Undetected
+                )
+            }),
+        ),
+        "merged campaign counts equal the in-process campaign's"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(merged.masked > 0, "some plan fired and was absorbed: {merged:?}");
+
+    let _ = std::fs::remove_dir_all(&clean_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
 }
 
 #[test]

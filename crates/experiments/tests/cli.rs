@@ -26,6 +26,11 @@ fn bad_command_lines_exit_2() {
     assert_exit(&["bench"], 2);
     assert_exit(&["fig2", "--jobs", "abc"], 2);
     assert_exit(&["fuzz", "--resume"], 2);
+    // Inject campaigns have no on-disk compile cache to point at or opt
+    // out of.
+    let inject = ["campaign", "inject", "--bench", "go", "--quick"];
+    assert_exit(&[&inject[..], &["--cache", "dir"]].concat(), 2);
+    assert_exit(&[&inject[..], &["--no-cache"]].concat(), 2);
 }
 
 #[test]
@@ -47,6 +52,16 @@ fn simulation_and_io_errors_exit_3() {
 
 #[test]
 fn failed_correctness_checks_exit_4() {
+    // Not JSON: a signed, a bare-fraction, a trailing-dot and a
+    // zero-padded number, and a `\u` escape with a sign among its digits.
+    let trace = std::env::temp_dir().join(format!("tls_cli_{}_trace.json", std::process::id()));
+    std::fs::write(
+        &trace,
+        r#"{"traceEvents":[{"ph":"i","ts":+1,"pid":.5,"tid":1.},{"ph":"i\u+04a","ts":01,"pid":0,"tid":0}]}"#,
+    )
+    .expect("write trace");
+    assert_exit(&["trace-check", &trace.display().to_string()], 4);
+    let _ = std::fs::remove_file(&trace);
     let dir = std::env::temp_dir().join(format!("tls_cli_{}_fuzz", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let artifacts = dir.display().to_string();

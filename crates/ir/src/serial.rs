@@ -9,9 +9,11 @@
 //! Names (of globals, functions, blocks and registers) are written
 //! verbatim after sanitizing whitespace and commas to `_`; a module whose
 //! names contain such characters round-trips structurally but not
-//! byte-identically. Everything the executors consume — ids, addresses,
-//! instructions, terminators, regions — round-trips exactly, which
-//! [`parse`]`(`[`to_text`]`(m)) == m` tests rely on.
+//! byte-identically. [`parse`] refuses such names, so whatever it accepts
+//! re-serializes to text that parses back equal. Everything the executors
+//! consume — ids, addresses, instructions, terminators, regions —
+//! round-trips exactly, which [`parse`]`(`[`to_text`]`(m)) == m` tests
+//! rely on.
 
 use std::fmt::Write as _;
 
@@ -188,6 +190,16 @@ impl Parser {
         }
     }
 
+    /// A global, function or block name, refused if [`to_text`] would
+    /// write it differently.
+    fn name(&self, tok: &str) -> Result<String, ParseError> {
+        if sanitize(tok) == tok {
+            Ok(tok.to_string())
+        } else {
+            Err(self.err(format!("bad name `{tok}`")))
+        }
+    }
+
     fn num<T: std::str::FromStr>(&self, tok: &str, what: &str) -> Result<T, ParseError> {
         tok.parse()
             .map_err(|_| self.err(format!("bad {what} `{tok}`")))
@@ -312,7 +324,7 @@ pub fn parse(text: &str) -> Result<Module, ParseError> {
                         .collect::<Result<Vec<i64>, _>>()?
                 };
                 module.globals.push(Global {
-                    name: toks[1].to_string(),
+                    name: p.name(toks[1])?,
                     words,
                     init,
                     addr,
@@ -323,7 +335,7 @@ pub fn parse(text: &str) -> Result<Module, ParseError> {
                     return Err(p.err("func wants: name params= vars="));
                 }
                 module.funcs.push(Function {
-                    name: toks[1].to_string(),
+                    name: p.name(toks[1])?,
                     num_params: p.num(p.kv(toks[2], "params")?, "params")?,
                     num_vars: p.num(p.kv(toks[3], "vars")?, "vars")?,
                     var_names: vec![],
@@ -342,7 +354,7 @@ pub fn parse(text: &str) -> Result<Module, ParseError> {
             "block" => {
                 let f = cur_func.ok_or_else(|| p.err("block outside func"))?;
                 module.funcs[f].blocks.push(Block {
-                    name: toks.get(1).unwrap_or(&"b").to_string(),
+                    name: p.name(toks.get(1).unwrap_or(&"b"))?,
                     instrs: vec![],
                     term: None,
                 });
@@ -590,6 +602,19 @@ mod tests {
         let m = mb.build_unchecked();
         let back = parse(&to_text(&m)).expect("parses");
         assert_eq!(m, back);
+    }
+
+    #[test]
+    fn names_to_text_would_rewrite_are_refused() {
+        let m = generate(3, &GenConfig::default(), 0);
+        let text = to_text(&m);
+        let block = text.lines().find(|l| l.starts_with("block ")).expect("a block");
+        let bad = text.replacen(block, &format!("{block},x"), 1);
+        let e = parse(&bad).expect_err("comma in a block name");
+        assert!(e.msg.contains("bad name"), "{e}");
+        let func = text.lines().find(|l| l.starts_with("func ")).expect("a func");
+        let bad = text.replacen(func, &func.replacen("func ", "func a,", 1), 1);
+        assert!(parse(&bad).is_err(), "comma in a func name");
     }
 
     #[test]

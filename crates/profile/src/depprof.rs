@@ -141,27 +141,6 @@ pub struct DepProfile {
 }
 
 impl DepProfile {
-    /// Reassemble a profile from its parts — the inverse of field access
-    /// for external serializers (the experiment-side compile cache persists
-    /// profiles to disk and rebuilds them through this).
-    pub fn from_parts(
-        loops: HashMap<LoopKey, LoopProfile>,
-        total_dyn_instrs: u64,
-        ctx_paths: Vec<Vec<Sid>>,
-    ) -> Self {
-        Self {
-            loops,
-            total_dyn_instrs,
-            ctx_paths,
-        }
-    }
-
-    /// All interned call paths, indexed by [`CtxId`] (`0` is always the
-    /// empty stack). The counterpart of [`Self::from_parts`].
-    pub fn ctx_paths(&self) -> &[Vec<Sid>] {
-        &self.ctx_paths
-    }
-
     /// The call path (call-site sids, outermost first) behind a context id.
     ///
     /// # Panics

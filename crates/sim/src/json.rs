@@ -2,8 +2,8 @@
 //! offline, so no serde).
 //!
 //! * [`Json`] and [`parse_json`]: the value type and its parser, which
-//!   rejects numbers that overflow `f64` and nesting deeper than
-//!   [`MAX_DEPTH`].
+//!   takes the RFC 8259 grammar only and also rejects numbers that
+//!   overflow `f64` and nesting deeper than [`MAX_DEPTH`].
 //! * [`Writer`], with [`object()`] and [`array()`] as entry points: a
 //!   streaming writer that owns braces, commas, key quoting and string
 //!   escaping. Numbers come pre-formatted by the caller (anything
@@ -418,21 +418,71 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Step past one byte of `set`; whether there was one.
+    fn eat(&mut self, set: &[u8]) -> bool {
+        let hit = self.bytes.get(self.pos).is_some_and(|b| set.contains(b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Step past a run of ASCII digits; how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
             self.pos += 1;
         }
+        self.pos - start
+    }
+
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, finite as `f64`.
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        self.eat(b"-");
+        let int = self.eat(b"0") || self.digits() > 0;
+        let frac = !self.eat(b".") || self.digits() > 0;
+        let exp = !self.eat(b"eE") || {
+            self.eat(b"+-");
+            self.digits() > 0
+        };
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
+            .filter(|_| int && frac && exp)
             .and_then(|s| s.parse::<f64>().ok())
             .filter(|n| n.is_finite())
             .map(Json::Num)
             .ok_or_else(|| format!("bad or out-of-range number at byte {start}"))
+    }
+
+    /// The four hex digits after the `u` at `pos`, leaving `pos` on the
+    /// last of them.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let v = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(v)
+    }
+
+    /// A `\u` escape with `pos` on its `u`: one code point, or a high
+    /// surrogate escape followed by a low one.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let hi = self.hex4()?;
+        let code = match hi {
+            0xd800..=0xdbff if self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u") => {
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&lo) {
+                    return Err(format!("unpaired surrogate escape at byte {at}"));
+                }
+                0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00)
+            }
+            _ => hi,
+        };
+        char::from_u32(code).ok_or_else(|| format!("unpaired surrogate escape at byte {at}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -456,19 +506,13 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
+                }
+                Some(&b) if b < 0x20 => {
+                    return Err(format!("unescaped control character at byte {}", self.pos));
                 }
                 Some(_) => {
                     // Multi-byte UTF-8 sequences pass through untouched.
@@ -538,8 +582,8 @@ impl Parser<'_> {
     }
 }
 
-/// Parse a JSON document. Numbers must be finite as `f64` and containers
-/// may nest at most [`MAX_DEPTH`] deep.
+/// Parse a JSON document (RFC 8259). Numbers must also be finite as `f64`,
+/// and containers may nest at most [`MAX_DEPTH`] deep.
 ///
 /// # Errors
 /// A description of the first syntax error.
@@ -598,6 +642,49 @@ mod tests {
         assert!(parse_json("[-1e400]").is_err());
         assert!(parse_json(&format!("1{}", "0".repeat(400))).is_err());
         assert_eq!(parse_json("1e-400"), Ok(Json::Num(0.0)));
+    }
+
+    #[test]
+    fn only_rfc_8259_numbers_parse() {
+        for ok in ["0", "-0", "7", "-12", "0.5", "-1.25", "1e5", "1E+5", "2e-3", "10.0e0"] {
+            assert!(parse_json(ok).is_ok(), "{ok}");
+        }
+        assert_eq!(parse_json("-1.5e2"), Ok(Json::Num(-150.0)));
+        for bad in [
+            "+1", ".5", "1.", "01", "-01", "00", "-", "1e", "1e+", "1.e3", "-.5", "0x10", "1_0",
+            "Infinity", "NaN", "[+1]", "[1.]", "{\"a\":01}",
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn only_rfc_8259_strings_parse() {
+        assert_eq!(parse_json(r#""\u004A\u00e9""#), Ok(Json::Str("Jé".into())));
+        // A surrogate pair is one character; a lone surrogate is an error.
+        assert_eq!(parse_json(r#""\ud83d\ude00""#), Ok(Json::Str("\u{1f600}".into())));
+        for bad in [
+            r#""\u+04a""#,
+            r#""\u04a""#,
+            r#""\u 04a""#,
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"\n\"",
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad:?}");
+        }
+        // The writer escapes every control character the parser refuses
+        // raw, and writes astral characters as UTF-8.
+        let s = "\u{0}\u{1f}\u{7f}\u{1f600}";
+        let doc = object(|w| {
+            w.str("s", s);
+        });
+        assert_eq!(parse_json(&doc).expect("parses").str("s"), Ok(s));
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Seeded mutation corpus over the JSON readers.
+//! Seeded mutation corpus over every reader of untrusted bytes: the JSON
+//! readers, the module text of fuzz replay artifacts and the sealed
+//! campaign journal.
 //!
 //! Valid documents from the encoders (event stream, Perfetto timeline,
 //! attribution report, table, worker protocol in both directions, shard
-//! stats) are mutated by truncation, bit flips, splices, deep nesting and
-//! huge or inexact numerals, and every mutant is fed to `parse_json`,
-//! `events_from_json`, `ToWorker::parse`, `FromWorker::parse` and
-//! `ShardStats::from_json`. Each reader must return an error or a value
-//! whose re-encoding parses back equal; a panic fails the test and an
-//! abort (stack overflow) kills it.
+//! stats, `serial::to_text` of a generated program, a sealed journal) are
+//! mutated by truncation, bit flips, splices, deep nesting and huge or
+//! inexact numerals, and every mutant is fed to `parse_json`,
+//! `events_from_json`, `ToWorker::parse`, `FromWorker::parse`,
+//! `ShardStats::from_json`, `serial::parse` and `journal::parse_sealed`.
+//! Each reader must return an error or a value whose re-encoding parses
+//! back equal; a panic fails the test and an abort (stack overflow) kills
+//! it.
 //!
 //! Tier 1 runs a bounded corpus; the long corpus is `#[ignore]`d and runs
 //! nightly with `cargo test --release --test json_corpus -- --ignored`.
@@ -18,9 +22,10 @@ use std::panic::catch_unwind;
 
 use tls_repro::experiments::attrib::attribute;
 use tls_repro::experiments::fuzz::FuzzConfig;
-use tls_repro::experiments::proto::{CacheDelta, FromWorker, Job, JobSpec, ShardStats, ToWorker};
+use tls_repro::experiments::journal::{fnv64, parse_sealed, seal_line, SealedLog};
+use tls_repro::experiments::proto::{FromWorker, Job, JobSpec, ShardStats, ToWorker};
 use tls_repro::experiments::{spec_modes, Harness, Table};
-use tls_repro::ir::{generate, GenConfig, GenFamily, SplitMix64};
+use tls_repro::ir::{generate, serial, GenConfig, GenFamily, SplitMix64};
 use tls_repro::sim::{
     events_from_json, events_to_json, parse_json, perfetto_json, AdaptConfig, FaultClass,
     RecordingTracer, TraceEvent,
@@ -74,6 +79,23 @@ fn sample_events() -> Vec<TraceEvent> {
     seen
 }
 
+/// A campaign journal in the orchestrator's record format: a header
+/// fingerprinting the job spec, then one sealed `done` line per shard.
+fn sealed_journal(spec: &JobSpec, stats: &ShardStats) -> String {
+    [
+        format!(
+            "campaign kind={} config={:016x} seed0=1 total=6 shard=2",
+            spec.kind(),
+            fnv64(spec.encode().as_bytes())
+        ),
+        format!("done shard=0 {}", stats.to_json()),
+        format!("done shard=2 {}", ShardStats::default().to_json()),
+    ]
+    .iter()
+    .map(|record| seal_line(record) + "\n")
+    .collect()
+}
+
 /// One valid document per encoder the readers see.
 fn seed_documents() -> Vec<String> {
     let events = sample_events();
@@ -120,30 +142,32 @@ fn seed_documents() -> Vec<String> {
         })
         .encode(),
         job(JobSpec::Inject {
-            bench: "go".into(),
+            bench: "dir \"q\"".into(),
             mode: "C".into(),
             scale: "quick".into(),
             faults: "both".into(),
             rate: 0.05,
             budget: 8,
-            cache: Some("dir \"q\"".into()),
         })
         .encode(),
         ToWorker::Shutdown.encode(),
+        sealed_journal(
+            &JobSpec::Fuzz {
+                family: GenFamily::Baseline,
+                break_forwarding: false,
+            },
+            &stats,
+        ),
+        format!(
+            "# tls-fuzz failure artifact\n# seed: 16\n{}",
+            serial::to_text(&generate(16, &GenConfig::for_family(GenFamily::PhaseShift), 0))
+        ),
     ];
     docs.extend(
         [
             FromWorker::Hello { pid: 4242 },
             FromWorker::Heartbeat { shard: 3, done: 17 },
-            FromWorker::Result {
-                shard: 3,
-                stats,
-                cache: CacheDelta {
-                    hits: 1,
-                    misses: 2,
-                    corrupt: 0,
-                },
-            },
+            FromWorker::Result { shard: 3, stats },
             FromWorker::Error {
                 shard: 9,
                 detail: "panicked: \"x\" — \u{1}".into(),
@@ -266,19 +290,44 @@ fn check(doc: &str) {
     if let Ok(msg) = FromWorker::parse(doc) {
         assert_eq!(FromWorker::parse(&msg.encode()), Ok(msg), "worker message");
     }
+    if let Ok(m) = serial::parse(doc) {
+        assert_eq!(serial::parse(&serial::to_text(&m)), Ok(m), "module text");
+    }
+    if let Ok(log) = parse_sealed(doc) {
+        let text: String = log.records.iter().map(|r| seal_line(r) + "\n").collect();
+        let records = log.records;
+        assert_eq!(
+            parse_sealed(&text),
+            Ok(SealedLog {
+                records,
+                truncated: false
+            }),
+            "journal"
+        );
+    }
+}
+
+/// Count `doc` in `counts` if it parses as JSON, as module text, and as
+/// a journal with at least one intact record.
+fn tally(counts: &mut [usize; 3], doc: &str) {
+    counts[0] += usize::from(parse_json(doc).is_ok());
+    counts[1] += usize::from(serial::parse(doc).is_ok());
+    counts[2] += usize::from(parse_sealed(doc).is_ok_and(|log| !log.records.is_empty()));
 }
 
 /// Check every seed document, then `mutants` seeded mutants (a mutant
-/// of a mutant one time in four). Returns how many mutants at least one
-/// reader accepted.
-fn run_corpus(seed: u64, mutants: usize) -> usize {
+/// of a mutant one time in four). Returns how many mutants each reader
+/// accepted (see [`tally`]).
+fn run_corpus(seed: u64, mutants: usize) -> [usize; 3] {
     let docs = seed_documents();
+    let mut seeds = [0; 3];
     for doc in &docs {
         check(doc);
-        assert!(parse_json(doc).is_ok(), "seed document parses: {doc}");
+        tally(&mut seeds, doc);
     }
+    assert_eq!(seeds, [docs.len() - 2, 1, 1], "seed documents parse");
     let mut rng = SplitMix64::seed_from_u64(seed);
-    let mut accepted = 0;
+    let mut accepted = [0; 3];
     let mut last = docs[0].clone();
     for i in 0..mutants {
         let base = if rng.chance(0.25) {
@@ -291,7 +340,7 @@ fn run_corpus(seed: u64, mutants: usize) -> usize {
             let shown: String = m.chars().take(400).collect();
             panic!("mutant {i} of corpus seed {seed} broke a reader: {shown}");
         }
-        accepted += usize::from(parse_json(&m).is_ok());
+        tally(&mut accepted, &m);
         last = m;
     }
     accepted
@@ -299,9 +348,11 @@ fn run_corpus(seed: u64, mutants: usize) -> usize {
 
 #[test]
 fn bounded_mutation_corpus_never_panics() {
-    let accepted = run_corpus(1, 3_000);
-    // Some mutants must stay well-formed, or the round trip goes untested.
-    assert!(accepted > 300, "only {accepted} mutants parsed");
+    let [json, module, journal] = run_corpus(1, 3_000);
+    // Some mutants must stay well-formed, or the round trips go untested.
+    assert!(json > 300, "only {json} mutants parsed as JSON");
+    assert!(module > 15, "only {module} mutants parsed as module text");
+    assert!(journal > 40, "only {journal} mutants parsed as a journal");
 }
 
 #[test]
