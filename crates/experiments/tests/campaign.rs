@@ -41,32 +41,56 @@ fn counter(metrics_json: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Common fuzz-campaign flags: 6 seeds in shards of 2 keeps the wall
-/// clock down while still crossing shard boundaries.
-fn fuzz_args(dir: &Path, extra: &[&str]) -> Vec<String> {
-    let mut args: Vec<String> = [
-        "campaign",
-        "fuzz",
-        "--seed",
-        "1",
-        "--iters",
-        "6",
-        "--shard",
-        "2",
-        "--workers",
-        "2",
-        "--backoff-ms",
-        "20",
-        "--backoff-cap-ms",
-        "100",
-        "--artifacts",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    args.push(dir.display().to_string());
-    args.extend(extra.iter().map(|s| s.to_string()));
-    args
+/// Fuzz-campaign flags: 6 seeds in shards of 2 keeps the wall clock down
+/// while still crossing shard boundaries.
+const FUZZ: &[&str] = &[
+    "fuzz",
+    "--seed",
+    "1",
+    "--iters",
+    "6",
+    "--shard",
+    "2",
+    "--workers",
+    "2",
+    "--backoff-ms",
+    "20",
+    "--backoff-cap-ms",
+    "100",
+];
+
+/// Inject-campaign flags: 12 maskable plans against go at quick scale in
+/// 3-plan shards.
+const INJECT: &[&str] = &[
+    "inject",
+    "--bench",
+    "go",
+    "--mode",
+    "C",
+    "--quick",
+    "--faults",
+    "maskable",
+    "--seed",
+    "1",
+    "--iters",
+    "12",
+    "--shard",
+    "3",
+    "--workers",
+    "2",
+];
+
+/// `repro campaign` with `flags`, its artifacts under `dir`, then `extra`.
+fn campaign_args(flags: &[&str], dir: &Path, extra: &[&str]) -> Vec<String> {
+    let dir = dir.display().to_string();
+    let tail = ["--artifacts", dir.as_str()];
+    ["campaign"]
+        .iter()
+        .chain(flags)
+        .chain(&tail)
+        .chain(extra)
+        .map(|s| s.to_string())
+        .collect()
 }
 
 #[test]
@@ -75,7 +99,11 @@ fn crashed_and_resumed_campaign_report_is_byte_identical_to_uninterrupted() {
     let clean_dir = tmp("clean");
     let clean_out = clean_dir.join("report.json");
     let status = repro()
-        .args(fuzz_args(&clean_dir, &["--out", &clean_out.display().to_string()]))
+        .args(campaign_args(
+            FUZZ,
+            &clean_dir,
+            &["--out", &clean_out.display().to_string()],
+        ))
         .status()
         .expect("spawn repro");
     assert!(status.success(), "uninterrupted campaign failed: {status}");
@@ -88,7 +116,8 @@ fn crashed_and_resumed_campaign_report_is_byte_identical_to_uninterrupted() {
     let crash_out = crash_dir.join("report.json");
     let metrics_path = crash_dir.join("metrics.json");
     let status = repro()
-        .args(fuzz_args(
+        .args(campaign_args(
+            FUZZ,
             &crash_dir,
             &["--crash-shard", "1", "--die-after-checkpoints", "2"],
         ))
@@ -103,7 +132,8 @@ fn crashed_and_resumed_campaign_report_is_byte_identical_to_uninterrupted() {
 
     // Resume: merges the journaled shards with the missing ones.
     let output = repro()
-        .args(fuzz_args(
+        .args(campaign_args(
+            FUZZ,
             &crash_dir,
             &[
                 "--resume",
@@ -144,7 +174,8 @@ fn worker_crash_is_retried_with_backoff_and_counted() {
     let dir = tmp("retry");
     let metrics_path = dir.join("metrics.json");
     let output = repro()
-        .args(fuzz_args(
+        .args(campaign_args(
+            FUZZ,
             &dir,
             &[
                 "--crash-shard",
@@ -163,7 +194,10 @@ fn worker_crash_is_retried_with_backoff_and_counted() {
     let metrics = read(&metrics_path);
     assert_eq!(counter(&metrics, "campaign.retries"), 1, "{metrics}");
     assert_eq!(counter(&metrics, "campaign.worker_deaths"), 1, "{metrics}");
-    assert!(counter(&metrics, "campaign.backoff_ms_total") > 0, "{metrics}");
+    assert!(
+        counter(&metrics, "campaign.backoff_ms_total") > 0,
+        "{metrics}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -172,7 +206,8 @@ fn exhausted_retry_budget_degrades_to_partial_coverage_exit_6() {
     let dir = tmp("partial");
     let out = dir.join("report.json");
     let status = repro()
-        .args(fuzz_args(
+        .args(campaign_args(
+            FUZZ,
             &dir,
             &[
                 "--crash-shard",
@@ -201,37 +236,6 @@ fn exhausted_retry_budget_degrades_to_partial_coverage_exit_6() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Inject-campaign flags: 12 maskable plans against go at quick scale in
-/// 3-plan shards.
-fn inject_args(dir: &Path, extra: &[&str]) -> Vec<String> {
-    let mut args: Vec<String> = [
-        "campaign",
-        "inject",
-        "--bench",
-        "go",
-        "--mode",
-        "C",
-        "--quick",
-        "--faults",
-        "maskable",
-        "--seed",
-        "1",
-        "--iters",
-        "12",
-        "--shard",
-        "3",
-        "--workers",
-        "2",
-        "--artifacts",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    args.push(dir.display().to_string());
-    args.extend(extra.iter().map(|s| s.to_string()));
-    args
-}
-
 /// The inject path end to end: a crashed and resumed campaign through the
 /// worker pool reports the bytes of an uninterrupted one, and its merged
 /// counts are the per-class sums of the same plans run in-process.
@@ -244,16 +248,24 @@ fn crashed_and_resumed_inject_campaign_matches_the_in_process_campaign() {
     let clean_dir = tmp("inject_clean");
     let clean_out = clean_dir.join("report.json");
     let status = repro()
-        .args(inject_args(&clean_dir, &["--out", &clean_out.display().to_string()]))
+        .args(campaign_args(
+            INJECT,
+            &clean_dir,
+            &["--out", &clean_out.display().to_string()],
+        ))
         .status()
         .expect("spawn repro");
-    assert!(status.success(), "uninterrupted inject campaign failed: {status}");
+    assert!(
+        status.success(),
+        "uninterrupted inject campaign failed: {status}"
+    );
     let clean_report = read(&clean_out);
 
     let crash_dir = tmp("inject_crash");
     let crash_out = crash_dir.join("report.json");
     let status = repro()
-        .args(inject_args(
+        .args(campaign_args(
+            INJECT,
             &crash_dir,
             &["--crash-shard", "1", "--die-after-checkpoints", "2"],
         ))
@@ -264,10 +276,17 @@ fn crashed_and_resumed_inject_campaign_matches_the_in_process_campaign() {
         use std::os::unix::process::ExitStatusExt;
         assert_eq!(status.signal(), Some(6), "orchestrator aborts: {status}");
     }
-    assert!(!status.success(), "orchestrator was told to abort after 2 checkpoints");
-    assert!(crash_dir.join("campaign.journal").exists(), "journal survives the crash");
+    assert!(
+        !status.success(),
+        "orchestrator was told to abort after 2 checkpoints"
+    );
+    assert!(
+        crash_dir.join("campaign.journal").exists(),
+        "journal survives the crash"
+    );
     let output = repro()
-        .args(inject_args(
+        .args(campaign_args(
+            INJECT,
             &crash_dir,
             &["--resume", "--out", &crash_out.display().to_string()],
         ))
@@ -296,9 +315,8 @@ fn crashed_and_resumed_inject_campaign_matches_the_in_process_campaign() {
     let mode = Mode::from_label("C").expect("mode C");
     let local = run_campaign(&h, mode, 1, 12, &cfg).expect("in-process campaign");
     assert!(local.errors.is_empty(), "{:?}", local.errors);
-    let count = |f: fn(&PlanOutcome) -> bool| {
-        local.results.iter().filter(|r| f(&r.outcome)).count() as u64
-    };
+    let count =
+        |f: fn(&PlanOutcome) -> bool| local.results.iter().filter(|r| f(&r.outcome)).count() as u64;
     assert_eq!(
         (
             merged.seeds,
@@ -323,7 +341,10 @@ fn crashed_and_resumed_inject_campaign_matches_the_in_process_campaign() {
         ),
         "merged campaign counts equal the in-process campaign's"
     );
-    assert!(merged.masked > 0, "some plan fired and was absorbed: {merged:?}");
+    assert!(
+        merged.masked > 0,
+        "some plan fired and was absorbed: {merged:?}"
+    );
 
     let _ = std::fs::remove_dir_all(&clean_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
@@ -352,7 +373,10 @@ fn requested_stop_drains_immediately_to_a_partial_report() {
         backoff_cap: std::time::Duration::from_millis(100),
         artifacts: dir.clone(),
         resume: false,
-        worker_cmd: vec![env!("CARGO_BIN_EXE_repro").to_string(), "worker".to_string()],
+        worker_cmd: vec![
+            env!("CARGO_BIN_EXE_repro").to_string(),
+            "worker".to_string(),
+        ],
         crash_shard: None,
         crash_every_attempt: false,
         die_after_checkpoints: None,
