@@ -34,7 +34,10 @@ impl CallGraph {
             let caller = FuncId(fi as u32);
             for block in &func.blocks {
                 for instr in &block.instrs {
-                    if let Instr::Call { func: callee, sid, .. } = instr {
+                    if let Instr::Call {
+                        func: callee, sid, ..
+                    } = instr
+                    {
                         calls_from[fi].push(CallSite {
                             caller,
                             callee: *callee,

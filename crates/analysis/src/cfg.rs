@@ -142,7 +142,9 @@ mod tests {
         // rpo(u) < rpo(v) in an acyclic graph.
         for &u in cfg.rpo() {
             for &v in cfg.succs(u) {
-                assert!(cfg.rpo_index(u).expect("reachable") < cfg.rpo_index(v).expect("reachable"));
+                assert!(
+                    cfg.rpo_index(u).expect("reachable") < cfg.rpo_index(v).expect("reachable")
+                );
             }
         }
         assert_eq!(cfg.len(), 5);

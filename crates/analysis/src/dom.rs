@@ -69,7 +69,10 @@ impl Dominators {
 }
 
 fn intersect(idom: &[Option<BlockId>], cfg: &Cfg, mut a: BlockId, mut b: BlockId) -> BlockId {
-    let rpo = |x: BlockId| cfg.rpo_index(x).expect("block on dominator path is reachable");
+    let rpo = |x: BlockId| {
+        cfg.rpo_index(x)
+            .expect("block on dominator path is reachable")
+    };
     while a != b {
         while rpo(a) > rpo(b) {
             a = idom[a.index()].expect("reachable block has idom");

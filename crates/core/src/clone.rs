@@ -103,7 +103,10 @@ fn translate(map: &Option<HashMap<Sid, Sid>>, sid: Sid) -> Sid {
 fn find_callee(module: &Module, func: FuncId, call_sid: Sid) -> Option<FuncId> {
     for block in &module.func(func).blocks {
         for instr in &block.instrs {
-            if let Instr::Call { func: callee, sid, .. } = instr {
+            if let Instr::Call {
+                func: callee, sid, ..
+            } = instr
+            {
                 if *sid == call_sid {
                     return Some(*callee);
                 }
@@ -116,7 +119,10 @@ fn find_callee(module: &Module, func: FuncId, call_sid: Sid) -> Option<FuncId> {
 fn retarget_call(module: &mut Module, func: FuncId, call_sid: Sid, new_callee: FuncId) {
     for block in &mut module.func_mut(func).blocks {
         for instr in &mut block.instrs {
-            if let Instr::Call { func: callee, sid, .. } = instr {
+            if let Instr::Call {
+                func: callee, sid, ..
+            } = instr
+            {
                 if *sid == call_sid {
                     *callee = new_callee;
                     return;
@@ -188,12 +194,8 @@ mod tests {
         let (mut m, [h1, h2, cl], store) = build();
         let main = m.func_by_name("main").expect("exists");
         let mut sp = Specializer::new(main);
-        let (inst1, sid1) = sp
-            .resolve(&mut m, &[h1, cl], store)
-            .expect("path resolves");
-        let (inst2, sid2) = sp
-            .resolve(&mut m, &[h2, cl], store)
-            .expect("path resolves");
+        let (inst1, sid1) = sp.resolve(&mut m, &[h1, cl], store).expect("path resolves");
+        let (inst2, sid2) = sp.resolve(&mut m, &[h2, cl], store).expect("path resolves");
         // Two call paths → two distinct leaf clones, distinct sids.
         assert_ne!(inst1, inst2);
         assert_ne!(sid1, sid2);

@@ -120,7 +120,13 @@ pub fn insert_memory_sync(
                 Some((b, i, true)) => {
                     // A load: rewrite to SyncLoad.
                     let block = module.func_mut(inst).block_mut(b);
-                    if let Instr::Load { dst, addr, off, sid } = block.instrs[i].clone() {
+                    if let Instr::Load {
+                        dst,
+                        addr,
+                        off,
+                        sid,
+                    } = block.instrs[i].clone()
+                    {
                         block.instrs[i] = Instr::SyncLoad {
                             dst,
                             addr,
@@ -243,14 +249,7 @@ pub fn insert_memory_sync(
         // Build the chain in reverse group order so group 0 is checked
         // first at runtime.
         for &(group, flag) in group_flags.iter().rev() {
-            target = build_guard(
-                module,
-                region_func,
-                group,
-                flag,
-                target,
-                schedule_signals,
-            );
+            target = build_guard(module, region_func, group, flag, target, schedule_signals);
         }
         // Retarget this latch's header edge to the chain head.
         let blk = module.func_mut(region_func).block_mut(latch);
@@ -433,14 +432,7 @@ mod tests {
         let lprof = profile.loops[&key].clone();
         let blocks: Vec<BlockId> = (1..=4).map(BlockId).collect();
         let stats = insert_memory_sync(
-            &mut m,
-            key.func,
-            key.header,
-            &blocks,
-            &lprof,
-            &profile,
-            threshold,
-            schedule,
+            &mut m, key.func, key.header, &blocks, &lprof, &profile, threshold, schedule,
         );
         // Register the region so TLS execution semantics apply if simulated.
         let all_blocks: Vec<BlockId> = (1..m.func(key.func).blocks.len() as u32)
@@ -467,7 +459,10 @@ mod tests {
         assert_eq!(stats.marked_loads.len(), 1);
         let text = m.func(m.entry).to_string();
         assert!(text.contains("sync_load [@g0+0]"), "{text}");
-        assert!(!text.contains("sync_load [@g1+0]"), "cold dep synced: {text}");
+        assert!(
+            !text.contains("sync_load [@g1+0]"),
+            "cold dep synced: {text}"
+        );
         // Guard chain exists on the back edge.
         assert!(text.contains("signal_mem_null"), "{text}");
     }
@@ -500,7 +495,11 @@ mod tests {
         let text = m.func(m.entry).to_string();
         // The body block (b2) holds the store but no signal_mem directly
         // after it; signals only appear in the guard blocks.
-        let body_text = m.func(m.entry).block(BlockId(2)).instrs.iter()
+        let body_text = m
+            .func(m.entry)
+            .block(BlockId(2))
+            .instrs
+            .iter()
             .map(|i| i.to_string())
             .collect::<Vec<_>>()
             .join("\n");

@@ -371,7 +371,11 @@ mod tests {
         let code = figure4_like(60, 7);
         let reference = run_sequential(&code).expect("runs");
         let set = compile_all(&code, &code, &default_opts()).expect("compiles");
-        for (name, m) in [("seq", &set.seq), ("unsync", &set.unsync), ("synced", &set.synced)] {
+        for (name, m) in [
+            ("seq", &set.seq),
+            ("unsync", &set.unsync),
+            ("synced", &set.synced),
+        ] {
             let r = run_sequential(m).expect("runs");
             assert_eq!(r.output, reference.output, "{name} diverged sequentially");
         }
@@ -431,7 +435,10 @@ mod tests {
             .run()
             .expect("simulates");
         assert_eq!(t.output, reference.output);
-        assert!(set.report.sync_loads >= 1, "train profile finds the dep too");
+        assert!(
+            set.report.sync_loads >= 1,
+            "train profile finds the dep too"
+        );
     }
 
     #[test]

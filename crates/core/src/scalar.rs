@@ -246,7 +246,11 @@ fn append_instr(module: &mut Module, func: FuncId, block: BlockId, instr: Instr)
 }
 
 fn insert_instr(module: &mut Module, func: FuncId, block: BlockId, idx: usize, instr: Instr) {
-    module.func_mut(func).block_mut(block).instrs.insert(idx, instr);
+    module
+        .func_mut(func)
+        .block_mut(block)
+        .instrs
+        .insert(idx, instr);
 }
 
 #[cfg(test)]

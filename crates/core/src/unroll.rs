@@ -46,10 +46,7 @@ pub fn unroll_loop(
     for c in 1..factor {
         let mut map = HashMap::new();
         for (i, b) in body.iter().enumerate() {
-            map.insert(
-                *b,
-                BlockId(n_orig + (c - 1) * body.len() as u32 + i as u32),
-            );
+            map.insert(*b, BlockId(n_orig + (c - 1) * body.len() as u32 + i as u32));
         }
         maps.push(map);
     }
@@ -169,14 +166,11 @@ mod tests {
             for factor in [2u32, 3, 4] {
                 let mut m = counting_module(n);
                 let entry = m.entry;
-        let lp = loop_of(&m, entry);
+                let lp = loop_of(&m, entry);
                 let blocks = unroll_loop(&mut m, entry, &lp, factor);
                 tls_ir::validate(&m).expect("still valid");
                 let r = run_sequential(&m).expect("runs");
-                assert_eq!(
-                    r.output, reference.output,
-                    "n={n} factor={factor} diverged"
-                );
+                assert_eq!(r.output, reference.output, "n={n} factor={factor} diverged");
                 assert_eq!(blocks.len(), 2 * factor as usize);
             }
         }

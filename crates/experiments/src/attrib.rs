@@ -308,7 +308,14 @@ impl Attribution {
     pub fn edge_table(&self, top: usize) -> Table {
         let mut t = Table::new(
             "dependence edges (most damaging first)",
-            &["load", "store", "squashes", "violations", "cycles lost", "kinds"],
+            &[
+                "load",
+                "store",
+                "squashes",
+                "violations",
+                "cycles lost",
+                "kinds",
+            ],
         );
         for ((load, store), e) in self.ranked_edges().into_iter().take(top) {
             let kinds = e
@@ -334,8 +341,14 @@ impl Attribution {
         let mut t = Table::new(
             "per-epoch-position summary",
             &[
-                "epoch", "spawns", "commits", "squashes", "graduated", "commit cyc",
-                "squash cyc", "wait cyc",
+                "epoch",
+                "spawns",
+                "commits",
+                "squashes",
+                "graduated",
+                "commit cyc",
+                "squash cyc",
+                "wait cyc",
             ],
         );
         for (epoch, e) in &self.epochs {
@@ -450,7 +463,13 @@ mod tests {
             },
         ];
         let a = attribute(&events);
-        assert_eq!(a.waits[&WaitKey::Scalar(2)], WaitStats { count: 1, cycles: 25 });
+        assert_eq!(
+            a.waits[&WaitKey::Scalar(2)],
+            WaitStats {
+                count: 1,
+                cycles: 25
+            }
+        );
         let e = a.epochs[&1];
         assert_eq!(e.spawns, 1);
         assert_eq!(e.commits, 1);
@@ -522,8 +541,14 @@ mod tests {
         let a = attribute(&events);
         let json = a.to_json("demo", "U", 2);
         let doc = parse_json(&json).expect("valid JSON");
-        assert_eq!(doc.get("total_violations").and_then(|v| v.as_num()), Some(2.0));
-        assert_eq!(doc.get("total_squashes").and_then(|v| v.as_num()), Some(2.0));
+        assert_eq!(
+            doc.get("total_violations").and_then(|v| v.as_num()),
+            Some(2.0)
+        );
+        assert_eq!(
+            doc.get("total_squashes").and_then(|v| v.as_num()),
+            Some(2.0)
+        );
         let edges = doc.get("edges").expect("has edges");
         let tls_sim::Json::Arr(edges) = edges else {
             panic!("edges not an array")

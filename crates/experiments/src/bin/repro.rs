@@ -329,7 +329,10 @@ fn run_run_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
     let harness = Harness::new(workload, scale)
         .map_err(|e| CliError::Sim(format!("failed to prepare {bench_name}: {e}")))?;
     let seq_cycles = harness.seq.total_cycles;
-    println!("{bench_name} @ {} (sequential baseline: {seq_cycles} cycles)", scale.label());
+    println!(
+        "{bench_name} @ {} (sequential baseline: {seq_cycles} cycles)",
+        scale.label()
+    );
     println!(
         "{:<6} {:>12} {:>8} {:>10} {:>9}  epoch cycles (mean/p50/p99/max)",
         "mode", "cycles", "speedup", "violations", "epochs"
@@ -494,7 +497,9 @@ fn run_trace_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> 
         match validate_perfetto(&json) {
             Ok(n) => {
                 if verbosity > Verbosity::Quiet {
-                    eprintln!("perfetto export: {n} trace event(s), open at https://ui.perfetto.dev");
+                    eprintln!(
+                        "perfetto export: {n} trace event(s), open at https://ui.perfetto.dev"
+                    );
                 }
             }
             Err(e) => {
@@ -525,7 +530,9 @@ fn run_trace_check_cmd(args: &[String]) -> Result<(), CliError> {
             println!("{path}: valid Chrome trace, {n} event(s), timestamps monotonic");
             Ok(())
         }
-        Err(e) => Err(CliError::Check(format!("{path}: invalid Chrome trace: {e}"))),
+        Err(e) => Err(CliError::Check(format!(
+            "{path}: invalid Chrome trace: {e}"
+        ))),
     }
 }
 
@@ -740,7 +747,9 @@ fn run_conform_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError
     if verbosity > Verbosity::Quiet {
         eprintln!(
             "conformance-checking {bench_name} under {} at {scale:?} scale...",
-            mode_label.as_deref().unwrap_or("the speculative mode matrix")
+            mode_label
+                .as_deref()
+                .unwrap_or("the speculative mode matrix")
         );
     }
     match conform::conform_bench(&bench_name, mode_label.as_deref(), scale) {
@@ -944,7 +953,10 @@ fn run_metrics_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError
         )?;
     }
     if let Some(path) = prom {
-        write_out(&path, &metrics::counters_prometheus(&bench_name, &mode.label(), counters))?;
+        write_out(
+            &path,
+            &metrics::counters_prometheus(&bench_name, &mode.label(), counters),
+        )?;
     }
     report_resources(verbosity, span);
     Ok(())
@@ -1144,7 +1156,11 @@ fn run_campaign_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliErro
         eprintln!(
             "campaign {kind_name}: {iters} seed(s) from {seed} in shards of {shard} across \
              {workers} worker(s){}...",
-            if resume { ", resuming from the journal" } else { "" }
+            if resume {
+                ", resuming from the journal"
+            } else {
+                ""
+            }
         );
     }
     let report = orchestrate::run_campaign(&spec).map_err(CliError::Sim)?;
@@ -1192,11 +1208,7 @@ fn write_out(path: &str, contents: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run_figures(
-    target: &str,
-    args: &[String],
-    verbosity: Verbosity,
-) -> Result<(), CliError> {
+fn run_figures(target: &str, args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
     let mut scale = Scale::Full;
     let mut filter: Option<Vec<String>> = None;
     let mut jobs: usize = 0; // 0 = one worker per CPU

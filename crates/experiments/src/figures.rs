@@ -54,7 +54,16 @@ fn bars_table(
 ) -> Result<Table, ExperimentError> {
     let mut t = Table::new(
         title,
-        &["bench", "bar", "time", "busy", "fail", "sync", "other", "violations"],
+        &[
+            "bench",
+            "bar",
+            "time",
+            "busy",
+            "fail",
+            "sync",
+            "other",
+            "violations",
+        ],
     );
     let rows = run_pairs(harnesses, modes, bar_cells)?;
     for (h, chunk) in harnesses.iter().zip(rows.chunks(modes.len())) {
@@ -170,9 +179,7 @@ pub fn fig7(harnesses: &[Harness]) -> Result<Table, ExperimentError> {
                 continue;
             };
             for e in lp.edges.values() {
-                if lp.total_iters > 0
-                    && e.epochs as f64 / lp.total_iters as f64 >= 0.05
-                {
+                if lp.total_iters > 0 && e.epochs as f64 / lp.total_iters as f64 >= 0.05 {
                     for (i, n) in e.dist_hist.iter().enumerate() {
                         hist[i] += n;
                     }
@@ -229,7 +236,9 @@ pub fn fig11(harnesses: &[Harness]) -> Result<Table, ExperimentError> {
     use tls_sim::ViolationClass as VC;
     let mut t = Table::new(
         "Figure 11: violating loads by would-be-synchronizing scheme",
-        &["bench", "mode", "neither", "C-only", "H-only", "both", "total"],
+        &[
+            "bench", "mode", "neither", "C-only", "H-only", "both", "total",
+        ],
     );
     let modes = FIG11_MODES;
     let rows = run_pairs(harnesses, &modes, |h, mode| {
@@ -316,8 +325,8 @@ pub fn compiler_report(harnesses: &[Harness]) -> Result<Table, ExperimentError> 
     let mut t = Table::new(
         "Compiler statistics",
         &[
-            "bench", "regions", "unroll", "chans", "privat", "groups", "syncld", "sigst",
-            "clones", "growth", "sigbuf",
+            "bench", "regions", "unroll", "chans", "privat", "groups", "syncld", "sigst", "clones",
+            "growth", "sigbuf",
         ],
     );
     let sigbufs = run_pairs(harnesses, &REPORT_MODES, |h, mode| {
@@ -325,7 +334,12 @@ pub fn compiler_report(harnesses: &[Harness]) -> Result<Table, ExperimentError> 
     })?;
     for (h, sigbuf) in harnesses.iter().zip(&sigbufs) {
         let rep = &h.set_c.report;
-        let unrolls: Vec<String> = h.set_c.regions.iter().map(|r| r.unroll.to_string()).collect();
+        let unrolls: Vec<String> = h
+            .set_c
+            .regions
+            .iter()
+            .map(|r| r.unroll.to_string())
+            .collect();
         t.row(vec![
             h.name.clone(),
             h.set_c.regions.len().to_string(),
@@ -363,7 +377,9 @@ const SWEEP_MODES: [Mode; 3] = [Mode::Unsync, Mode::CompilerRef, Mode::HwSync];
 pub fn sweep(_harnesses: &[Harness]) -> Result<Table, ExperimentError> {
     let mut t = Table::new(
         "Scaling sweep: quick inputs at 1x/2x/4x iterations (U / C / H)",
-        &["bench", "scale", "mode", "time", "viol/kep", "ep-p50", "ep-p99"],
+        &[
+            "bench", "scale", "mode", "time", "viol/kep", "ep-p50", "ep-p99",
+        ],
     );
     let combos: Vec<(&str, u32)> = SWEEP_BENCHES
         .iter()
@@ -385,7 +401,11 @@ pub fn sweep(_harnesses: &[Harness]) -> Result<Table, ExperimentError> {
             let epochs: u64 = r.regions.values().map(|s| s.epochs).sum();
             let ec = r.epoch_cycle_totals();
             out.push(vec![
-                if k == 0 { format!("{mult}x1") } else { String::new() },
+                if k == 0 {
+                    format!("{mult}x1")
+                } else {
+                    String::new()
+                },
                 mode.label(),
                 f2(b.norm_time),
                 if epochs == 0 {
@@ -427,15 +447,22 @@ pub fn sweep(_harnesses: &[Harness]) -> Result<Table, ExperimentError> {
 /// adaptive controller layered on the same module (`A-T`) and on the
 /// unsynchronized one (`A-U`).
 const ADAPT_BENCHES: [&str; 2] = ["parser", "mcf"];
-const ADAPT_STATIC_MODES: [Mode; 4] =
-    [Mode::Unsync, Mode::CompilerRef, Mode::HwSync, Mode::Adaptive];
+const ADAPT_STATIC_MODES: [Mode; 4] = [
+    Mode::Unsync,
+    Mode::CompilerRef,
+    Mode::HwSync,
+    Mode::Adaptive,
+];
 // Seeds whose data salts draw the adversarial pairing: the measurement
 // input is boundary-early (phase B dominates) while the train input is
 // boundary-late (phase B invisible to the profile), so `T` violates on
 // most phase-B epochs and the controller visibly recovers.
 const ADAPT_SHIFT_SEEDS: [u64; 3] = [4, 7, 16];
-const ADAPT_SHIFT_MODES: [Mode; 3] =
-    [Mode::CompilerTrain, Mode::AdaptiveTrain, Mode::AdaptiveUnsync];
+const ADAPT_SHIFT_MODES: [Mode; 3] = [
+    Mode::CompilerTrain,
+    Mode::AdaptiveTrain,
+    Mode::AdaptiveUnsync,
+];
 
 /// Adaptive synchronization: the static policies vs the online
 /// per-dependence controller, on stationary workloads and on
@@ -450,7 +477,14 @@ const ADAPT_SHIFT_MODES: [Mode; 3] =
 pub fn adaptive(_harnesses: &[Harness]) -> Result<Table, ExperimentError> {
     let mut t = Table::new(
         "Adaptive synchronization: static policies vs the online controller",
-        &["bench", "mode", "time", "violations", "transitions", "reprofiles"],
+        &[
+            "bench",
+            "mode",
+            "time",
+            "violations",
+            "transitions",
+            "reprofiles",
+        ],
     );
     let counted = |h: &Harness, mode: Mode, label: String, first: bool| {
         let r = h.run_counted(mode)?;
@@ -481,12 +515,8 @@ pub fn adaptive(_harnesses: &[Harness]) -> Result<Table, ExperimentError> {
         let measure = tls_ir::generate(seed, &cfg, 0);
         let train = tls_ir::generate(seed, &cfg, 1);
         let opts = crate::fuzz::FuzzConfig::default().compile_options();
-        let h = Harness::from_modules(
-            format!("phase_shift/{seed}"),
-            &measure,
-            Some(&train),
-            &opts,
-        )?;
+        let h =
+            Harness::from_modules(format!("phase_shift/{seed}"), &measure, Some(&train), &opts)?;
         let mut out = Vec::new();
         for (k, &mode) in ADAPT_SHIFT_MODES.iter().enumerate() {
             out.push(counted(&h, mode, h.name.clone(), k == 0)?);
@@ -512,10 +542,7 @@ pub const TARGETS: [&str; 12] = [
 ///
 /// # Errors
 /// Whatever the target's driver reports.
-pub fn by_name(
-    target: &str,
-    harnesses: &[Harness],
-) -> Option<Result<Table, ExperimentError>> {
+pub fn by_name(target: &str, harnesses: &[Harness]) -> Option<Result<Table, ExperimentError>> {
     Some(match target {
         "fig2" => fig2(harnesses),
         "fig6" => fig6(harnesses),

@@ -245,10 +245,7 @@ pub fn check_pair(
         // sequential baseline, which was verified against the interpreter
         // above; re-check directly so a divergence names the oracle.
         if let Some(d) = oracle.diff_outside(&r.output, r.ret, &r.memory, &h.scratch) {
-            return Err(failure(
-                FailureKind::Mismatch { mode: mode.label() },
-                d,
-            ));
+            return Err(failure(FailureKind::Mismatch { mode: mode.label() }, d));
         }
         stats.violations += r.total_violations;
         // Metamorphic invariant: with every region load perfectly
@@ -392,9 +389,7 @@ fn apply_pass(
         Pass::StraightenBranch => {
             for f in 0..best.funcs.len() {
                 for b in 0..best.funcs[f].blocks.len() {
-                    let Some(Terminator::Br { t, f: fb, .. }) =
-                        best.funcs[f].blocks[b].term
-                    else {
+                    let Some(Terminator::Br { t, f: fb, .. }) = best.funcs[f].blocks[b].term else {
                         continue;
                     };
                     for target in [t, fb] {
@@ -636,13 +631,19 @@ fn shrink_failure(seed: u64, f: Failure, cfg: &FuzzConfig, out_dir: Option<&Path
         artifact: None,
     };
     if let Some(dir) = out_dir {
-        let path = dir.join(format!("seed_{seed}_{}.txt", slug(&out.failure.kind.signature())));
+        let path = dir.join(format!(
+            "seed_{seed}_{}.txt",
+            slug(&out.failure.kind.signature())
+        ));
         // Artifact-write failures must not kill the campaign: warn and move
         // on — the failure itself is still in the report.
         match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, artifact_text(&out)))
         {
             Ok(()) => out.artifact = Some(path.display().to_string()),
-            Err(e) => eprintln!("warning: failed to write fuzz artifact {}: {e}", path.display()),
+            Err(e) => eprintln!(
+                "warning: failed to write fuzz artifact {}: {e}",
+                path.display()
+            ),
         }
     }
     out
@@ -660,7 +661,8 @@ fn slug(s: &str) -> String {
 /// `Err(String)` when the file cannot be read or parsed; `Ok(Err(f))` when
 /// the module still fails (the expected outcome for an unfixed bug).
 pub fn replay(path: &Path, cfg: &FuzzConfig) -> Result<Result<SeedStats, Failure>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let m = serial::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
     Ok(check_module(&m, cfg, &ALL_MODES))
 }
@@ -704,9 +706,14 @@ mod tests {
         };
         let report = run_fuzz(1, 4, &cfg, None).expect("campaign starts");
         assert_eq!(report.run_errors.len(), 1, "exactly one worker died");
-        assert!(report.run_errors[0].detail.contains("deliberate worker panic"));
+        assert!(report.run_errors[0]
+            .detail
+            .contains("deliberate worker panic"));
         assert_eq!(report.run_errors[0].label, "fuzz seed 2");
-        assert!(report.failures.is_empty(), "a panic is not a property failure");
+        assert!(
+            report.failures.is_empty(),
+            "a panic is not a property failure"
+        );
         assert_eq!(report.seeds_with_regions, 3, "the other seeds still ran");
     }
 

@@ -53,7 +53,11 @@ impl Scale {
                     // Accept our own labels back: `ref:NxM` == `NxM`.
                     let ws =
                         tls_workloads::Scale::parse(other.strip_prefix("ref:").unwrap_or(other))?;
-                    Some(if ws.is_base() { Scale::Full } else { Scale::Scaled(ws) })
+                    Some(if ws.is_base() {
+                        Scale::Full
+                    } else {
+                        Scale::Scaled(ws)
+                    })
                 }
             }
         }
@@ -644,9 +648,9 @@ impl Harness {
             let _oracle = metrics::span("oracle");
             record_oracle(module)
         })
-            .as_ref()
-            .map(Some)
-            .map_err(|e| ExperimentError::Oracle(e.clone()))
+        .as_ref()
+        .map(Some)
+        .map_err(|e| ExperimentError::Oracle(e.clone()))
     }
 
     /// Resolve a mode to the module, full machine configuration and value
@@ -807,8 +811,10 @@ impl Harness {
                 self.seq.ret, result.ret
             ));
         }
-        if let Some((addr, seq, tls)) =
-            self.seq.memory.first_diff_outside(&result.memory, &self.scratch)
+        if let Some((addr, seq, tls)) = self
+            .seq
+            .memory
+            .first_diff_outside(&result.memory, &self.scratch)
         {
             return Some(format!(
                 "memory diverges at word {addr}: sequential {seq} vs TLS {tls}"

@@ -254,8 +254,15 @@ impl DegradationReport {
         let mut t = Table::new(
             format!("fault injection: {}/{}", self.bench, self.mode),
             &[
-                "class", "plans", "fired", "injected", "masked", "rejected", "unsound",
-                "squashes+", "cycles+",
+                "class",
+                "plans",
+                "fired",
+                "injected",
+                "masked",
+                "rejected",
+                "unsound",
+                "squashes+",
+                "cycles+",
             ],
         );
         for (class, a) in self.aggregate() {
@@ -284,12 +291,18 @@ impl DegradationReport {
             self.bench,
             self.mode,
             fired,
-            self.results.iter().filter(|r| r.outcome == PlanOutcome::Masked).count(),
+            self.results
+                .iter()
+                .filter(|r| r.outcome == PlanOutcome::Masked)
+                .count(),
             self.results
                 .iter()
                 .filter(|r| matches!(r.outcome, PlanOutcome::Rejected(_)))
                 .count(),
-            self.results.iter().filter(|r| r.outcome == PlanOutcome::Dormant).count(),
+            self.results
+                .iter()
+                .filter(|r| r.outcome == PlanOutcome::Dormant)
+                .count(),
             self.errors.len(),
             match self.sound() {
                 Ok(()) => "campaign sound".into(),
@@ -419,7 +432,15 @@ pub fn run_campaign(
         .collect();
     let outcomes = par::par_map_isolated(
         items,
-        |_, (seed, class)| format!("{}/{} plan {} ({})", h.name, mode.label(), seed, class.name()),
+        |_, (seed, class)| {
+            format!(
+                "{}/{} plan {} ({})",
+                h.name,
+                mode.label(),
+                seed,
+                class.name()
+            )
+        },
         |k, (seed, class)| {
             if cfg.panic_on_plan == Some(k as u64) {
                 panic!("deliberate worker panic on plan {k} (panic_on_plan)");
@@ -459,10 +480,16 @@ mod tests {
         assert_eq!(Partition::parse("both"), Ok(Partition::Both));
         assert_eq!(
             Partition::parse("drop-signal,evict-line"),
-            Ok(Partition::Classes(vec![FaultClass::DropSignal, FaultClass::EvictLine]))
+            Ok(Partition::Classes(vec![
+                FaultClass::DropSignal,
+                FaultClass::EvictLine
+            ]))
         );
         assert!(Partition::parse("no-such-class").is_err());
-        assert_eq!(Partition::Maskable.classes().len(), FaultClass::MASKABLE.len());
+        assert_eq!(
+            Partition::Maskable.classes().len(),
+            FaultClass::MASKABLE.len()
+        );
         assert_eq!(Partition::Both.classes().len(), FaultClass::ALL.len());
     }
 
@@ -493,7 +520,11 @@ mod tests {
         let ok = report(vec![
             plan(FaultClass::DropSignal, 3, PlanOutcome::Masked),
             plan(FaultClass::EvictLine, 0, PlanOutcome::Dormant),
-            plan(FaultClass::SuppressViolation, 1, PlanOutcome::Rejected("missed".into())),
+            plan(
+                FaultClass::SuppressViolation,
+                1,
+                PlanOutcome::Rejected("missed".into()),
+            ),
         ]);
         assert!(ok.sound().is_ok(), "{:?}", ok.sound());
 
@@ -504,7 +535,11 @@ mod tests {
         )]);
         assert!(diverged.sound().is_err());
 
-        let undetected = report(vec![plan(FaultClass::SuppressViolation, 2, PlanOutcome::Undetected)]);
+        let undetected = report(vec![plan(
+            FaultClass::SuppressViolation,
+            2,
+            PlanOutcome::Undetected,
+        )]);
         assert!(undetected.sound().is_err());
 
         let vacuous = report(vec![plan(FaultClass::DropSignal, 0, PlanOutcome::Dormant)]);
@@ -542,7 +577,11 @@ mod tests {
         let r = report(vec![
             plan(FaultClass::DropSignal, 3, PlanOutcome::Masked),
             plan(FaultClass::DropSignal, 2, PlanOutcome::Masked),
-            plan(FaultClass::CorruptCommitWrite, 1, PlanOutcome::Rejected("wb".into())),
+            plan(
+                FaultClass::CorruptCommitWrite,
+                1,
+                PlanOutcome::Rejected("wb".into()),
+            ),
         ]);
         let t = r.table().to_string();
         assert!(t.contains("drop-signal"), "{t}");

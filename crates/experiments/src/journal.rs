@@ -153,7 +153,10 @@ pub fn read_sealed(path: &Path) -> Result<SealedLog, String> {
 /// # Errors
 /// The underlying I/O error.
 pub fn append_line(path: &Path, sealed: &str) -> std::io::Result<()> {
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
     f.write_all(sealed.as_bytes())?;
     f.write_all(b"\n")?;
     f.sync_all()
@@ -191,7 +194,11 @@ mod tests {
 
     #[test]
     fn sealed_log_recovers_from_a_torn_final_record() {
-        let good = format!("{}\n{}\n", seal_line("header v=1"), seal_line("done shard=0"));
+        let good = format!(
+            "{}\n{}\n",
+            seal_line("header v=1"),
+            seal_line("done shard=0")
+        );
         let log = parse_sealed(&good).expect("clean log parses");
         assert_eq!(log.records, vec!["header v=1", "done shard=0"]);
         assert!(!log.truncated);

@@ -214,12 +214,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 /// Byte-deterministic JSON export of one counted run's machine counters
 /// (`repro metrics <bench>` schema): identity, the raw counter bank in row
 /// order, and the derived rates.
-pub fn counters_json(
-    bench: &str,
-    mode: &str,
-    scale: &str,
-    c: &tls_sim::MachineCounters,
-) -> String {
+pub fn counters_json(bench: &str, mode: &str, scale: &str, c: &tls_sim::MachineCounters) -> String {
     json::object(|w| {
         w.str("bench", bench)
             .str("mode", mode)
@@ -276,7 +271,10 @@ mod tests {
         let outer = snap.spans.get("mtest_outer").expect("outer recorded");
         assert_eq!(outer.count, 1);
         assert!(outer.total_ms >= 2.0, "{}", outer.total_ms);
-        let inner = snap.spans.get("mtest_outer/mtest_inner").expect("inner nests");
+        let inner = snap
+            .spans
+            .get("mtest_outer/mtest_inner")
+            .expect("inner nests");
         assert_eq!(inner.count, 2);
         assert!(inner.max_ms <= outer.max_ms);
     }
@@ -287,7 +285,10 @@ mod tests {
             let _s = span("mtest_worker_phase");
         });
         let snap = snapshot();
-        assert_eq!(snap.spans.get("mtest_worker_phase").expect("merged").count, 8);
+        assert_eq!(
+            snap.spans.get("mtest_worker_phase").expect("merged").count,
+            8
+        );
     }
 
     #[test]
@@ -304,15 +305,32 @@ mod tests {
     #[test]
     fn snapshot_exports_parse_and_are_ordered() {
         let mut snap = MetricsSnapshot::default();
-        snap.spans.insert("b/x".into(), SpanStat { count: 2, total_ms: 3.5, max_ms: 2.0 });
-        snap.spans.insert("a".into(), SpanStat { count: 1, total_ms: 1.0, max_ms: 1.0 });
+        snap.spans.insert(
+            "b/x".into(),
+            SpanStat {
+                count: 2,
+                total_ms: 3.5,
+                max_ms: 2.0,
+            },
+        );
+        snap.spans.insert(
+            "a".into(),
+            SpanStat {
+                count: 1,
+                total_ms: 1.0,
+                max_ms: 1.0,
+            },
+        );
         snap.gauges.insert("z.g".into(), 0.25);
         snap.counters.insert("c.n".into(), 9);
         snap.peak_rss_kb = 1024;
         let json = snap.to_json();
         tls_sim::parse_json(&json).expect("snapshot JSON parses");
         // BTreeMap keys: "a" renders before "b/x" regardless of insertion.
-        assert!(json.find("\"a\"").expect("a") < json.find("\"b/x\"").expect("b/x"), "{json}");
+        assert!(
+            json.find("\"a\"").expect("a") < json.find("\"b/x\"").expect("b/x"),
+            "{json}"
+        );
         assert_eq!(json, snap.to_json(), "same snapshot, same bytes");
         assert_eq!(
             json,

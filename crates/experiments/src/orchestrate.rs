@@ -749,7 +749,9 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignReport, String> {
     for stats in completed.values() {
         merged.merge(stats);
     }
-    let incomplete: Vec<u64> = (0..nshards).filter(|k| !completed.contains_key(k)).collect();
+    let incomplete: Vec<u64> = (0..nshards)
+        .filter(|k| !completed.contains_key(k))
+        .collect();
     metrics::set_gauge("campaign.shards_done", completed.len() as f64);
     Ok(CampaignReport {
         kind: spec.kind.kind().to_string(),

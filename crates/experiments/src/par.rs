@@ -48,7 +48,11 @@ where
     let n = items.len();
     let workers = jobs_for(n);
     if workers <= 1 || n <= 1 {
-        return items.into_iter().enumerate().map(|(i, x)| f(i, x)).collect();
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| f(i, x))
+            .collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -94,7 +98,11 @@ pub struct RunError {
 
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker for {} (item {}) failed: {}", self.label, self.index, self.detail)
+        write!(
+            f,
+            "worker for {} (item {}) failed: {}",
+            self.label, self.index, self.detail
+        )
     }
 }
 
@@ -187,7 +195,9 @@ mod tests {
             |_, _| "solo".into(),
             |_, _| -> u64 { panic!("solo failure") },
         );
-        assert!(out[0].as_ref().is_err_and(|e| e.detail.contains("solo failure")));
+        assert!(out[0]
+            .as_ref()
+            .is_err_and(|e| e.detail.contains("solo failure")));
     }
 
     #[test]

@@ -106,18 +106,16 @@ fn run_job<W: Write>(
             std::process::exit(CRASH_EXIT);
         }
         match &state {
-            Prepared::Fuzz(cfg) => {
-                match catch_unwind(AssertUnwindSafe(|| check_seed(seed, cfg))) {
-                    Ok(Ok(st)) => {
-                        stats.regions += u64::from(st.regions > 0);
-                        stats.sync_loads += u64::from(st.sync_loads > 0);
-                        stats.violations += st.violations;
-                        stats.oracle_steps += st.oracle_steps;
-                    }
-                    Ok(Err(_failure)) => stats.failed.push(seed),
-                    Err(_) => stats.errored.push(seed),
+            Prepared::Fuzz(cfg) => match catch_unwind(AssertUnwindSafe(|| check_seed(seed, cfg))) {
+                Ok(Ok(st)) => {
+                    stats.regions += u64::from(st.regions > 0);
+                    stats.sync_loads += u64::from(st.sync_loads > 0);
+                    stats.violations += st.violations;
+                    stats.oracle_steps += st.oracle_steps;
                 }
-            }
+                Ok(Err(_failure)) => stats.failed.push(seed),
+                Err(_) => stats.errored.push(seed),
+            },
             Prepared::Conform(cfg) => {
                 match catch_unwind(AssertUnwindSafe(|| conform_seed(seed, cfg))) {
                     Ok(Ok(r)) => {
@@ -219,8 +217,7 @@ fn prepare(job: &Job, inject: &mut Option<InjectState>) -> Result<Prepared, Stri
                 if classes.is_empty() {
                     return Err("prepare: empty fault partition".into());
                 }
-                let harness =
-                    Harness::new(workload, scale).map_err(|e| format!("prepare: {e}"))?;
+                let harness = Harness::new(workload, scale).map_err(|e| format!("prepare: {e}"))?;
                 *inject = Some(InjectState {
                     spec: job.spec.clone(),
                     harness,
@@ -288,7 +285,11 @@ mod tests {
             .expect("shard result");
         assert_eq!(result.0, 0);
         assert_eq!(result.1.seeds, 2);
-        assert!(result.1.failed.is_empty(), "seeds 1..=2 pass: {:?}", result.1);
+        assert!(
+            result.1.failed.is_empty(),
+            "seeds 1..=2 pass: {:?}",
+            result.1
+        );
         assert!(result.1.errored.is_empty());
 
         // The shard's aggregate matches running the same seeds in-process.

@@ -45,7 +45,10 @@ fn mode_results_are_identical_serial_vs_parallel() {
         let label = mode.label();
         assert_eq!(s.total_cycles, p.total_cycles, "{label}: cycles");
         assert_eq!(s.instructions, p.instructions, "{label}: instructions");
-        assert_eq!(s.total_violations, p.total_violations, "{label}: violations");
+        assert_eq!(
+            s.total_violations, p.total_violations,
+            "{label}: violations"
+        );
         assert_eq!(s.output, p.output, "{label}: output");
         assert_eq!(
             s.regions.keys().count(),

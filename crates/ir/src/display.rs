@@ -20,13 +20,28 @@ impl fmt::Display for Instr {
         match self {
             Instr::Assign { dst, src } => write!(f, "{dst} = {src}"),
             Instr::Bin { dst, op, a, b } => write!(f, "{dst} = {} {a}, {b}", op.mnemonic()),
-            Instr::Load { dst, addr, off, sid } => {
+            Instr::Load {
+                dst,
+                addr,
+                off,
+                sid,
+            } => {
                 write!(f, "{dst} = load [{addr}+{off}] {sid}")
             }
-            Instr::Store { val, addr, off, sid } => {
+            Instr::Store {
+                val,
+                addr,
+                off,
+                sid,
+            } => {
                 write!(f, "store [{addr}+{off}] = {val} {sid}")
             }
-            Instr::Call { dst, func, args, sid } => {
+            Instr::Call {
+                dst,
+                func,
+                args,
+                sid,
+            } => {
                 if let Some(d) = dst {
                     write!(f, "{d} = call {func}(")?;
                 } else {

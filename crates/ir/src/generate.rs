@@ -124,10 +124,16 @@ impl std::fmt::Display for GenConfigError {
                 write!(f, "{knob}: empty range ({lo}, {hi})")
             }
             GenConfigError::NoRegionLoops => {
-                write!(f, "region_loops admits 0 loops: module would have no epochs")
+                write!(
+                    f,
+                    "region_loops admits 0 loops: module would have no epochs"
+                )
             }
             GenConfigError::TripTooSmall { knob, got } => {
-                write!(f, "{knob}: trip bound {got} < 2 admits single-epoch regions")
+                write!(
+                    f,
+                    "{knob}: trip bound {got} < 2 admits single-epoch regions"
+                )
             }
         }
     }
@@ -250,10 +256,18 @@ impl GenConfig {
     pub fn validated(&self) -> Result<GenConfig, GenConfigError> {
         let mut cfg = self.clone();
         for (knob, lo, hi) in [
-            ("region_loops", cfg.region_loops.0 as i64, cfg.region_loops.1 as i64),
+            (
+                "region_loops",
+                cfg.region_loops.0 as i64,
+                cfg.region_loops.1 as i64,
+            ),
             ("outer_trips", cfg.outer_trips.0, cfg.outer_trips.1),
             ("inner_trips", cfg.inner_trips.0, cfg.inner_trips.1),
-            ("body_stmts", cfg.body_stmts.0 as i64, cfg.body_stmts.1 as i64),
+            (
+                "body_stmts",
+                cfg.body_stmts.0 as i64,
+                cfg.body_stmts.1 as i64,
+            ),
         ] {
             if lo > hi {
                 return Err(GenConfigError::EmptyRange { knob, lo, hi });
@@ -317,7 +331,9 @@ pub fn generate(seed: u64, cfg: &GenConfig, data_salt: u64) -> Module {
         mb.add_global(
             "fs_line",
             crate::LINE_WORDS as u64,
-            (0..crate::LINE_WORDS).map(|_| data.gen_range(-64, 64)).collect(),
+            (0..crate::LINE_WORDS)
+                .map(|_| data.gen_range(-64, 64))
+                .collect(),
         )
     });
 
@@ -328,7 +344,9 @@ pub fn generate(seed: u64, cfg: &GenConfig, data_salt: u64) -> Module {
     // The deep-clone call chain: chain0 → chain1 → … → the leaf, which
     // carries the region's only dependence.
     let chain: Vec<FuncId> = if cfg.family == GenFamily::DeepClone {
-        (0..CLONE_DEPTH).map(|i| mb.declare(format!("chain{i}"), 1)).collect()
+        (0..CLONE_DEPTH)
+            .map(|i| mb.declare(format!("chain{i}"), 1))
+            .collect()
     } else {
         Vec::new()
     };
@@ -472,9 +490,10 @@ impl Gen<'_> {
     }
 
     fn stmt_count(&mut self) -> u32 {
-        self.rng
-            .gen_range(self.cfg.body_stmts.0 as i64, self.cfg.body_stmts.1 as i64 + 1)
-            as u32
+        self.rng.gen_range(
+            self.cfg.body_stmts.0 as i64,
+            self.cfg.body_stmts.1 as i64 + 1,
+        ) as u32
     }
 
     /// A random value operand: a pool register, an induction variable, or a
@@ -689,7 +708,12 @@ impl Gen<'_> {
         fb.bin(a, BinOp::And, i, ARR_WORDS - 1);
         fb.bin(a, BinOp::Add, Operand::Global(self.arr), a);
         fb.store(Operand::Var(self.scratch), a, 0);
-        fb.bin(a, BinOp::Add, Operand::Global(self.shared), crate::LINE_WORDS);
+        fb.bin(
+            a,
+            BinOp::Add,
+            Operand::Global(self.shared),
+            crate::LINE_WORDS,
+        );
         fb.load(self.scratch, a, 0);
         fb.bin(self.scratch, BinOp::Add, self.scratch, i);
         fb.store(self.scratch, a, 0);
@@ -952,7 +976,10 @@ mod tests {
             ..GenConfig::default()
         };
         for seed in [0, 7, 123] {
-            assert_eq!(generate(seed, &cfg, 0), generate(seed, &GenConfig::default(), 0));
+            assert_eq!(
+                generate(seed, &cfg, 0),
+                generate(seed, &GenConfig::default(), 0)
+            );
         }
     }
 
@@ -1045,6 +1072,15 @@ mod tests {
         }
         .validated()
         .unwrap_err();
-        assert!(matches!(e, GenConfigError::EmptyRange { knob: "outer_trips", .. }), "{e}");
+        assert!(
+            matches!(
+                e,
+                GenConfigError::EmptyRange {
+                    knob: "outer_trips",
+                    ..
+                }
+            ),
+            "{e}"
+        );
     }
 }

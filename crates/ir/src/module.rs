@@ -23,7 +23,9 @@ pub struct Block {
 impl Block {
     /// Successors of this block (empty for `Ret` or unterminated blocks).
     pub fn successors(&self) -> Vec<BlockId> {
-        self.term.as_ref().map_or_else(Vec::new, Terminator::successors)
+        self.term
+            .as_ref()
+            .map_or_else(Vec::new, Terminator::successors)
     }
 }
 

@@ -40,7 +40,13 @@ impl std::error::Error for ParseError {}
 
 fn sanitize(name: &str) -> String {
     name.chars()
-        .map(|c| if c.is_whitespace() || c == ',' { '_' } else { c })
+        .map(|c| {
+            if c.is_whitespace() || c == ',' {
+                '_'
+            } else {
+                c
+            }
+        })
         .collect()
 }
 
@@ -87,7 +93,15 @@ pub fn to_text(module: &Module) -> String {
             f.num_vars
         );
         let names: Vec<String> = f.var_names.iter().map(|n| sanitize(n)).collect();
-        let _ = writeln!(s, "varnames {}", if names.is_empty() { "-".into() } else { names.join(",") });
+        let _ = writeln!(
+            s,
+            "varnames {}",
+            if names.is_empty() {
+                "-".into()
+            } else {
+                names.join(",")
+            }
+        );
         for b in &f.blocks {
             let _ = writeln!(s, "block {}", sanitize(&b.name));
             for i in &b.instrs {
@@ -121,7 +135,11 @@ pub fn to_text(module: &Module) -> String {
             r.func.0,
             r.header.0,
             r.unroll,
-            if blocks.is_empty() { "-".into() } else { blocks.join(",") }
+            if blocks.is_empty() {
+                "-".into()
+            } else {
+                blocks.join(",")
+            }
         );
     }
     s
@@ -137,13 +155,34 @@ fn instr_text(i: &Instr) -> String {
             op_text(a),
             op_text(b)
         ),
-        Instr::Load { dst, addr, off, sid } => {
+        Instr::Load {
+            dst,
+            addr,
+            off,
+            sid,
+        } => {
             format!("load v{} {} {} s{}", dst.0, op_text(addr), off, sid.0)
         }
-        Instr::Store { val, addr, off, sid } => {
-            format!("store {} {} {} s{}", op_text(val), op_text(addr), off, sid.0)
+        Instr::Store {
+            val,
+            addr,
+            off,
+            sid,
+        } => {
+            format!(
+                "store {} {} {} s{}",
+                op_text(val),
+                op_text(addr),
+                off,
+                sid.0
+            )
         }
-        Instr::Call { dst, func, args, sid } => {
+        Instr::Call {
+            dst,
+            func,
+            args,
+            sid,
+        } => {
             let mut s = match dst {
                 Some(d) => format!("call v{}", d.0),
                 None => "call -".to_string(),
@@ -158,7 +197,13 @@ fn instr_text(i: &Instr) -> String {
         Instr::EpochId { dst } => format!("epochid v{}", dst.0),
         Instr::WaitScalar { dst, chan } => format!("wait v{} c{}", dst.0, chan.0),
         Instr::SignalScalar { chan, val } => format!("sigscalar c{} {}", chan.0, op_text(val)),
-        Instr::SyncLoad { dst, addr, off, group, sid } => format!(
+        Instr::SyncLoad {
+            dst,
+            addr,
+            off,
+            group,
+            sid,
+        } => format!(
             "syncload v{} {} {} m{} s{}",
             dst.0,
             op_text(addr),
@@ -166,7 +211,13 @@ fn instr_text(i: &Instr) -> String {
             group.0,
             sid.0
         ),
-        Instr::SignalMem { group, addr, off, val, sid } => format!(
+        Instr::SignalMem {
+            group,
+            addr,
+            off,
+            val,
+            sid,
+        } => format!(
             "sigmem m{} {} {} {} s{}",
             group.0,
             op_text(addr),
@@ -347,8 +398,7 @@ pub fn parse(text: &str) -> Result<Module, ParseError> {
             "varnames" => {
                 let f = cur_func.ok_or_else(|| p.err("varnames outside func"))?;
                 if toks.len() > 1 && toks[1] != "-" {
-                    module.funcs[f].var_names =
-                        toks[1].split(',').map(str::to_string).collect();
+                    module.funcs[f].var_names = toks[1].split(',').map(str::to_string).collect();
                 }
             }
             "block" => {
@@ -438,7 +488,12 @@ fn parse_instr(p: &Parser, toks: &[&str]) -> Result<Instr, ParseError> {
         if toks.len() == n {
             Ok(())
         } else {
-            Err(p.err(format!("`{}` wants {} tokens, got {}", toks[0], n, toks.len())))
+            Err(p.err(format!(
+                "`{}` wants {} tokens, got {}",
+                toks[0],
+                n,
+                toks.len()
+            )))
         }
     };
     match toks[0] {
@@ -608,11 +663,17 @@ mod tests {
     fn names_to_text_would_rewrite_are_refused() {
         let m = generate(3, &GenConfig::default(), 0);
         let text = to_text(&m);
-        let block = text.lines().find(|l| l.starts_with("block ")).expect("a block");
+        let block = text
+            .lines()
+            .find(|l| l.starts_with("block "))
+            .expect("a block");
         let bad = text.replacen(block, &format!("{block},x"), 1);
         let e = parse(&bad).expect_err("comma in a block name");
         assert!(e.msg.contains("bad name"), "{e}");
-        let func = text.lines().find(|l| l.starts_with("func ")).expect("a func");
+        let func = text
+            .lines()
+            .find(|l| l.starts_with("func "))
+            .expect("a func");
         let bad = text.replacen(func, &func.replacen("func ", "func a,", 1), 1);
         assert!(parse(&bad).is_err(), "comma in a func name");
     }

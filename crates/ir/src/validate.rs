@@ -274,7 +274,10 @@ fn validate_func(
                     return Err(ValidateError::DuplicateSid { func: name() });
                 }
             }
-            if let Instr::Call { func: callee, args, .. } = instr {
+            if let Instr::Call {
+                func: callee, args, ..
+            } = instr
+            {
                 let Some(cf) = m.funcs.get(callee.index()) else {
                     return Err(ValidateError::BadCallee {
                         func: name(),
@@ -378,7 +381,11 @@ mod tests {
         mb.set_entry(main);
         assert!(matches!(
             mb.build(),
-            Err(ValidateError::BadArity { expected: 2, got: 1, .. })
+            Err(ValidateError::BadArity {
+                expected: 2,
+                got: 1,
+                ..
+            })
         ));
     }
 

@@ -261,10 +261,7 @@ impl DepProfiler {
                     total_iters: self.total_iters[lu],
                     dyn_instrs: self.dyn_instrs[lu],
                     edges,
-                    load_dep_epochs: self.load_dep[lu]
-                        .iter()
-                        .map(|(k, v)| (*k, v.2))
-                        .collect(),
+                    load_dep_epochs: self.load_dep[lu].iter().map(|(k, v)| (*k, v.2)).collect(),
                     load_dep_epochs_by_sid: self.load_dep_sid[lu]
                         .iter()
                         .map(|(k, v)| (*k, v.2))
@@ -295,10 +292,7 @@ impl ExecObserver for DepProfiler {
         // Clone the small writer record so `self` methods can be called.
         let writer = writer.clone();
         for li in &trace.loops {
-            let Some(&(_, w_iter)) = writer
-                .loops
-                .iter()
-                .find(|(seq, _)| *seq == li.inst_seq)
+            let Some(&(_, w_iter)) = writer.loops.iter().find(|(seq, _)| *seq == li.inst_seq)
             else {
                 continue; // store happened outside this instance
             };
@@ -327,14 +321,13 @@ impl ExecObserver for DepProfiler {
                 acc.last_counted_d1 = Some((li.inst_seq, li.iter));
                 acc.stats.epochs_d1 += 1;
             }
-            let entry = self.load_dep[lu].entry(consumer).or_insert((u64::MAX, 0, 0));
+            let entry = self.load_dep[lu]
+                .entry(consumer)
+                .or_insert((u64::MAX, 0, 0));
             if (entry.0, entry.1) != (li.inst_seq, li.iter) {
                 *entry = (li.inst_seq, li.iter, entry.2 + 1);
             }
-            let entry = self
-                .load_dep_sid[lu]
-                .entry(sid)
-                .or_insert((u64::MAX, 0, 0));
+            let entry = self.load_dep_sid[lu].entry(sid).or_insert((u64::MAX, 0, 0));
             if (entry.0, entry.1) != (li.inst_seq, li.iter) {
                 *entry = (li.inst_seq, li.iter, entry.2 + 1);
             }
@@ -347,7 +340,11 @@ impl ExecObserver for DepProfiler {
             WriterRec {
                 sid,
                 call_sids: trace.call_sids.clone(),
-                loops: trace.loops.iter().map(|li| (li.inst_seq, li.iter)).collect(),
+                loops: trace
+                    .loops
+                    .iter()
+                    .map(|li| (li.inst_seq, li.iter))
+                    .collect(),
             },
         );
     }
@@ -443,23 +440,35 @@ mod tests {
         assert_eq!(lp.instances, 1);
         assert_eq!(lp.total_iters, 41); // 40 body iters + final header check
         let acc_edge = (
-            VertexKey { sid: sids[1], ctx: 0 },
-            VertexKey { sid: sids[0], ctx: 0 },
+            VertexKey {
+                sid: sids[1],
+                ctx: 0,
+            },
+            VertexKey {
+                sid: sids[0],
+                ctx: 0,
+            },
         );
         let e = &lp.edges[&acc_edge];
         // acc: every iteration 1..=39 sees the previous iteration's store.
         assert_eq!(e.epochs, 39);
         assert_eq!(e.dist_hist[0], 39); // all distance 1
-        // spare: touched on iterations 0,4,8,...,36 → 9 consumers dep on
-        // previous toucher (distance 4), first one has no writer.
+                                        // spare: touched on iterations 0,4,8,...,36 → 9 consumers dep on
+                                        // previous toucher (distance 4), first one has no writer.
         let sp_edge = (
-            VertexKey { sid: sids[3], ctx: 0 },
-            VertexKey { sid: sids[2], ctx: 0 },
+            VertexKey {
+                sid: sids[3],
+                ctx: 0,
+            },
+            VertexKey {
+                sid: sids[2],
+                ctx: 0,
+            },
         );
         let s = &lp.edges[&sp_edge];
         assert_eq!(s.epochs, 9);
         assert_eq!(s.dist_hist[3], 9); // all distance 4
-        // Frequencies: acc ~95%, spare ~22%.
+                                       // Frequencies: acc ~95%, spare ~22%.
         assert!(lp.edge_freq(acc_edge.0, acc_edge.1) > 0.9);
         assert!(lp.edge_freq(sp_edge.0, sp_edge.1) < 0.3);
         assert!(lp.load_freq(acc_edge.1) > 0.9);
@@ -513,11 +522,8 @@ mod tests {
         let lp = &profile.loops[&key];
         // Contexts: one per call site. The inter-epoch edge is
         // store@call2 → load@call1 (call2's store is last in the epoch).
-        let ctxs: std::collections::HashSet<CtxId> = lp
-            .edges
-            .keys()
-            .flat_map(|(s, l)| [s.ctx, l.ctx])
-            .collect();
+        let ctxs: std::collections::HashSet<CtxId> =
+            lp.edges.keys().flat_map(|(s, l)| [s.ctx, l.ctx]).collect();
         assert!(ctxs.len() >= 2, "expected ≥2 contexts, got {ctxs:?}");
         let inter = lp
             .edges

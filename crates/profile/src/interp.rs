@@ -19,9 +19,7 @@ use std::error::Error;
 use std::fmt;
 
 use tls_analysis::{Cfg, Dominators};
-use tls_ir::{
-    BlockId, FuncId, Instr, Module, Operand, RegionId, Sid, Terminator, Var,
-};
+use tls_ir::{BlockId, FuncId, Instr, Module, Operand, RegionId, Sid, Terminator, Var};
 
 use crate::memory::Memory;
 
@@ -229,7 +227,10 @@ impl<'m> Interp<'m> {
     /// workloads never do).
     pub fn run(&mut self, obs: &mut dyn ExecObserver) -> Result<ExecResult, ExecError> {
         let entry = self.module.func(self.module.entry);
-        assert_eq!(entry.num_params, 0, "entry function must take no parameters");
+        assert_eq!(
+            entry.num_params, 0,
+            "entry function must take no parameters"
+        );
         let mut frames = vec![Frame {
             func: self.module.entry,
             regs: vec![0; entry.num_vars],
@@ -267,20 +268,41 @@ impl<'m> Interp<'m> {
                         let vb = eval(self.module, &frame.regs, *b);
                         frame.regs[dst.index()] = op.eval(va, vb);
                     }
-                    Instr::Load { dst, addr, off, sid }
-                    | Instr::SyncLoad { dst, addr, off, sid, .. } => {
+                    Instr::Load {
+                        dst,
+                        addr,
+                        off,
+                        sid,
+                    }
+                    | Instr::SyncLoad {
+                        dst,
+                        addr,
+                        off,
+                        sid,
+                        ..
+                    } => {
                         let a = eval(self.module, &frame.regs, *addr).wrapping_add(*off);
                         let v = self.memory.read(a);
                         frame.regs[dst.index()] = v;
                         obs.on_load(&self.trace, *sid, a, v);
                     }
-                    Instr::Store { val, addr, off, sid } => {
+                    Instr::Store {
+                        val,
+                        addr,
+                        off,
+                        sid,
+                    } => {
                         let a = eval(self.module, &frame.regs, *addr).wrapping_add(*off);
                         let v = eval(self.module, &frame.regs, *val);
                         self.memory.write(a, v);
                         obs.on_store(&self.trace, *sid, a, v);
                     }
-                    Instr::Call { dst, func: callee, args, sid } => {
+                    Instr::Call {
+                        dst,
+                        func: callee,
+                        args,
+                        sid,
+                    } => {
                         if cur_depth >= self.config.max_call_depth {
                             return Err(ExecError::CallDepth(self.config.max_call_depth));
                         }
@@ -374,7 +396,13 @@ impl<'m> Interp<'m> {
     }
 
     /// Move `frame` to block `to`, maintaining the loop-instance stack.
-    fn transfer(&mut self, frame: &mut Frame, to: BlockId, depth: usize, obs: &mut dyn ExecObserver) {
+    fn transfer(
+        &mut self,
+        frame: &mut Frame,
+        to: BlockId,
+        depth: usize,
+        obs: &mut dyn ExecObserver,
+    ) {
         // Close loops (of this frame) that do not contain the target.
         while let Some(top) = self.trace.loops.last() {
             if top.frame_depth == depth
@@ -581,14 +609,16 @@ mod tests {
     impl ExecObserver for LoopLog {
         fn on_loop_enter(&mut self, trace: &TraceState) {
             let top = trace.loops.last().expect("entered loop");
-            self.0.push(format!("enter {} seq {}", top.lu, top.inst_seq));
+            self.0
+                .push(format!("enter {} seq {}", top.lu, top.inst_seq));
         }
         fn on_loop_iter(&mut self, trace: &TraceState) {
             let top = trace.loops.last().expect("iterating loop");
             self.0.push(format!("iter {} -> {}", top.lu, top.iter));
         }
         fn on_loop_exit(&mut self, _trace: &TraceState, closed: &LoopInstance) {
-            self.0.push(format!("exit {} iters {}", closed.lu, closed.iter));
+            self.0
+                .push(format!("exit {} iters {}", closed.lu, closed.iter));
         }
     }
 

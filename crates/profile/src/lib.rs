@@ -138,7 +138,10 @@ impl ArchOutcome {
             ));
         }
         if self.ret != ret {
-            return Some(format!("return value: sequential {} vs TLS {ret}", self.ret));
+            return Some(format!(
+                "return value: sequential {} vs TLS {ret}",
+                self.ret
+            ));
         }
         if let Some((addr, seq, tls)) = self.memory.first_diff_outside(memory, skip) {
             return Some(format!(

@@ -95,7 +95,12 @@ impl Memory {
         other: &Memory,
         skip: &std::ops::Range<i64>,
     ) -> Option<(i64, i64, i64)> {
-        let mut pages: Vec<i64> = self.pages.keys().chain(other.pages.keys()).copied().collect();
+        let mut pages: Vec<i64> = self
+            .pages
+            .keys()
+            .chain(other.pages.keys())
+            .copied()
+            .collect();
         pages.sort_unstable();
         pages.dedup();
         for p in pages {

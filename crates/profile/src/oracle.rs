@@ -63,7 +63,11 @@ impl OracleRecorder {
     /// Build a recorder for the interpreter's module.
     pub fn new(interp: &Interp<'_>) -> Self {
         Self {
-            is_region: interp.loop_meta().iter().map(|m| m.region.is_some()).collect(),
+            is_region: interp
+                .loop_meta()
+                .iter()
+                .map(|m| m.region.is_some())
+                .collect(),
             active: Vec::new(),
             next_ord: 0,
             oracle: ValueOracle::default(),
@@ -181,7 +185,7 @@ mod tests {
             assert_eq!(oracle.value(key, 1), None); // one occurrence per sid
         }
         assert_eq!(oracle.streams(), 6); // 2 static loads × 3 epochs
-        // Unknown keys are None.
+                                         // Unknown keys are None.
         assert_eq!(
             oracle.value(
                 OracleKey {

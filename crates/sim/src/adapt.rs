@@ -194,9 +194,8 @@ impl AdaptController {
             return false;
         }
         self.window_start = now;
-        let shifted = self.known_hot > 0
-            && self.window_new > 0
-            && self.window_viol >= self.cfg.reprofile_min;
+        let shifted =
+            self.known_hot > 0 && self.window_new > 0 && self.window_viol >= self.cfg.reprofile_min;
         if shifted {
             // The distribution moved: forget everything and re-learn.
             for s in &mut self.states {
@@ -246,7 +245,11 @@ impl AdaptController {
         if transition.is_some() {
             self.transitions += 1;
         }
-        Outcome { policy: to, transition, reprofiled }
+        Outcome {
+            policy: to,
+            transition,
+            reprofiled,
+        }
     }
 
     /// Observe a violation attributed to load `sid` at cycle `now`.
@@ -274,7 +277,11 @@ impl AdaptController {
         if transition.is_some() {
             self.transitions += 1;
         }
-        Outcome { policy: to, transition, reprofiled }
+        Outcome {
+            policy: to,
+            transition,
+            reprofiled,
+        }
     }
 
     /// Total per-dependence policy switches performed.
@@ -289,7 +296,9 @@ impl AdaptController {
 
     /// The policy currently in force for `sid` (FORWARD when untracked).
     pub fn policy_of(&self, sid: Sid) -> Policy {
-        self.states.get(sid.index()).map_or(Policy::Forward, |s| s.policy())
+        self.states
+            .get(sid.index())
+            .map_or(Policy::Forward, |s| s.policy())
     }
 }
 
@@ -353,7 +362,7 @@ mod tests {
         c.record_violation(Sid(0), ViolationKind::Eager, 10);
         c.record_violation(Sid(0), ViolationKind::Eager, 20);
         assert!(!c.decide(Sid(0), w, false).reprofiled); // boundary: no shift
-        // Phase B: violations arrive at a dependence outside the hot set.
+                                                         // Phase B: violations arrive at a dependence outside the hot set.
         c.record_violation(Sid(7), ViolationKind::Eager, w + 10);
         c.record_violation(Sid(7), ViolationKind::Eager, w + 20);
         let o = c.decide(Sid(7), 2 * w, false);

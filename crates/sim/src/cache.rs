@@ -48,7 +48,10 @@ impl SetAssocCache {
     /// Panics if `ways` is zero or does not divide `lines`, or if there are
     /// more than `u32::MAX` sets.
     pub fn new(lines: usize, ways: usize) -> Self {
-        assert!(ways > 0 && lines.is_multiple_of(ways), "lines must split into ways");
+        assert!(
+            ways > 0 && lines.is_multiple_of(ways),
+            "lines must split into ways"
+        );
         let sets = lines / ways;
         assert!(u32::try_from(sets).is_ok(), "set index must fit in u32");
         Self {
@@ -281,7 +284,7 @@ mod tests {
         assert_eq!(c.access_evict(4), (false, Some(0))); // LRU line 0 evicted
         assert_eq!(c.access_evict(4), (true, None)); // hits never evict
         assert_eq!(c.access_evict(0), (false, Some(2))); // now 2 is LRU
-        // Invalidated ways are reused without reporting a victim.
+                                                         // Invalidated ways are reused without reporting a victim.
         c.invalidate(4);
         assert_eq!(c.access_evict(6), (false, None));
         // Victims go by retained stamps alone: a freshly invalidated way is

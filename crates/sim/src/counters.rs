@@ -265,7 +265,11 @@ impl MachineCounters {
         for (a, b) in self.violations.iter_mut().zip(o.violations.iter()) {
             *a += b;
         }
-        for (a, b) in self.policy_transitions.iter_mut().zip(o.policy_transitions.iter()) {
+        for (a, b) in self
+            .policy_transitions
+            .iter_mut()
+            .zip(o.policy_transitions.iter())
+        {
             *a += b;
         }
         self.l1_hits += o.l1_hits;
@@ -300,7 +304,10 @@ impl MachineCounters {
     pub fn rows(&self) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
         for class in OpClass::ALL {
-            out.insert(format!("retired.{}", class.name()), self.retired[class.index()]);
+            out.insert(
+                format!("retired.{}", class.name()),
+                self.retired[class.index()],
+            );
         }
         out.insert("cache.l1_hits".into(), self.l1_hits);
         out.insert("cache.l2_hits".into(), self.l2_hits);
@@ -543,8 +550,7 @@ mod tests {
             assert_eq!(c.index(), i);
         }
         // Distinct stable names.
-        let names: std::collections::BTreeSet<_> =
-            OpClass::ALL.iter().map(|c| c.name()).collect();
+        let names: std::collections::BTreeSet<_> = OpClass::ALL.iter().map(|c| c.name()).collect();
         assert_eq!(names.len(), OpClass::COUNT);
     }
 }

@@ -567,8 +567,17 @@ mod tests {
 
     #[test]
     fn signal_kind_maps_to_wait_kind() {
-        assert_eq!(SignalKind::Scalar(ChanId(2)).wait_kind(), WaitKind::Scalar(ChanId(2)));
-        assert_eq!(SignalKind::Mem(GroupId(1)).wait_kind(), WaitKind::Mem(GroupId(1)));
-        assert_eq!(SignalKind::MemNull(GroupId(1)).wait_kind(), WaitKind::Mem(GroupId(1)));
+        assert_eq!(
+            SignalKind::Scalar(ChanId(2)).wait_kind(),
+            WaitKind::Scalar(ChanId(2))
+        );
+        assert_eq!(
+            SignalKind::Mem(GroupId(1)).wait_kind(),
+            WaitKind::Mem(GroupId(1))
+        );
+        assert_eq!(
+            SignalKind::MemNull(GroupId(1)).wait_kind(),
+            WaitKind::Mem(GroupId(1))
+        );
     }
 }

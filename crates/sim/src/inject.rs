@@ -257,7 +257,10 @@ impl FaultPlan {
     /// covers, the machine run fails with [`SimError::FaultPlanExhausted`].
     pub fn scripted(class: FaultClass, decisions: Vec<bool>) -> FaultPlan {
         let mut plan = FaultPlan::seeded(0, &[class], 1.0, u64::MAX);
-        plan.script = Some(Script { decisions, cursor: 0 });
+        plan.script = Some(Script {
+            decisions,
+            cursor: 0,
+        });
         plan
     }
 
@@ -465,7 +468,10 @@ mod tests {
     fn scripted_plan_follows_script_then_errors() {
         let mut p = FaultPlan::scripted(FaultClass::DropSignal, vec![false, true]);
         assert_eq!(p.on_mem_signal().expect("in script"), None);
-        assert_eq!(p.on_mem_signal().expect("in script"), Some(SignalFault::Drop));
+        assert_eq!(
+            p.on_mem_signal().expect("in script"),
+            Some(SignalFault::Drop)
+        );
         match p.on_mem_signal() {
             Err(SimError::FaultPlanExhausted { class, decision }) => {
                 assert_eq!(class, "drop-signal");

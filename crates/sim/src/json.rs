@@ -646,13 +646,31 @@ mod tests {
 
     #[test]
     fn only_rfc_8259_numbers_parse() {
-        for ok in ["0", "-0", "7", "-12", "0.5", "-1.25", "1e5", "1E+5", "2e-3", "10.0e0"] {
+        for ok in [
+            "0", "-0", "7", "-12", "0.5", "-1.25", "1e5", "1E+5", "2e-3", "10.0e0",
+        ] {
             assert!(parse_json(ok).is_ok(), "{ok}");
         }
         assert_eq!(parse_json("-1.5e2"), Ok(Json::Num(-150.0)));
         for bad in [
-            "+1", ".5", "1.", "01", "-01", "00", "-", "1e", "1e+", "1.e3", "-.5", "0x10", "1_0",
-            "Infinity", "NaN", "[+1]", "[1.]", "{\"a\":01}",
+            "+1",
+            ".5",
+            "1.",
+            "01",
+            "-01",
+            "00",
+            "-",
+            "1e",
+            "1e+",
+            "1.e3",
+            "-.5",
+            "0x10",
+            "1_0",
+            "Infinity",
+            "NaN",
+            "[+1]",
+            "[1.]",
+            "{\"a\":01}",
         ] {
             assert!(parse_json(bad).is_err(), "{bad}");
         }
@@ -662,7 +680,10 @@ mod tests {
     fn only_rfc_8259_strings_parse() {
         assert_eq!(parse_json(r#""\u004A\u00e9""#), Ok(Json::Str("Jé".into())));
         // A surrogate pair is one character; a lone surrogate is an error.
-        assert_eq!(parse_json(r#""\ud83d\ude00""#), Ok(Json::Str("\u{1f600}".into())));
+        assert_eq!(
+            parse_json(r#""\ud83d\ude00""#),
+            Ok(Json::Str("\u{1f600}".into()))
+        );
         for bad in [
             r#""\u+04a""#,
             r#""\u04a""#,

@@ -55,12 +55,12 @@ pub use counters::{violation_index, MachineCounters, MemLevel, OpClass};
 pub use events::{Fine, NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 pub use hwsync::{ValuePredictor, ViolationTable};
 pub use inject::{FaultClass, FaultPlan, FaultSummary};
+pub use json::{parse_json, Json};
 pub use machine::{Machine, SimError};
 pub use model::{check_conformance, ConformanceStats, ModelConfig};
 pub use spec::{MemSignal, ReadSet, SyncState, WriteBuffer};
 pub use stats::{RegionStats, SimResult, SlotBreakdown, StreamingStats, ViolationClass};
 pub use timing::{BranchPredictor, CoreTimer};
-pub use json::{parse_json, Json};
 pub use trace::{
     ascii_timeline, check_event_stream, events_from_json, events_to_json, perfetto_json,
     replay_slots, validate_perfetto, CountingTracer, EventStreamStats, RecordingTracer,

@@ -2251,14 +2251,22 @@ mod tests {
     fn independent_loop_matches_sequential_and_speeds_up() {
         let m = independent_module(64);
         let seq_ref = tls_profile::run_sequential(&m).expect("runs");
-        let par = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let par = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         assert_eq!(par.output, seq_ref.output);
-        let seq = Machine::new(&m, SimConfig::sequential()).run().expect("simulates");
+        let seq = Machine::new(&m, SimConfig::sequential())
+            .run()
+            .expect("simulates");
         assert_eq!(seq.output, seq_ref.output);
         let rid = RegionId(0);
         let par_cycles = par.regions[&rid].cycles;
         let seq_cycles = seq.regions[&rid].cycles;
-        assert!(par.total_violations <= 4, "unexpected violations: {}", par.total_violations);
+        assert!(
+            par.total_violations <= 4,
+            "unexpected violations: {}",
+            par.total_violations
+        );
         assert!(
             (par_cycles as f64) < 0.7 * seq_cycles as f64,
             "no speedup: par {par_cycles} vs seq {seq_cycles}"
@@ -2303,7 +2311,9 @@ mod tests {
         let m = scalar_sync_module(20);
         let seq_ref = tls_profile::run_sequential(&m).expect("runs");
         assert_eq!(seq_ref.output, vec![190]); // 0+1+..+19
-        let par = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let par = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         assert_eq!(par.output, vec![190]);
         assert_eq!(par.total_violations, 0);
         // The wait/signal chain serializes partially: sync slots appear.
@@ -2366,7 +2376,9 @@ mod tests {
     #[test]
     fn unsynchronized_dependence_violates_but_stays_correct() {
         let (m, _) = mem_dep_module(40, false);
-        let par = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let par = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         assert_eq!(par.output, vec![40]);
         assert!(par.total_violations > 0, "expected violations");
         assert!(par.regions[&RegionId(0)].slots.fail > 0);
@@ -2376,8 +2388,12 @@ mod tests {
     fn compiler_synchronization_eliminates_violations() {
         let (unsynced, _) = mem_dep_module(40, false);
         let (synced, _) = mem_dep_module(40, true);
-        let u = Machine::new(&unsynced, SimConfig::cgo2004()).run().expect("simulates");
-        let c = Machine::new(&synced, SimConfig::cgo2004()).run().expect("simulates");
+        let u = Machine::new(&unsynced, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
+        let c = Machine::new(&synced, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         assert_eq!(c.output, vec![40]);
         assert_eq!(c.total_violations, 0, "forwarding should avoid violations");
         assert!(c.regions[&RegionId(0)].slots.fail < u.regions[&RegionId(0)].slots.fail);
@@ -2388,7 +2404,9 @@ mod tests {
     #[test]
     fn hardware_sync_reduces_failed_speculation() {
         let (m, _) = mem_dep_module(60, false);
-        let u = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let u = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         let mut hcfg = SimConfig::cgo2004();
         hcfg.hw_sync = true;
         let h = Machine::new(&m, hcfg).run().expect("simulates");
@@ -2408,7 +2426,9 @@ mod tests {
         cfg.sync_load_policy = SyncLoadPolicy::StallTillOldest;
         let l = Machine::new(&m, cfg).run().expect("simulates");
         assert_eq!(l.output, vec![40]);
-        let fwd = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let fwd = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         // Early forwarding must be at least as fast as stalling till commit.
         assert!(
             fwd.regions[&RegionId(0)].cycles <= l.regions[&RegionId(0)].cycles,
@@ -2424,7 +2444,9 @@ mod tests {
         let oracle = tls_profile::record_oracle(&m).expect("records");
         let mut cfg = SimConfig::cgo2004();
         cfg.oracle_sel = OracleSel::AllLoads;
-        let o = Machine::with_oracle(&m, cfg, &oracle).run().expect("simulates");
+        let o = Machine::with_oracle(&m, cfg, &oracle)
+            .run()
+            .expect("simulates");
         assert_eq!(o.output, vec![40]);
         assert_eq!(o.total_violations, 0);
     }
@@ -2473,14 +2495,18 @@ mod tests {
         let m = mb.build().expect("valid");
         let seq_ref = tls_profile::run_sequential(&m).expect("runs");
         assert_eq!(seq_ref.output, vec![24]); // +2 per iteration
-        let par = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let par = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         assert_eq!(par.output, vec![24], "late stores must restart consumers");
     }
 
     #[test]
     fn sequential_mode_attributes_region_cycles() {
         let m = independent_module(32);
-        let seq = Machine::new(&m, SimConfig::sequential()).run().expect("simulates");
+        let seq = Machine::new(&m, SimConfig::sequential())
+            .run()
+            .expect("simulates");
         let r = &seq.regions[&RegionId(0)];
         assert_eq!(r.instances, 1);
         assert!(r.cycles > 0);
@@ -2495,9 +2521,15 @@ mod tests {
         cfg.mark_compiler = [load_sid].into_iter().collect();
         let r = Machine::new(&m, cfg).run().expect("simulates");
         let classes = r.violation_class_totals();
-        let compiler_covered = classes.get(&ViolationClass::CompilerOnly).copied().unwrap_or(0)
+        let compiler_covered = classes
+            .get(&ViolationClass::CompilerOnly)
+            .copied()
+            .unwrap_or(0)
             + classes.get(&ViolationClass::Both).copied().unwrap_or(0);
-        assert!(compiler_covered > 0, "marked load should dominate violations: {classes:?}");
+        assert!(
+            compiler_covered > 0,
+            "marked load should dominate violations: {classes:?}"
+        );
     }
 
     #[test]
@@ -2517,8 +2549,12 @@ mod tests {
     #[test]
     fn counters_are_observational_and_populated() {
         let (m, _) = mem_dep_module(40, true);
-        let plain = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
-        let counted = Machine::new(&m, SimConfig::cgo2004()).run_counted().expect("simulates");
+        let plain = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
+        let counted = Machine::new(&m, SimConfig::cgo2004())
+            .run_counted()
+            .expect("simulates");
         // Counting must not perturb the simulation.
         assert_eq!(counted.output, plain.output);
         assert_eq!(counted.total_cycles, plain.total_cycles);
@@ -2537,16 +2573,22 @@ mod tests {
         assert!(c.epochs_committed >= 40);
         assert!(c.wb_words_high_water >= 1);
         // Determinism: an identical run produces an identical bank.
-        let again = Machine::new(&m, SimConfig::cgo2004()).run_counted().expect("simulates");
+        let again = Machine::new(&m, SimConfig::cgo2004())
+            .run_counted()
+            .expect("simulates");
         assert_eq!(*again.counters.expect("bank"), *c);
     }
 
     #[test]
     fn counters_classify_violations_like_the_result() {
         let (m, _) = mem_dep_module(40, false);
-        let r = Machine::new(&m, SimConfig::cgo2004()).run_counted().expect("simulates");
+        let r = Machine::new(&m, SimConfig::cgo2004())
+            .run_counted()
+            .expect("simulates");
         let c = r.counters.expect("bank");
-        assert!(c.violations_of(ViolationKind::Eager) + c.violations_of(ViolationKind::CommitTime) > 0);
+        assert!(
+            c.violations_of(ViolationKind::Eager) + c.violations_of(ViolationKind::CommitTime) > 0
+        );
         // Every squashed attempt is counted; squash requests may cascade
         // over several victims, so attempts ≥ requests.
         assert_eq!(c.epochs_squashed, r.total_violations);
@@ -2701,18 +2743,26 @@ mod tests {
         // forwards must fall back and squash at least once — proof the
         // §2.2 recovery net actually fired, not that the fault was a no-op.
         let (m, _) = mem_dep_module(40, true);
-        let clean = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let clean = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         assert_eq!(clean.total_violations, 0);
         let mut cfg = SimConfig::cgo2004();
         cfg.inject = Some(FaultPlan::seeded(3, &[FaultClass::CorruptSignal], 1.0, 8));
         let r = Machine::new(&m, cfg).run().expect("simulates");
         assert_eq!(r.output, vec![40]);
-        assert!(r.faults.count(FaultClass::CorruptSignal) > 0, "fault never fired");
+        assert!(
+            r.faults.count(FaultClass::CorruptSignal) > 0,
+            "fault never fired"
+        );
         assert!(
             r.total_violations > 0,
             "corrupted forwards produced no squash: recovery path untested"
         );
-        assert!(r.total_cycles >= clean.total_cycles, "faults cannot speed a run up");
+        assert!(
+            r.total_cycles >= clean.total_cycles,
+            "faults cannot speed a run up"
+        );
     }
 
     #[test]
@@ -2724,10 +2774,19 @@ mod tests {
         // final architectural load observes.
         let (m, _) = mem_dep_module(40, true);
         let mut cfg = SimConfig::cgo2004();
-        cfg.inject = Some(FaultPlan::seeded(5, &[FaultClass::CorruptCommitWrite], 1.0, u64::MAX));
+        cfg.inject = Some(FaultPlan::seeded(
+            5,
+            &[FaultClass::CorruptCommitWrite],
+            1.0,
+            u64::MAX,
+        ));
         let r = Machine::new(&m, cfg).run().expect("simulates");
         assert!(r.faults.count(FaultClass::CorruptCommitWrite) > 0);
-        assert_ne!(r.output, vec![40], "corrupted commit write was silently masked");
+        assert_ne!(
+            r.output,
+            vec![40],
+            "corrupted commit write was silently masked"
+        );
     }
 
     #[test]
@@ -2806,7 +2865,9 @@ mod protocol_tests {
         mb.set_entry(f);
         mark_region(&mut mb, f, BlockId(1), vec![BlockId(1), BlockId(2)]);
         let m = mb.build().expect("valid");
-        let r = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let r = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         assert_eq!(r.output, vec![20], "commit-time detection keeps it correct");
         assert!(r.total_violations > 0, "the early load must be caught");
     }
@@ -2856,7 +2917,9 @@ mod protocol_tests {
         mb.set_entry(f);
         mark_region(&mut mb, f, BlockId(1), vec![BlockId(1), BlockId(2)]);
         let m = mb.build().expect("valid");
-        let line = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let line = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         let word = Machine::new(
             &m,
             SimConfig {
@@ -2868,7 +2931,10 @@ mod protocol_tests {
         .expect("simulates");
         assert_eq!(line.output, vec![12, 12]);
         assert_eq!(word.output, vec![12, 12]);
-        assert!(line.total_violations > 0, "line tracking sees false sharing");
+        assert!(
+            line.total_violations > 0,
+            "line tracking sees false sharing"
+        );
         assert!(
             word.total_violations < line.total_violations / 2,
             "word tracking keeps only the true distance-2 violations \
@@ -2921,9 +2987,16 @@ mod protocol_tests {
         fb.ret(None);
         fb.finish();
         mb.set_entry(f);
-        mark_region(&mut mb, f, BlockId(1), [(1..=5).map(BlockId).collect::<Vec<_>>()].concat());
+        mark_region(
+            &mut mb,
+            f,
+            BlockId(1),
+            [(1..=5).map(BlockId).collect::<Vec<_>>()].concat(),
+        );
         let m = mb.build().expect("valid");
-        let null_mode = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let null_mode = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         let relay = Machine::new(
             &m,
             SimConfig {
@@ -2996,8 +3069,9 @@ mod protocol_tests {
             );
             mb.build().expect("valid")
         };
-        let r = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+        let r = Machine::new(&m, SimConfig::cgo2004())
+            .run()
+            .expect("simulates");
         assert_eq!(r.output, (0..12).collect::<Vec<i64>>());
     }
-
 }

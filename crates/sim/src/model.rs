@@ -239,7 +239,9 @@ impl Model {
                     return Err(format!("region exited with epoch {e} still active"));
                 }
             }
-            TraceEvent::EpochSpawn { rid, ord, epoch, .. } => {
+            TraceEvent::EpochSpawn {
+                rid, ord, epoch, ..
+            } => {
                 let inst = self.inst(rid, ord, "spawn")?;
                 if epoch != inst.next_spawn {
                     return Err(format!(
@@ -250,13 +252,17 @@ impl Model {
                 inst.next_spawn += 1;
                 inst.epochs.insert(epoch, EpochModel::default());
             }
-            TraceEvent::EpochCancel { rid, ord, epoch, .. } => {
+            TraceEvent::EpochCancel {
+                rid, ord, epoch, ..
+            } => {
                 let inst = self.inst(rid, ord, "cancel")?;
                 inst.epochs
                     .remove(&epoch)
                     .ok_or_else(|| format!("cancel of inactive epoch {epoch}"))?;
             }
-            TraceEvent::EpochSquash { rid, ord, epoch, .. } => {
+            TraceEvent::EpochSquash {
+                rid, ord, epoch, ..
+            } => {
                 let inst = self.inst(rid, ord, "squash")?;
                 let e = inst
                     .epochs
@@ -271,45 +277,110 @@ impl Model {
                 // dooms and staging are discarded.
                 e.reset();
             }
-            TraceEvent::Violation { rid, ord, kind, addr, producer, consumer, .. } => {
+            TraceEvent::Violation {
+                rid,
+                ord,
+                kind,
+                addr,
+                producer,
+                consumer,
+                ..
+            } => {
                 self.violation(rid, ord, kind, addr, producer, consumer)?;
             }
-            TraceEvent::SpecStore { rid, ord, epoch, addr, value, .. } => {
+            TraceEvent::SpecStore {
+                rid,
+                ord,
+                epoch,
+                addr,
+                value,
+                ..
+            } => {
                 self.spec_store(rid, ord, epoch, addr, value)?;
             }
-            TraceEvent::SpecLoad { rid, ord, epoch, addr, value, exposed, .. } => {
+            TraceEvent::SpecLoad {
+                rid,
+                ord,
+                epoch,
+                addr,
+                value,
+                exposed,
+                ..
+            } => {
                 self.spec_load(rid, ord, epoch, addr, value, exposed)?;
             }
-            TraceEvent::PredictedLoad { rid, ord, epoch, addr, value, .. } => {
+            TraceEvent::PredictedLoad {
+                rid,
+                ord,
+                epoch,
+                addr,
+                value,
+                ..
+            } => {
                 let inst = self.inst(rid, ord, "predicted load")?;
                 let e = running(inst, epoch, "predicted load")?;
                 e.predicted.push((addr, value));
                 self.stats.predicted_loads += 1;
             }
-            TraceEvent::CommitWrite { rid, ord, epoch, addr, value, .. } => {
+            TraceEvent::CommitWrite {
+                rid,
+                ord,
+                epoch,
+                addr,
+                value,
+                ..
+            } => {
                 let inst = self.inst(rid, ord, "commit write")?;
                 let e = running(inst, epoch, "commit write")?;
                 if e.staged.insert(addr, value).is_some() {
-                    return Err(format!(
-                        "epoch {epoch} drained word {addr} twice at commit"
-                    ));
+                    return Err(format!("epoch {epoch} drained word {addr} twice at commit"));
                 }
             }
-            TraceEvent::EpochCommit { rid, ord, epoch, .. } => {
+            TraceEvent::EpochCommit {
+                rid, ord, epoch, ..
+            } => {
                 self.commit(rid, ord, epoch)?;
             }
-            TraceEvent::SignalSend { rid, ord, epoch, kind, addr, value, .. } => {
+            TraceEvent::SignalSend {
+                rid,
+                ord,
+                epoch,
+                kind,
+                addr,
+                value,
+                ..
+            } => {
                 self.signal_send(rid, ord, epoch, kind, addr, value)?;
             }
-            TraceEvent::SignalRecv { rid, ord, epoch, kind, addr, value, .. } => {
+            TraceEvent::SignalRecv {
+                rid,
+                ord,
+                epoch,
+                kind,
+                addr,
+                value,
+                ..
+            } => {
                 self.signal_recv(rid, ord, epoch, kind, addr, value)?;
             }
-            TraceEvent::WaitBegin { rid, ord, epoch, kind, .. } => {
+            TraceEvent::WaitBegin {
+                rid,
+                ord,
+                epoch,
+                kind,
+                ..
+            } => {
                 let inst = self.inst(rid, ord, "wait begin")?;
                 let e = running(inst, epoch, "wait begin")?;
                 e.wait = Some(kind);
             }
-            TraceEvent::WaitEnd { rid, ord, epoch, kind, .. } => {
+            TraceEvent::WaitEnd {
+                rid,
+                ord,
+                epoch,
+                kind,
+                ..
+            } => {
                 self.wait_end(rid, ord, epoch, kind)?;
             }
             // Fault-injection markers are observational: the model judges
@@ -520,14 +591,22 @@ impl Model {
         let e = inst.epochs.get_mut(&epoch).expect("min_active");
         // The drained write buffer must equal the model's, word for word.
         if e.staged != e.wb {
-            let only_sim: Vec<i64> = e.staged.keys().filter(|a| !e.wb.contains_key(a)).copied().collect();
-            let only_model: Vec<i64> = e.wb.keys().filter(|a| !e.staged.contains_key(a)).copied().collect();
-            let diff_val: Vec<i64> = e
-                .wb
-                .iter()
-                .filter(|(a, v)| e.staged.get(a).is_some_and(|s| s != *v))
-                .map(|(a, _)| *a)
+            let only_sim: Vec<i64> = e
+                .staged
+                .keys()
+                .filter(|a| !e.wb.contains_key(a))
+                .copied()
                 .collect();
+            let only_model: Vec<i64> =
+                e.wb.keys()
+                    .filter(|a| !e.staged.contains_key(a))
+                    .copied()
+                    .collect();
+            let diff_val: Vec<i64> =
+                e.wb.iter()
+                    .filter(|(a, v)| e.staged.get(a).is_some_and(|s| s != *v))
+                    .map(|(a, _)| *a)
+                    .collect();
             return Err(format!(
                 "epoch {epoch} commit drained a write buffer that differs \
                  from the model's (simulator-only words {only_sim:?}, \
@@ -596,9 +675,7 @@ impl Model {
                 // attempt), and the squash is justified only if some
                 // predicted value disagrees with committed memory.
                 if min != Some(consumer) {
-                    return Err(format!(
-                        "mispredict squash of non-oldest epoch {consumer}"
-                    ));
+                    return Err(format!("mispredict squash of non-oldest epoch {consumer}"));
                 }
                 let a = addr.ok_or("mispredict violation without an address")?;
                 let Some(&(_, pred)) = e.predicted.iter().find(|(pa, _)| *pa == a) else {
@@ -847,9 +924,7 @@ impl Model {
                 let pred = inst.epochs.get(&(epoch - 1));
                 match kind {
                     WaitKind::Oldest => false,
-                    WaitKind::Scalar(c) => {
-                        pred.is_some_and(|p| p.out_scalars.contains_key(&c))
-                    }
+                    WaitKind::Scalar(c) => pred.is_some_and(|p| p.out_scalars.contains_key(&c)),
                     WaitKind::Mem(g) => pred.is_some_and(|p| p.out_mems.contains_key(&g)),
                 }
             }
@@ -1006,7 +1081,9 @@ mod tests {
     fn conform(m: &Module, cfg: SimConfig) -> Result<ConformanceStats, String> {
         let model_cfg = ModelConfig::from_sim(&cfg);
         let mut rec = RecordingTracer::default();
-        Machine::new(m, cfg).run_traced(&mut rec).expect("simulates");
+        Machine::new(m, cfg)
+            .run_traced(&mut rec)
+            .expect("simulates");
         check_conformance(&rec.events, &model_cfg)
     }
 
@@ -1041,7 +1118,9 @@ mod tests {
         let cfg = SimConfig::cgo2004();
         let model_cfg = ModelConfig::from_sim(&cfg);
         let mut rec = RecordingTracer::default();
-        Machine::new(&m, cfg).run_traced(&mut rec).expect("simulates");
+        Machine::new(&m, cfg)
+            .run_traced(&mut rec)
+            .expect("simulates");
         // Swap the first two commits: out-of-epoch-order commit.
         let commits: Vec<usize> = rec
             .events
@@ -1063,7 +1142,9 @@ mod tests {
         let cfg = SimConfig::cgo2004();
         let model_cfg = ModelConfig::from_sim(&cfg);
         let mut rec = RecordingTracer::default();
-        Machine::new(&m, cfg).run_traced(&mut rec).expect("simulates");
+        Machine::new(&m, cfg)
+            .run_traced(&mut rec)
+            .expect("simulates");
         // Drop the first Violation: its squashes become uncovered.
         let at = rec
             .events
@@ -1082,7 +1163,9 @@ mod tests {
         let cfg = SimConfig::cgo2004();
         let model_cfg = ModelConfig::from_sim(&cfg);
         let mut rec = RecordingTracer::default();
-        Machine::new(&m, cfg).run_traced(&mut rec).expect("simulates");
+        Machine::new(&m, cfg)
+            .run_traced(&mut rec)
+            .expect("simulates");
         let at = rec
             .events
             .iter()
@@ -1146,8 +1229,7 @@ mod tests {
 
     #[test]
     fn mismatched_forwarding_conforms_without_the_fault() {
-        let stats =
-            conform(&mismatch_sync_module(40), SimConfig::cgo2004()).expect("conforms");
+        let stats = conform(&mismatch_sync_module(40), SimConfig::cgo2004()).expect("conforms");
         assert!(
             stats.justified_squashes > 0,
             "the decoy module must violate: {stats:?}"
@@ -1164,7 +1246,9 @@ mod tests {
         cfg.break_exposed_read_marking = true;
         let mut rec = RecordingTracer::default();
         let m = mismatch_sync_module(40);
-        Machine::new(&m, cfg).run_traced(&mut rec).expect("simulates");
+        Machine::new(&m, cfg)
+            .run_traced(&mut rec)
+            .expect("simulates");
         let err = check_conformance(&rec.events, &ModelConfig::from_sim(&SimConfig::cgo2004()))
             .expect_err("the fault must be detected");
         assert!(

@@ -306,10 +306,7 @@ mod tests {
         s.push_sig_buf(GroupId(1), 200);
         s.push_sig_buf(GroupId(2), 100);
         assert_eq!(s.sig_buf_high_water(), 3);
-        assert_eq!(
-            s.buffered_groups_at(100),
-            vec![GroupId(0), GroupId(2)]
-        );
+        assert_eq!(s.buffered_groups_at(100), vec![GroupId(0), GroupId(2)]);
         assert!(s.buffered_groups_at(300).is_empty());
         s.clear();
         assert!(s.buffered_groups_at(100).is_empty());

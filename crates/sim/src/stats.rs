@@ -150,7 +150,11 @@ impl StreamingStats {
         for (k, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let hi = if k == 0 { 0 } else { (1u64 << k).wrapping_sub(1) };
+                let hi = if k == 0 {
+                    0
+                } else {
+                    (1u64 << k).wrapping_sub(1)
+                };
                 return hi.min(self.max).max(self.min);
             }
         }
@@ -282,7 +286,9 @@ mod tests {
 
     #[test]
     fn streaming_matches_buffered_under_any_partition() {
-        let values: Vec<u64> = (0..200u64).map(|i| i.wrapping_mul(0x9E37_79B9).rotate_left(7) % 10_000).collect();
+        let values: Vec<u64> = (0..200u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9).rotate_left(7) % 10_000)
+            .collect();
         let buffered = StreamingStats::from_values(&values);
         // Stream one at a time.
         let mut streamed = StreamingStats::default();
@@ -314,7 +320,10 @@ mod tests {
             let truth = values[((q * 1000.0).ceil() as usize - 1).min(999)];
             let est = s.quantile(q);
             assert!(est >= truth, "upper bound: {est} >= {truth} at q={q}");
-            assert!(est <= truth.saturating_mul(2), "within 2x: {est} <= 2*{truth} at q={q}");
+            assert!(
+                est <= truth.saturating_mul(2),
+                "within 2x: {est} <= 2*{truth} at q={q}"
+            );
         }
         let empty = StreamingStats::default();
         assert_eq!(empty.quantile(0.5), 0);

@@ -233,7 +233,10 @@ mod tests {
         }
         // Graduation of the long op is at ~100; with a 4-entry ROB the
         // 5th+ instruction must wait for it.
-        assert!(max_issue >= 100, "issue ran ahead of a full ROB: {max_issue}");
+        assert!(
+            max_issue >= 100,
+            "issue ran ahead of a full ROB: {max_issue}"
+        );
     }
 
     #[test]

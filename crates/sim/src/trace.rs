@@ -79,7 +79,11 @@ pub struct ReplayedRegion {
 ///
 /// Matching the run's [`crate::RegionStats`] exactly is the event-stream
 /// completeness invariant the test suite enforces.
-pub fn replay_slots(events: &[TraceEvent], w: u64, cores: u64) -> BTreeMap<RegionId, ReplayedRegion> {
+pub fn replay_slots(
+    events: &[TraceEvent],
+    w: u64,
+    cores: u64,
+) -> BTreeMap<RegionId, ReplayedRegion> {
     struct Instance {
         t0: u64,
         attributed: u64,
@@ -127,7 +131,11 @@ pub fn replay_slots(events: &[TraceEvent], w: u64, cores: u64) -> BTreeMap<Regio
                 }
             }
             TraceEvent::EpochSquash {
-                rid, ord, start, end, ..
+                rid,
+                ord,
+                start,
+                end,
+                ..
             } => {
                 if let Some(inst) = open.get_mut(&(rid, ord)) {
                     let cycles = end.saturating_sub(start) * w;
@@ -137,7 +145,11 @@ pub fn replay_slots(events: &[TraceEvent], w: u64, cores: u64) -> BTreeMap<Regio
                 }
             }
             TraceEvent::EpochCancel {
-                rid, ord, start, end, ..
+                rid,
+                ord,
+                start,
+                end,
+                ..
             } => {
                 if let Some(inst) = open.get_mut(&(rid, ord)) {
                     let cycles = end.saturating_sub(start) * w;
@@ -269,7 +281,9 @@ pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, Str
                         }
                     }
                 }
-                TraceEvent::EpochSpawn { rid, ord, epoch, .. } => {
+                TraceEvent::EpochSpawn {
+                    rid, ord, epoch, ..
+                } => {
                     let inst = get(&mut open, rid, ord, "spawn")?;
                     if inst
                         .epochs
@@ -286,7 +300,14 @@ pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, Str
                     }
                     stats.spawns += 1;
                 }
-                TraceEvent::EpochCommit { rid, ord, epoch, start, end, .. } => {
+                TraceEvent::EpochCommit {
+                    rid,
+                    ord,
+                    epoch,
+                    start,
+                    end,
+                    ..
+                } => {
                     let inst = get(&mut open, rid, ord, "commit")?;
                     let l = live(inst, epoch, "commit")?;
                     if l.wait.is_some() {
@@ -299,7 +320,14 @@ pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, Str
                     l.closed = true;
                     stats.commits += 1;
                 }
-                TraceEvent::EpochCancel { rid, ord, epoch, start, end, .. } => {
+                TraceEvent::EpochCancel {
+                    rid,
+                    ord,
+                    epoch,
+                    start,
+                    end,
+                    ..
+                } => {
                     let inst = get(&mut open, rid, ord, "cancel")?;
                     let l = live(inst, epoch, "cancel")?;
                     if l.wait.is_some() {
@@ -312,7 +340,15 @@ pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, Str
                     l.closed = true;
                     stats.cancels += 1;
                 }
-                TraceEvent::EpochSquash { rid, ord, epoch, start, end, restart, .. } => {
+                TraceEvent::EpochSquash {
+                    rid,
+                    ord,
+                    epoch,
+                    start,
+                    end,
+                    restart,
+                    ..
+                } => {
                     let inst = get(&mut open, rid, ord, "squash")?;
                     let l = live(inst, epoch, "squash")?;
                     if l.wait.is_some() {
@@ -325,12 +361,21 @@ pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, Str
                     // ledger stays open.
                     stats.squashes += 1;
                 }
-                TraceEvent::Violation { rid, ord, consumer, .. } => {
+                TraceEvent::Violation {
+                    rid, ord, consumer, ..
+                } => {
                     let inst = get(&mut open, rid, ord, "violation")?;
                     live(inst, consumer, "violation")?;
                     stats.violations += 1;
                 }
-                TraceEvent::WaitBegin { rid, ord, epoch, kind, time, .. } => {
+                TraceEvent::WaitBegin {
+                    rid,
+                    ord,
+                    epoch,
+                    kind,
+                    time,
+                    ..
+                } => {
                     let inst = get(&mut open, rid, ord, "wait-begin")?;
                     let l = live(inst, epoch, "wait-begin")?;
                     if let Some((k, _)) = l.wait {
@@ -340,7 +385,15 @@ pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, Str
                     }
                     l.wait = Some((kind, time));
                 }
-                TraceEvent::WaitEnd { rid, ord, epoch, kind, since, time, .. } => {
+                TraceEvent::WaitEnd {
+                    rid,
+                    ord,
+                    epoch,
+                    kind,
+                    since,
+                    time,
+                    ..
+                } => {
                     let inst = get(&mut open, rid, ord, "wait-end")?;
                     let l = live(inst, epoch, "wait-end")?;
                     match l.wait.take() {
@@ -354,24 +407,37 @@ pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, Str
                                 "wait-end {kind:?}@{since} does not match open wait {k:?}@{s}"
                             ));
                         }
-                        None => {
-                            return Err(format!("epoch {epoch} ended a wait it never began"))
-                        }
+                        None => return Err(format!("epoch {epoch} ended a wait it never began")),
                     }
                 }
-                TraceEvent::SignalSend { rid, ord, epoch, kind, addr, value, .. } => {
+                TraceEvent::SignalSend {
+                    rid,
+                    ord,
+                    epoch,
+                    kind,
+                    addr,
+                    value,
+                    ..
+                } => {
                     let inst = get(&mut open, rid, ord, "send")?;
                     live(inst, epoch, "send")?;
                     if let (SignalKind::Mem(g) | SignalKind::MemNull(g), Some(a)) = (kind, addr) {
                         inst.mem_sends.insert((g.0, a, value));
                     }
                 }
-                TraceEvent::SignalRecv { rid, ord, epoch, kind, addr, value, .. } => {
+                TraceEvent::SignalRecv {
+                    rid,
+                    ord,
+                    epoch,
+                    kind,
+                    addr,
+                    value,
+                    ..
+                } => {
                     let inst = get(&mut open, rid, ord, "recv")?;
                     live(inst, epoch, "recv")?;
                     if let SignalKind::Mem(g) | SignalKind::MemNull(g) = kind {
-                        let a =
-                            addr.ok_or("memory recv without a forwarded address")?;
+                        let a = addr.ok_or("memory recv without a forwarded address")?;
                         if !inst.mem_sends.contains(&(g.0, a, value)) {
                             return Err(format!(
                                 "recv of ({a}, {value}) on group {} without a matching send",
@@ -380,25 +446,40 @@ pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, Str
                         }
                     }
                 }
-                TraceEvent::SpecStore { rid, ord, epoch, .. } => {
+                TraceEvent::SpecStore {
+                    rid, ord, epoch, ..
+                } => {
                     let inst = get(&mut open, rid, ord, "spec-store")?;
                     live(inst, epoch, "spec-store")?;
                 }
-                TraceEvent::SpecLoad { rid, ord, epoch, .. } => {
+                TraceEvent::SpecLoad {
+                    rid, ord, epoch, ..
+                } => {
                     let inst = get(&mut open, rid, ord, "spec-load")?;
                     live(inst, epoch, "spec-load")?;
                 }
-                TraceEvent::PredictedLoad { rid, ord, epoch, .. } => {
+                TraceEvent::PredictedLoad {
+                    rid, ord, epoch, ..
+                } => {
                     let inst = get(&mut open, rid, ord, "predicted-load")?;
                     live(inst, epoch, "predicted-load")?;
                 }
-                TraceEvent::CommitWrite { rid, ord, epoch, .. } => {
+                TraceEvent::CommitWrite {
+                    rid, ord, epoch, ..
+                } => {
                     // Emitted while the committing attempt is still open
                     // (just before its EpochCommit).
                     let inst = get(&mut open, rid, ord, "commit-write")?;
                     live(inst, epoch, "commit-write")?;
                 }
-                TraceEvent::PolicyTransition { rid, ord, epoch, from, to, .. } => {
+                TraceEvent::PolicyTransition {
+                    rid,
+                    ord,
+                    epoch,
+                    from,
+                    to,
+                    ..
+                } => {
                     // A policy switch is always driven by a live epoch's
                     // load (or its violation) inside an open instance, and
                     // never switches a dependence to the policy it already
@@ -492,24 +573,27 @@ pub fn perfetto_json(events: &[TraceEvent]) -> String {
                 .raw("dur", end.saturating_sub(start))
                 .str("cname", cname)
                 .obj("args", |w| {
-                    w.raw("ord", ord).raw("epoch", epoch).str("outcome", outcome);
+                    w.raw("ord", ord)
+                        .raw("epoch", epoch)
+                        .str("outcome", outcome);
                     extra(w);
                 });
         });
         (start, row)
     };
-    let instant = |name: &str, rid: RegionId, core: usize, time: u64, args: &dyn Fn(&mut Writer)| {
-        let row = json::object(|w| {
-            w.str("ph", "i")
-                .str("name", name)
-                .str("s", "t")
-                .raw("pid", rid.0)
-                .raw("tid", core)
-                .raw("ts", time)
-                .obj("args", args);
-        });
-        (time, row)
-    };
+    let instant =
+        |name: &str, rid: RegionId, core: usize, time: u64, args: &dyn Fn(&mut Writer)| {
+            let row = json::object(|w| {
+                w.str("ph", "i")
+                    .str("name", name)
+                    .str("s", "t")
+                    .raw("pid", rid.0)
+                    .raw("tid", core)
+                    .raw("ts", time)
+                    .obj("args", args);
+            });
+            (time, row)
+        };
     // Unknown sids and addresses are left out rather than written as null.
     let sids = |w: &mut Writer, load: Option<tls_ir::Sid>, store: Option<tls_ir::Sid>| {
         if let Some(l) = load {
@@ -523,25 +607,89 @@ pub fn perfetto_json(events: &[TraceEvent]) -> String {
     for ev in events {
         match *ev {
             TraceEvent::EpochSpawn { rid, core, .. } => track(rid, core),
-            TraceEvent::EpochCommit { rid, ord, epoch, core, start, end, graduated, sync_cycles } => {
+            TraceEvent::EpochCommit {
+                rid,
+                ord,
+                epoch,
+                core,
+                start,
+                end,
+                graduated,
+                sync_cycles,
+            } => {
                 track(rid, core);
-                rows.push(slice(rid, ord, epoch, core, (start, end), ("commit", "good"), &|w| {
-                    w.raw("graduated", graduated).raw("sync_cycles", sync_cycles);
-                }));
+                rows.push(slice(
+                    rid,
+                    ord,
+                    epoch,
+                    core,
+                    (start, end),
+                    ("commit", "good"),
+                    &|w| {
+                        w.raw("graduated", graduated)
+                            .raw("sync_cycles", sync_cycles);
+                    },
+                ));
             }
-            TraceEvent::EpochSquash { rid, ord, epoch, core, start, end, load_sid, store_sid, .. } => {
+            TraceEvent::EpochSquash {
+                rid,
+                ord,
+                epoch,
+                core,
+                start,
+                end,
+                load_sid,
+                store_sid,
+                ..
+            } => {
                 track(rid, core);
-                rows.push(slice(rid, ord, epoch, core, (start, end), ("squash", "terrible"), &|w| {
-                    sids(w, load_sid, store_sid);
-                }));
+                rows.push(slice(
+                    rid,
+                    ord,
+                    epoch,
+                    core,
+                    (start, end),
+                    ("squash", "terrible"),
+                    &|w| {
+                        sids(w, load_sid, store_sid);
+                    },
+                ));
             }
-            TraceEvent::EpochCancel { rid, ord, epoch, core, start, end } => {
+            TraceEvent::EpochCancel {
+                rid,
+                ord,
+                epoch,
+                core,
+                start,
+                end,
+            } => {
                 track(rid, core);
-                rows.push(slice(rid, ord, epoch, core, (start, end), ("cancel", "grey"), &|_| {}));
+                rows.push(slice(
+                    rid,
+                    ord,
+                    epoch,
+                    core,
+                    (start, end),
+                    ("cancel", "grey"),
+                    &|_| {},
+                ));
             }
-            TraceEvent::Violation { rid, ord, kind, load_sid, store_sid, addr, producer, consumer, core, time } => {
+            TraceEvent::Violation {
+                rid,
+                ord,
+                kind,
+                load_sid,
+                store_sid,
+                addr,
+                producer,
+                consumer,
+                core,
+                time,
+            } => {
                 rows.push(instant("violation", rid, core, time, &|w| {
-                    w.str("kind", kind.name()).raw("ord", ord).raw("consumer", consumer);
+                    w.str("kind", kind.name())
+                        .raw("ord", ord)
+                        .raw("consumer", consumer);
                     sids(w, load_sid, store_sid);
                     if let Some(a) = addr {
                         w.raw("addr", a);
@@ -551,8 +699,26 @@ pub fn perfetto_json(events: &[TraceEvent]) -> String {
                     }
                 }));
             }
-            TraceEvent::SignalSend { rid, ord, epoch, core, kind, addr, value, time }
-            | TraceEvent::SignalRecv { rid, ord, epoch, core, kind, addr, value, time } => {
+            TraceEvent::SignalSend {
+                rid,
+                ord,
+                epoch,
+                core,
+                kind,
+                addr,
+                value,
+                time,
+            }
+            | TraceEvent::SignalRecv {
+                rid,
+                ord,
+                epoch,
+                core,
+                kind,
+                addr,
+                value,
+                time,
+            } => {
                 let name = if matches!(ev, TraceEvent::SignalSend { .. }) {
                     "send"
                 } else {
@@ -593,9 +759,7 @@ pub fn perfetto_json(events: &[TraceEvent]) -> String {
 /// A description of the first schema violation.
 pub fn validate_perfetto(json: &str) -> Result<usize, String> {
     let doc = parse_json(json)?;
-    let events = doc
-        .get("traceEvents")
-        .ok_or("missing `traceEvents`")?;
+    let events = doc.get("traceEvents").ok_or("missing `traceEvents`")?;
     let Json::Arr(events) = events else {
         return Err("`traceEvents` is not an array".into());
     };
@@ -649,7 +813,9 @@ fn parse_wait_kind(s: &str) -> Result<WaitKind, String> {
     if s == "oldest" {
         return Ok(WaitKind::Oldest);
     }
-    let (tag, id) = s.split_once(':').ok_or_else(|| format!("bad wait kind `{s}`"))?;
+    let (tag, id) = s
+        .split_once(':')
+        .ok_or_else(|| format!("bad wait kind `{s}`"))?;
     let id: u32 = id.parse().map_err(|_| format!("bad wait kind id `{s}`"))?;
     match tag {
         "scalar" => Ok(WaitKind::Scalar(tls_ir::ChanId(id))),
@@ -667,8 +833,12 @@ fn signal_kind_str(k: SignalKind) -> String {
 }
 
 fn parse_signal_kind(s: &str) -> Result<SignalKind, String> {
-    let (tag, id) = s.split_once(':').ok_or_else(|| format!("bad signal kind `{s}`"))?;
-    let id: u32 = id.parse().map_err(|_| format!("bad signal kind id `{s}`"))?;
+    let (tag, id) = s
+        .split_once(':')
+        .ok_or_else(|| format!("bad signal kind `{s}`"))?;
+    let id: u32 = id
+        .parse()
+        .map_err(|_| format!("bad signal kind id `{s}`"))?;
     match tag {
         "scalar" => Ok(SignalKind::Scalar(tls_ir::ChanId(id))),
         "mem" => Ok(SignalKind::Mem(tls_ir::GroupId(id))),
@@ -717,74 +887,263 @@ fn write_event(w: &mut Writer, ev: &TraceEvent) {
         | TraceEvent::Reprofile { rid, ord, time } => {
             w.raw("rid", rid.0).raw("ord", ord).raw("time", time);
         }
-        TraceEvent::EpochSpawn { rid, ord, epoch, core, time } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core).raw("time", time);
+        TraceEvent::EpochSpawn {
+            rid,
+            ord,
+            epoch,
+            core,
+            time,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core)
+                .raw("time", time);
         }
-        TraceEvent::EpochCommit { rid, ord, epoch, core, start, end, graduated, sync_cycles } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
+        TraceEvent::EpochCommit {
+            rid,
+            ord,
+            epoch,
+            core,
+            start,
+            end,
+            graduated,
+            sync_cycles,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
             w.raw("start", start).raw("end", end);
-            w.raw("graduated", graduated).raw("sync_cycles", sync_cycles);
+            w.raw("graduated", graduated)
+                .raw("sync_cycles", sync_cycles);
         }
-        TraceEvent::EpochSquash { rid, ord, epoch, core, start, end, restart, load_sid, store_sid } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
-            w.raw("start", start).raw("end", end).raw("restart", restart);
+        TraceEvent::EpochSquash {
+            rid,
+            ord,
+            epoch,
+            core,
+            start,
+            end,
+            restart,
+            load_sid,
+            store_sid,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
+            w.raw("start", start)
+                .raw("end", end)
+                .raw("restart", restart);
             w.opt("load_sid", load_sid.map(|s| s.0), Writer::raw);
             w.opt("store_sid", store_sid.map(|s| s.0), Writer::raw);
         }
-        TraceEvent::EpochCancel { rid, ord, epoch, core, start, end } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
+        TraceEvent::EpochCancel {
+            rid,
+            ord,
+            epoch,
+            core,
+            start,
+            end,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
             w.raw("start", start).raw("end", end);
         }
-        TraceEvent::Violation { rid, ord, kind, load_sid, store_sid, addr, producer, consumer, core, time } => {
+        TraceEvent::Violation {
+            rid,
+            ord,
+            kind,
+            load_sid,
+            store_sid,
+            addr,
+            producer,
+            consumer,
+            core,
+            time,
+        } => {
             w.raw("rid", rid.0).raw("ord", ord).str("kind", kind.name());
-            w.raw("consumer", consumer).raw("core", core).raw("time", time);
+            w.raw("consumer", consumer)
+                .raw("core", core)
+                .raw("time", time);
             w.opt("load_sid", load_sid.map(|s| s.0), Writer::raw);
             w.opt("store_sid", store_sid.map(|s| s.0), Writer::raw);
-            w.opt("addr", addr, Writer::i64).opt("producer", producer, Writer::raw);
+            w.opt("addr", addr, Writer::i64)
+                .opt("producer", producer, Writer::raw);
         }
-        TraceEvent::WaitBegin { rid, ord, epoch, core, kind, time } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
+        TraceEvent::WaitBegin {
+            rid,
+            ord,
+            epoch,
+            core,
+            kind,
+            time,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
             w.str("kind", &wait_kind_str(kind)).raw("time", time);
         }
-        TraceEvent::WaitEnd { rid, ord, epoch, core, kind, since, time } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
-            w.str("kind", &wait_kind_str(kind)).raw("since", since).raw("time", time);
+        TraceEvent::WaitEnd {
+            rid,
+            ord,
+            epoch,
+            core,
+            kind,
+            since,
+            time,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
+            w.str("kind", &wait_kind_str(kind))
+                .raw("since", since)
+                .raw("time", time);
         }
-        TraceEvent::SignalSend { rid, ord, epoch, core, kind, addr, value, time }
-        | TraceEvent::SignalRecv { rid, ord, epoch, core, kind, addr, value, time } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
+        TraceEvent::SignalSend {
+            rid,
+            ord,
+            epoch,
+            core,
+            kind,
+            addr,
+            value,
+            time,
+        }
+        | TraceEvent::SignalRecv {
+            rid,
+            ord,
+            epoch,
+            core,
+            kind,
+            addr,
+            value,
+            time,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
             w.str("kind", &signal_kind_str(kind)).raw("time", time);
             w.opt("addr", addr, Writer::i64).i64("value", value);
         }
-        TraceEvent::LineEvict { core, line, speculative, time } => {
-            w.raw("core", core).raw("speculative", speculative).raw("time", time).i64("line", line);
+        TraceEvent::LineEvict {
+            core,
+            line,
+            speculative,
+            time,
+        } => {
+            w.raw("core", core)
+                .raw("speculative", speculative)
+                .raw("time", time)
+                .i64("line", line);
         }
-        TraceEvent::SlotSample { rid, ord, time, slots } => {
+        TraceEvent::SlotSample {
+            rid,
+            ord,
+            time,
+            slots,
+        } => {
             w.raw("rid", rid.0).raw("ord", ord).raw("time", time);
             w.raw("busy", slots.busy).raw("fail", slots.fail);
             w.raw("sync", slots.sync).raw("other", slots.other);
         }
-        TraceEvent::SpecStore { rid, ord, epoch, core, sid, addr, value, time }
-        | TraceEvent::PredictedLoad { rid, ord, epoch, core, sid, addr, value, time } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
-            w.raw("sid", sid.0).raw("time", time).i64("addr", addr).i64("value", value);
+        TraceEvent::SpecStore {
+            rid,
+            ord,
+            epoch,
+            core,
+            sid,
+            addr,
+            value,
+            time,
         }
-        TraceEvent::SpecLoad { rid, ord, epoch, core, sid, addr, value, exposed, time } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
-            w.raw("sid", sid.0).raw("exposed", exposed).raw("time", time);
+        | TraceEvent::PredictedLoad {
+            rid,
+            ord,
+            epoch,
+            core,
+            sid,
+            addr,
+            value,
+            time,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
+            w.raw("sid", sid.0)
+                .raw("time", time)
+                .i64("addr", addr)
+                .i64("value", value);
+        }
+        TraceEvent::SpecLoad {
+            rid,
+            ord,
+            epoch,
+            core,
+            sid,
+            addr,
+            value,
+            exposed,
+            time,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
+            w.raw("sid", sid.0)
+                .raw("exposed", exposed)
+                .raw("time", time);
             w.i64("addr", addr).i64("value", value);
         }
-        TraceEvent::PolicyTransition { rid, ord, epoch, core, sid, from, to, time } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("core", core);
-            w.raw("sid", sid.0).str("from", from.name()).str("to", to.name()).raw("time", time);
+        TraceEvent::PolicyTransition {
+            rid,
+            ord,
+            epoch,
+            core,
+            sid,
+            from,
+            to,
+            time,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("core", core);
+            w.raw("sid", sid.0)
+                .str("from", from.name())
+                .str("to", to.name())
+                .raw("time", time);
         }
-        TraceEvent::CommitWrite { rid, ord, epoch, addr, value, time } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("epoch", epoch).raw("time", time);
+        TraceEvent::CommitWrite {
+            rid,
+            ord,
+            epoch,
+            addr,
+            value,
+            time,
+        } => {
+            w.raw("rid", rid.0)
+                .raw("ord", ord)
+                .raw("epoch", epoch)
+                .raw("time", time);
             w.i64("addr", addr).i64("value", value);
         }
-        TraceEvent::FaultInject { class, epoch, addr, time } => {
+        TraceEvent::FaultInject {
+            class,
+            epoch,
+            addr,
+            time,
+        } => {
             w.str("class", class.name()).raw("time", time);
-            w.opt("epoch", epoch, Writer::raw).opt("addr", addr, Writer::i64);
+            w.opt("epoch", epoch, Writer::raw)
+                .opt("addr", addr, Writer::i64);
         }
     }
 }
@@ -821,9 +1180,7 @@ fn event_name(ev: &TraceEvent) -> &'static str {
 /// A description of the first syntax or schema error.
 pub fn events_from_json(s: &str) -> Result<Vec<TraceEvent>, String> {
     let doc = parse_json(s)?;
-    let events = doc
-        .get("traceEventsV1")
-        .ok_or("missing `traceEventsV1`")?;
+    let events = doc.get("traceEventsV1").ok_or("missing `traceEventsV1`")?;
     let Json::Arr(events) = events else {
         return Err("`traceEventsV1` is not an array".into());
     };
@@ -919,9 +1276,27 @@ fn read_event(o: &Json) -> Result<TraceEvent, String> {
             let (addr, value) = (o.opt("addr", Json::i64)?, o.i64("value")?);
             let time = o.uint("time")?;
             if name == "signal_send" {
-                TraceEvent::SignalSend { rid, ord, epoch, core, kind, addr, value, time }
+                TraceEvent::SignalSend {
+                    rid,
+                    ord,
+                    epoch,
+                    core,
+                    kind,
+                    addr,
+                    value,
+                    time,
+                }
             } else {
-                TraceEvent::SignalRecv { rid, ord, epoch, core, kind, addr, value, time }
+                TraceEvent::SignalRecv {
+                    rid,
+                    ord,
+                    epoch,
+                    core,
+                    kind,
+                    addr,
+                    value,
+                    time,
+                }
             }
         }
         "line_evict" => TraceEvent::LineEvict {
@@ -998,7 +1373,8 @@ fn read_event(o: &Json) -> Result<TraceEvent, String> {
         "fault_inject" => TraceEvent::FaultInject {
             class: {
                 let name = o.str("class")?;
-                FaultClass::from_name(name).ok_or_else(|| format!("unknown fault class `{name}`"))?
+                FaultClass::from_name(name)
+                    .ok_or_else(|| format!("unknown fault class `{name}`"))?
             },
             epoch: o.opt("epoch", Json::uint)?,
             addr: o.opt("addr", Json::i64)?,
@@ -1039,22 +1415,49 @@ pub fn ascii_timeline(events: &[TraceEvent], width: usize, max_instances: usize)
                     inst.end = time;
                 }
             }
-            TraceEvent::EpochCommit { rid, ord, core, start, end, .. } => {
+            TraceEvent::EpochCommit {
+                rid,
+                ord,
+                core,
+                start,
+                end,
+                ..
+            } => {
                 if let Some(inst) = insts.get_mut(&(rid, ord)) {
                     inst.spans.push((core, start, end, b'#'));
                 }
             }
-            TraceEvent::EpochSquash { rid, ord, core, start, end, .. } => {
+            TraceEvent::EpochSquash {
+                rid,
+                ord,
+                core,
+                start,
+                end,
+                ..
+            } => {
                 if let Some(inst) = insts.get_mut(&(rid, ord)) {
                     inst.spans.push((core, start, end, b'x'));
                 }
             }
-            TraceEvent::EpochCancel { rid, ord, core, start, end, .. } => {
+            TraceEvent::EpochCancel {
+                rid,
+                ord,
+                core,
+                start,
+                end,
+                ..
+            } => {
                 if let Some(inst) = insts.get_mut(&(rid, ord)) {
                     inst.spans.push((core, start, end, b'o'));
                 }
             }
-            TraceEvent::Violation { rid, ord, core, time, .. } => {
+            TraceEvent::Violation {
+                rid,
+                ord,
+                core,
+                time,
+                ..
+            } => {
                 if let Some(inst) = insts.get_mut(&(rid, ord)) {
                     inst.bangs.push((core, time));
                 }
@@ -1064,7 +1467,11 @@ pub fn ascii_timeline(events: &[TraceEvent], width: usize, max_instances: usize)
     }
     let mut order: Vec<(&(RegionId, u64), &Inst)> = insts.iter().collect();
     order.sort_by_key(|((rid, ord), inst)| {
-        (std::cmp::Reverse(inst.end.saturating_sub(inst.t0)), rid.0, *ord)
+        (
+            std::cmp::Reverse(inst.end.saturating_sub(inst.t0)),
+            rid.0,
+            *ord,
+        )
     });
     let shown = order.len().min(max_instances);
     let mut out = String::new();
@@ -1186,7 +1593,9 @@ mod tests {
 
     fn traced(m: &Module, cfg: SimConfig) -> (crate::SimResult, Vec<TraceEvent>) {
         let mut rec = RecordingTracer::default();
-        let r = Machine::new(m, cfg).run_traced(&mut rec).expect("simulates");
+        let r = Machine::new(m, cfg)
+            .run_traced(&mut rec)
+            .expect("simulates");
         (r, rec.events)
     }
 
@@ -1194,12 +1603,17 @@ mod tests {
     fn tracing_does_not_change_results() {
         for synced in [false, true] {
             let m = mem_dep_module(40, synced);
-            let plain = Machine::new(&m, SimConfig::cgo2004()).run().expect("simulates");
+            let plain = Machine::new(&m, SimConfig::cgo2004())
+                .run()
+                .expect("simulates");
             let (rec, _) = traced(&m, SimConfig::cgo2004());
             assert_eq!(plain.output, rec.output);
             assert_eq!(plain.total_cycles, rec.total_cycles);
             assert_eq!(plain.total_violations, rec.total_violations);
-            assert_eq!(plain.regions[&RegionId(0)].slots, rec.regions[&RegionId(0)].slots);
+            assert_eq!(
+                plain.regions[&RegionId(0)].slots,
+                rec.regions[&RegionId(0)].slots
+            );
             let mut null = NullTracer;
             let viaconst = Machine::new(&m, SimConfig::cgo2004())
                 .run_traced(&mut null)
@@ -1217,7 +1631,10 @@ mod tests {
             let (result, events) = traced(&m, cfg);
             let replayed = replay_slots(&events, w, cores);
             let rid = RegionId(0);
-            assert_eq!(replayed[&rid].slots, result.regions[&rid].slots, "synced={synced}");
+            assert_eq!(
+                replayed[&rid].slots, result.regions[&rid].slots,
+                "synced={synced}"
+            );
             assert_eq!(replayed[&rid].cycles, result.regions[&rid].cycles);
             assert_eq!(replayed[&rid].violations, result.total_violations);
             assert_eq!(replayed[&rid].epochs, result.regions[&rid].epochs);
@@ -1235,7 +1652,9 @@ mod tests {
             assert!(stats.commits >= 40);
             if synced {
                 assert!(
-                    events.iter().any(|e| matches!(e, TraceEvent::SignalRecv { .. })),
+                    events
+                        .iter()
+                        .any(|e| matches!(e, TraceEvent::SignalRecv { .. })),
                     "forwarded values must be consumed"
                 );
             }

@@ -6,7 +6,9 @@
 //! parallel run against the sequential run of the same module: the
 //! architectural state must be identical no matter what the detector did.
 
-use tls_ir::{BinOp, FuncBuilder, GlobalId, Module, Operand, RegionId, SpecRegion, Var, LINE_WORDS};
+use tls_ir::{
+    BinOp, FuncBuilder, GlobalId, Module, Operand, RegionId, SpecRegion, Var, LINE_WORDS,
+};
 use tls_sim::{simulate, SimConfig, SimResult};
 
 const TRIP: i64 = 3;

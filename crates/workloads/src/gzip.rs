@@ -266,8 +266,10 @@ mod tests {
 
     #[test]
     fn comp2_does_more_work_than_comp1() {
-        let a = tls_profile::run_sequential(&build_comp1(InputSet::Ref, Scale::BASE)).expect("runs");
-        let b = tls_profile::run_sequential(&build_comp2(InputSet::Ref, Scale::BASE)).expect("runs");
+        let a =
+            tls_profile::run_sequential(&build_comp1(InputSet::Ref, Scale::BASE)).expect("runs");
+        let b =
+            tls_profile::run_sequential(&build_comp2(InputSet::Ref, Scale::BASE)).expect("runs");
         assert!(b.steps > a.steps);
     }
 
@@ -286,6 +288,9 @@ mod tests {
             .values()
             .map(|e| e.epochs as f64 / lp.total_iters as f64)
             .fold(0.0f64, f64::max);
-        assert!(max_freq > 0.9, "out_pos dep must be near-universal: {max_freq}");
+        assert!(
+            max_freq > 0.9,
+            "out_pos dep must be near-universal: {max_freq}"
+        );
     }
 }

@@ -118,6 +118,9 @@ mod tests {
             .values()
             .map(|e| e.epochs as f64 / lp.total_iters as f64)
             .fold(0.0f64, f64::max);
-        assert!(max_freq > 0.9, "rng_state dep must be near-universal: {max_freq}");
+        assert!(
+            max_freq > 0.9,
+            "rng_state dep must be near-universal: {max_freq}"
+        );
     }
 }

@@ -8,7 +8,9 @@
 use tls_repro::experiments::{Harness, Mode, Scale};
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "parser".to_string());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "parser".to_string());
     let Some(workload) = tls_repro::workloads::by_name(&name) else {
         eprintln!(
             "unknown workload `{name}`; available: {}",

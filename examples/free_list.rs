@@ -15,7 +15,10 @@ use tls_repro::experiments::{Harness, Mode, Scale};
 
 fn main() {
     let workload = tls_repro::workloads::by_name("parser").expect("parser exists");
-    println!("workload: {} (stands in for {})", workload.name, workload.paper_name);
+    println!(
+        "workload: {} (stands in for {})",
+        workload.name, workload.paper_name
+    );
     println!("pattern:  {}\n", workload.pattern);
 
     let h = Harness::new(workload, Scale::Quick).expect("harness builds");

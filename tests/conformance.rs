@@ -58,8 +58,8 @@ fn prediction_path_is_exercised() {
     let mut predicted = 0;
     for name in ["parser", "m88ksim", "go"] {
         let h = quick(name);
-        let stats = conform::conform_run(&h, Mode::HwPredict)
-            .unwrap_or_else(|e| panic!("{name}/P: {e}"));
+        let stats =
+            conform::conform_run(&h, Mode::HwPredict).unwrap_or_else(|e| panic!("{name}/P: {e}"));
         predicted += stats.predicted_loads;
     }
     assert!(predicted > 0, "no workload exercised value prediction");
@@ -195,10 +195,7 @@ fn event_streams_round_trip_through_json() {
 #[test]
 fn conformance_agrees_with_the_canonical_mode_list() {
     // `spec_modes` is MODES minus the sequential baseline, in order.
-    assert_eq!(
-        spec_modes().len() + 1,
-        tls_repro::experiments::MODES.len()
-    );
+    assert_eq!(spec_modes().len() + 1, tls_repro::experiments::MODES.len());
     assert_eq!(tls_repro::experiments::MODES[0], Mode::Seq);
     assert!(!spec_modes().contains(&Mode::Seq));
     for m in PATHS {

@@ -18,7 +18,11 @@ fn smoke_corpus_is_clean() {
     let cfg = FuzzConfig::default();
     let report = fuzz::run_fuzz(1, 200, &cfg, None).expect("valid generator config");
     assert_eq!(report.iters, 200);
-    let summaries: Vec<String> = report.failures.iter().map(|f| f.failure.to_string()).collect();
+    let summaries: Vec<String> = report
+        .failures
+        .iter()
+        .map(|f| f.failure.to_string())
+        .collect();
     assert!(
         report.failures.is_empty(),
         "fuzz smoke corpus found mismatches: {summaries:?}"
@@ -43,8 +47,11 @@ fn scenario_families_are_oracle_equal_across_all_modes() {
             ..FuzzConfig::default()
         };
         let report = fuzz::run_fuzz(1, 10, &cfg, None).expect("valid generator config");
-        let summaries: Vec<String> =
-            report.failures.iter().map(|f| f.failure.to_string()).collect();
+        let summaries: Vec<String> = report
+            .failures
+            .iter()
+            .map(|f| f.failure.to_string())
+            .collect();
         assert!(
             report.failures.is_empty(),
             "{} family diverged from the oracle: {summaries:?}",
@@ -85,7 +92,10 @@ fn phase_shift_seeds_exercise_policy_transitions() {
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let t = h.run(Mode::CompilerTrain).expect("T runs");
         let at = h.run_counted(Mode::AdaptiveTrain).expect("A-T runs");
-        let c = at.counters.as_deref().expect("a counted run publishes its bank");
+        let c = at
+            .counters
+            .as_deref()
+            .expect("a counted run publishes its bank");
         assert!(
             c.total_policy_transitions() >= 1,
             "seed {seed}: no mid-run policy transition (counters: {:?})",

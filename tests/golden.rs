@@ -94,7 +94,10 @@ fn full_scale_output_matches_results_file() {
         .lines()
         .zip(got.lines())
         .position(|(w, g)| w != g)
-        .map_or_else(|| "past the shorter file".to_string(), |i| format!("{}", i + 1));
+        .map_or_else(
+            || "past the shorter file".to_string(),
+            |i| format!("{}", i + 1),
+        );
     assert!(
         got == want,
         "repro all output differs from {} (first at line {first}; {} vs {} lines); inspect \

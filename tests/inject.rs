@@ -49,7 +49,12 @@ fn corrupted_signals_are_masked_with_extra_squashes() {
         for mode in SYNC_MODES {
             let report = run_campaign(&h, mode, 1, 25, &cfg)
                 .unwrap_or_else(|e| panic!("{name}/{}: baseline failed: {e}", mode.label()));
-            assert!(report.errors.is_empty(), "{name}/{}: {:?}", mode.label(), report.errors);
+            assert!(
+                report.errors.is_empty(),
+                "{name}/{}: {:?}",
+                mode.label(),
+                report.errors
+            );
             assert_eq!(report.results.len(), 25);
             let mut fired = 0u64;
             let mut squashes_added = 0u64;
@@ -119,8 +124,7 @@ fn a_panicking_worker_is_one_structured_error() {
         panic_on_plan: Some(2),
     };
     let h = quick("mcf");
-    let report =
-        run_campaign(&h, Mode::CompilerRef, 10, 6, &cfg).expect("baseline runs");
+    let report = run_campaign(&h, Mode::CompilerRef, 10, 6, &cfg).expect("baseline runs");
     assert_eq!(report.errors.len(), 1, "{:?}", report.errors);
     assert!(
         report.errors[0].detail.contains("deliberate worker panic"),
@@ -174,11 +178,19 @@ fn every_fault_class_is_partitioned_exactly_once() {
     // in both (or neither) partition would silently skew every judgement.
     let mut seen = Vec::new();
     for c in FaultClass::MASKABLE {
-        assert!(c.is_maskable(), "{} listed maskable but not judged so", c.name());
+        assert!(
+            c.is_maskable(),
+            "{} listed maskable but not judged so",
+            c.name()
+        );
         seen.push(c);
     }
     for c in FaultClass::CONTRACT {
-        assert!(!c.is_maskable(), "{} listed contract but judged maskable", c.name());
+        assert!(
+            !c.is_maskable(),
+            "{} listed contract but judged maskable",
+            c.name()
+        );
         seen.push(c);
     }
     seen.sort_by_key(|c| c.name());

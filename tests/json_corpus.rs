@@ -160,7 +160,11 @@ fn seed_documents() -> Vec<String> {
         ),
         format!(
             "# tls-fuzz failure artifact\n# seed: 16\n{}",
-            serial::to_text(&generate(16, &GenConfig::for_family(GenFamily::PhaseShift), 0))
+            serial::to_text(&generate(
+                16,
+                &GenConfig::for_family(GenFamily::PhaseShift),
+                0
+            ))
         ),
     ];
     docs.extend(

@@ -82,7 +82,10 @@ fn violation_rate_is_scale_independent_for_fixed_patterns() {
             (r4 / r1 - 1.0).abs() < 0.25,
             "{name}: violation rate drifted under scaling: {r1:.3}/epoch at 1x vs {r4:.3} at 4x"
         );
-        assert!(r1 > 0.1, "{name}: the pattern must actually violate ({r1:.3}/epoch)");
+        assert!(
+            r1 > 0.1,
+            "{name}: the pattern must actually violate ({r1:.3}/epoch)"
+        );
     }
 }
 
@@ -179,7 +182,10 @@ fn adaptive_beats_stale_train_profile_on_phase_shift() {
             .expect("counted run publishes its bank")
             .total_policy_transitions();
     }
-    assert!(t_viol > 50, "the corpus must actually hurt T ({t_viol} violations)");
+    assert!(
+        t_viol > 50,
+        "the corpus must actually hurt T ({t_viol} violations)"
+    );
     assert!(
         at_cycles < t_cycles,
         "adaptive must beat the stale profile: A-T {at_cycles} vs T {t_cycles} cycles"
@@ -188,7 +194,10 @@ fn adaptive_beats_stale_train_profile_on_phase_shift() {
         at_viol < t_viol / 10,
         "adaptive must recover the violation storm: A-T {at_viol} vs T {t_viol}"
     );
-    assert!(transitions > 0, "the win must come from mid-run policy transitions");
+    assert!(
+        transitions > 0,
+        "the win must come from mid-run policy transitions"
+    );
 }
 
 #[test]
@@ -207,7 +216,10 @@ fn policy_transition_rate_is_scale_independent() {
         };
         let h = harness("parser", scale);
         let r = h.run_counted(Mode::AdaptiveUnsync).expect("A-U runs");
-        let c = r.counters.as_deref().expect("counted run publishes its bank");
+        let c = r
+            .counters
+            .as_deref()
+            .expect("counted run publishes its bank");
         let epochs: u64 = r.regions.values().map(|s| s.epochs).sum();
         assert!(epochs > 0, "parser at {mult}x commits epochs");
         rates.push(c.total_policy_transitions() as f64 / epochs as f64);
@@ -233,7 +245,10 @@ fn scale_labels_round_trip_through_parse() {
     assert_eq!(Scale::parse("full").expect("full").label(), "ref");
     assert_eq!(Scale::parse("100x").expect("100x").label(), "ref:100x1");
     assert_eq!(Scale::parse("1x1").expect("1x1").label(), "ref");
-    assert_eq!(Scale::parse("quick:1x1").expect("quick base").label(), "quick");
+    assert_eq!(
+        Scale::parse("quick:1x1").expect("quick base").label(),
+        "quick"
+    );
     assert!(Scale::parse("0x2").is_none(), "zero multiplier rejected");
     assert!(Scale::parse("bogus").is_none());
 }

@@ -17,8 +17,9 @@ fn harness(name: &str) -> &'static Harness {
         return h;
     }
     let w = tls_repro::workloads::by_name(name).expect("workload exists");
-    let h: &'static Harness =
-        Box::leak(Box::new(Harness::new(w, Scale::Quick).expect("harness builds")));
+    let h: &'static Harness = Box::leak(Box::new(
+        Harness::new(w, Scale::Quick).expect("harness builds"),
+    ));
     guard.insert(name.to_string(), h);
     h
 }
@@ -142,8 +143,7 @@ fn twolf_over_synchronization_degrades() {
 /// §4.2 / Figure 10: the value-prediction technique has insignificant
 /// effect — forwarded memory-resident values are unpredictable.
 #[test]
-fn value_prediction_is_insignificant()
-{
+fn value_prediction_is_insignificant() {
     for name in ["parser", "gzip_comp1"] {
         let h = harness(name);
         let u = region_cycles(h, Mode::Unsync);
@@ -232,10 +232,7 @@ fn code_growth_is_modest() {
         // Our IR programs are orders of magnitude smaller than SPEC, so the
         // fixed synchronization scaffolding weighs proportionally more than
         // the paper's <1%; bound it loosely.
-        assert!(
-            growth < 1.4,
-            "{name}: code growth {growth:.2} exceeds 40%"
-        );
+        assert!(growth < 1.4, "{name}: code growth {growth:.2} exceeds 40%");
     }
 }
 

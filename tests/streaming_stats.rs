@@ -31,7 +31,11 @@ fn streaming_equals_buffered_on_splitmix64_corpora() {
         let values: Vec<u64> = (0..n)
             .map(|_| {
                 let v = splitmix64(&mut state);
-                if v.is_multiple_of(7) { v } else { v % 100_000 }
+                if v.is_multiple_of(7) {
+                    v
+                } else {
+                    v % 100_000
+                }
             })
             .collect();
         let buffered = StreamingStats::from_values(&values);

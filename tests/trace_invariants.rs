@@ -56,9 +56,8 @@ fn fuzz_corpus_event_streams_are_consistent() {
             let events = rec.events;
 
             // (a) structural invariants.
-            let stream = check_event_stream(&events).unwrap_or_else(|e| {
-                panic!("seed {seed} mode {}: bad stream: {e}", mode.label())
-            });
+            let stream = check_event_stream(&events)
+                .unwrap_or_else(|e| panic!("seed {seed} mode {}: bad stream: {e}", mode.label()));
 
             // (c) one squash event per reported violation.
             assert_eq!(
@@ -80,7 +79,8 @@ fn fuzz_corpus_event_streams_are_consistent() {
             for (rid, rep) in &replayed {
                 let reg = &result.regions[rid];
                 assert_eq!(
-                    rep.slots, reg.slots,
+                    rep.slots,
+                    reg.slots,
                     "seed {seed} mode {} region {rid:?}: slot breakdown",
                     mode.label()
                 );
@@ -93,7 +93,8 @@ fn fuzz_corpus_event_streams_are_consistent() {
                 replayed_violations += rep.violations;
             }
             assert_eq!(
-                replayed_violations, result.total_violations,
+                replayed_violations,
+                result.total_violations,
                 "seed {seed} mode {}: replayed violations",
                 mode.label()
             );
@@ -145,8 +146,13 @@ fn adaptive_events_replay_and_match_counters() {
     // boundary — the re-profile trigger.
     let measure = generate(16, &cfg.gen, 0);
     let train = generate(16, &cfg.gen, 1);
-    let mut h = Harness::from_modules("adapt-trace", &measure, Some(&train), &cfg.compile_options())
-        .unwrap_or_else(|e| panic!("prepare failed: {e}"));
+    let mut h = Harness::from_modules(
+        "adapt-trace",
+        &measure,
+        Some(&train),
+        &cfg.compile_options(),
+    )
+    .unwrap_or_else(|e| panic!("prepare failed: {e}"));
     h.base.max_steps = cfg.max_sim_steps;
     h.base.adapt = Some(AdaptConfig {
         window: 100,
@@ -187,7 +193,10 @@ fn adaptive_events_replay_and_match_counters() {
         published.total_policy_transitions(),
         "traced transitions vs counter bank"
     );
-    assert_eq!(reprofiles, published.reprofiles, "traced re-profiles vs counter bank");
+    assert_eq!(
+        reprofiles, published.reprofiles,
+        "traced re-profiles vs counter bank"
+    );
 
     // The new event kinds must not disturb the exact replay invariant.
     let replayed = replay_slots(&events, w, cores);

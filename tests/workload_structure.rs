@@ -136,7 +136,8 @@ fn false_sharing_family_differs_at_line_vs_word_grain() {
     let (mut line_viol, mut word_viol) = (0u64, 0u64);
     for seed in 0..5u64 {
         let m = generate(seed, &cfg, 0);
-        let set = compile_all(&m, &m, &gen_options()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let set =
+            compile_all(&m, &m, &gen_options()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let mut line_cfg = SimConfig::cgo2004();
         line_cfg.word_grain = false;
         let mut word_cfg = SimConfig::cgo2004();
@@ -189,7 +190,8 @@ fn mixed_nests_family_profiles_independent_and_dependent_loops() {
     let mut saw_mix = false;
     for seed in 0..10u64 {
         let m = generate(seed, &cfg, 0);
-        let set = compile_all(&m, &m, &gen_options()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let set =
+            compile_all(&m, &m, &gen_options()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let profiled: Vec<bool> = set
             .dep_profile
             .loops
