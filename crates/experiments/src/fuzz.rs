@@ -30,6 +30,7 @@ use std::path::Path;
 use tls_core::CompileOptions;
 use tls_ir::{generate, serial, validate, validate_epochs, GenConfig, Module, Operand, Terminator};
 use tls_profile::{ArchOutcome, InterpConfig};
+use tls_sim::{FaultPlan, Mutation, NullTracer};
 
 use crate::{par, ExperimentError, Harness, Mode};
 
@@ -43,10 +44,9 @@ pub use crate::MODES as ALL_MODES;
 pub struct FuzzConfig {
     /// Shape of the generated programs.
     pub gen: GenConfig,
-    /// Inject the `use_forwarded_value`-recovery fault into every simulated
-    /// mode (see [`tls_sim::SimConfig::break_forwarded_recovery`]) — the
-    /// shrinker demo: the fuzzer must catch and minimize the resulting
-    /// mismatches.
+    /// Run every simulated mode under the `use_forwarded_value`-recovery
+    /// mutation ([`tls_sim::Mutation::SkipForwardRecheck`]) — the shrinker
+    /// demo: the fuzzer must catch and minimize the resulting mismatches.
     pub break_forwarded_recovery: bool,
     /// Interpreter step cap (oracle runs; rejects runaway candidates).
     pub max_interp_steps: u64,
@@ -214,7 +214,6 @@ pub fn check_pair(
         },
     )?;
     h.base.max_steps = cfg.max_sim_steps;
-    h.base.break_forwarded_recovery = cfg.break_forwarded_recovery;
 
     // The simulator's own sequential run is itself a differential subject:
     // it must agree with the interpreter before any mode is judged
@@ -235,7 +234,13 @@ pub fn check_pair(
         oracle_steps: seq.steps,
     };
     for &mode in modes {
-        let r = h.run(mode).map_err(|e| match e {
+        let run = if cfg.break_forwarded_recovery {
+            let mut plan = FaultPlan::mutation(Mutation::SkipForwardRecheck);
+            h.run_traced(mode, &mut plan.over(NullTracer))
+        } else {
+            h.run(mode)
+        };
+        let r = run.map_err(|e| match e {
             ExperimentError::WrongOutput { mode, detail, .. } => {
                 failure(FailureKind::Mismatch { mode }, detail)
             }

@@ -348,7 +348,7 @@ pub struct Harness {
     pub seq: SimResult,
     /// Mode-independent base machine configuration. [`Harness::run`] layers
     /// each mode's policy knobs over a clone of this; the fuzzer uses it to
-    /// cap `max_steps` and to inject test-only faults.
+    /// cap `max_steps`.
     pub base: SimConfig,
     /// Word addresses holding compiler-introduced synchronization scratch
     /// (the `__tls_flag_*` globals the memory-sync pass appends past the
@@ -553,8 +553,10 @@ impl Harness {
     }
 
     /// Like [`Harness::run`], but streams the run's [`tls_sim::TraceEvent`]s
-    /// into `tracer`. Tracing never changes simulated timing, so the result
-    /// is identical to [`Harness::run`]'s.
+    /// into `tracer`. An observational tracer never changes simulated
+    /// timing, so the result is identical to [`Harness::run`]'s; a fault
+    /// plan's tracer ([`tls_sim::FaultPlan::over`]) perturbs the run, and
+    /// a maskable plan must still pass the output check.
     ///
     /// # Errors
     /// Propagates simulation failures; returns
@@ -564,15 +566,7 @@ impl Harness {
         mode: Mode,
         tracer: &mut T,
     ) -> Result<SimResult, ExperimentError> {
-        let (module, cfg, which) = self.resolve(mode);
-        let machine = match self.oracle(which)? {
-            Some(o) => Machine::with_oracle(module, cfg, o),
-            None => Machine::new(module, cfg),
-        };
-        let result = {
-            let _sim = metrics::span("sim");
-            machine.run_traced(tracer)?
-        };
+        let result = self.run_unchecked(mode, tracer)?;
         let _check = metrics::span("check");
         if let Some(detail) = self.check(&result) {
             return Err(ExperimentError::WrongOutput {
@@ -598,43 +592,27 @@ impl Harness {
         Ok(result)
     }
 
-    /// Run `mode` with `plan` injected into the hardware ([`tls_sim::FaultPlan`]).
-    ///
-    /// With `checked`, a divergence from the sequential baseline is an
-    /// error — the route for *maskable* plans, whose perturbations the
-    /// protocol must absorb. Without it the (possibly corrupted) result is
-    /// returned as-is — the route for *contract-breaking* plans, where the
-    /// caller instead feeds the recorded event stream to
+    /// [`Harness::run_traced`] without the output check: the (possibly
+    /// corrupted) result is returned as-is. This is the route for runs that
+    /// break the protocol on purpose, such as *contract-breaking* fault
+    /// plans, whose caller feeds the recorded event stream to
     /// [`Harness::check_conformance`] and demands a rejection.
     ///
     /// # Errors
-    /// Propagates simulation failures (including the plan's own
-    /// [`tls_sim::SimError::FaultPlanExhausted`]); with `checked`, returns
-    /// [`ExperimentError::WrongOutput`] if the run diverges.
-    pub fn run_faulted<T: Tracer>(
+    /// Propagates simulation failures, including a fault plan's own
+    /// [`tls_sim::SimError::FaultPlanExhausted`].
+    pub fn run_unchecked<T: Tracer>(
         &self,
         mode: Mode,
-        plan: tls_sim::FaultPlan,
-        checked: bool,
         tracer: &mut T,
     ) -> Result<SimResult, ExperimentError> {
-        let (module, mut cfg, which) = self.resolve(mode);
-        cfg.inject = Some(plan);
+        let (module, cfg, which) = self.resolve(mode);
         let machine = match self.oracle(which)? {
             Some(o) => Machine::with_oracle(module, cfg, o),
             None => Machine::new(module, cfg),
         };
-        let result = machine.run_traced(tracer)?;
-        if checked {
-            if let Some(detail) = self.check(&result) {
-                return Err(ExperimentError::WrongOutput {
-                    workload: self.name.clone(),
-                    mode: mode.label(),
-                    detail,
-                });
-            }
-        }
-        Ok(result)
+        let _sim = metrics::span("sim");
+        Ok(machine.run_traced(tracer)?)
     }
 
     /// Record (once) and fetch the oracle a mode consumes.

@@ -359,7 +359,7 @@ pub(crate) fn run_plan(
     class: FaultClass,
     cfg: &InjectConfig,
 ) -> PlanResult {
-    let plan = FaultPlan::seeded(seed, &[class], cfg.rate, cfg.budget);
+    let mut plan = FaultPlan::seeded(seed, &[class], cfg.rate, cfg.budget);
     let mut out = PlanResult {
         plan_seed: seed,
         class,
@@ -369,9 +369,9 @@ pub(crate) fn run_plan(
         outcome: PlanOutcome::Dormant,
     };
     if class.is_maskable() {
-        match h.run_faulted(mode, plan, true, &mut NullTracer) {
+        match h.run_traced(mode, &mut plan.over(NullTracer)) {
             Ok(r) => {
-                out.injected = r.faults.count(class);
+                out.injected = plan.count(class);
                 out.cycles = r.total_cycles;
                 out.squashes = r.total_violations;
                 out.outcome = if out.injected > 0 {
@@ -387,9 +387,9 @@ pub(crate) fn run_plan(
         }
     } else {
         let mut rec = RecordingTracer::default();
-        match h.run_faulted(mode, plan, false, &mut rec) {
+        match h.run_unchecked(mode, &mut plan.over(&mut rec)) {
             Ok(r) => {
-                out.injected = r.faults.count(class);
+                out.injected = plan.count(class);
                 out.cycles = r.total_cycles;
                 out.squashes = r.total_violations;
                 out.outcome = if out.injected == 0 {

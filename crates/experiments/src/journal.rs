@@ -87,12 +87,13 @@ pub fn seal_line(payload: &str) -> String {
 }
 
 /// Verify a sealed record and return its payload, or `None` when the seal
-/// is missing, malformed, or does not match the payload.
+/// is missing, malformed, or does not match the payload. The digest must be
+/// spelled exactly as [`seal_line`] writes it: 16 lowercase hex digits, no
+/// sign.
 pub fn unseal_line(line: &str) -> Option<&str> {
     let at = line.rfind(SEAL)?;
     let (payload, rest) = line.split_at(at);
-    let digest = u64::from_str_radix(&rest[SEAL.len()..], 16).ok()?;
-    (digest == fnv64(payload.as_bytes())).then_some(payload)
+    (rest[SEAL.len()..] == format!("{:016x}", fnv64(payload.as_bytes()))).then_some(payload)
 }
 
 /// The verified contents of an append-only sealed journal.
@@ -182,6 +183,39 @@ mod tests {
         let tampered = sealed.replace("shard=3", "shard=4");
         assert_eq!(unseal_line(&tampered), None);
         assert_eq!(unseal_line("no seal here"), None);
+    }
+
+    #[test]
+    fn seals_the_writer_cannot_produce_are_refused() {
+        // A payload whose digest starts with a zero digit, so the unpadded
+        // spelling differs from the written one, and holds a letter, so the
+        // upper-case one does too.
+        let payload = (0..)
+            .map(|i| format!("done shard={i}"))
+            .find(|p| {
+                let d = format!("{:016x}", fnv64(p.as_bytes()));
+                d.starts_with('0') && d.bytes().any(|b| b.is_ascii_lowercase())
+            })
+            .expect("some shard number qualifies");
+        let d = fnv64(payload.as_bytes());
+        for digits in [
+            format!("+{d:016x}"),
+            format!("{d:016X}"),
+            format!("{d:032x}"),
+            format!("{d:x}"),
+        ] {
+            // Each spells the right digest to `u64::from_str_radix`.
+            assert_eq!(u64::from_str_radix(&digits, 16), Ok(d), "{digits}");
+            let line = format!("{payload}{SEAL}{digits}");
+            assert_eq!(unseal_line(&line), None, "{line}");
+            let interior = format!(
+                "{}\n{line}\n{}\n",
+                seal_line("header v=1"),
+                seal_line("end")
+            );
+            assert!(parse_sealed(&interior).is_err(), "{line}");
+        }
+        assert_eq!(unseal_line(&seal_line(&payload)), Some(payload.as_str()));
     }
 
     #[test]

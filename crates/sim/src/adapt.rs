@@ -29,8 +29,8 @@
 //! never committed values. A STALL delays a load, a PREDICT substitutes a
 //! value that commit-time verification re-checks against memory; the
 //! conformance model therefore accepts adaptive runs unchanged, and the
-//! seeded `break_adaptive_forwarding` mutation proves it would reject a
-//! prediction that skipped verification.
+//! [`crate::Mutation::SkipPredictionVerify`] mutation proves it would
+//! reject a prediction that skipped verification.
 
 use tls_ir::Sid;
 

@@ -1,12 +1,14 @@
 //! Simulation parameters (the analogue of the paper's Table 1) and
 //! execution-mode knobs for the evaluation's bar letters.
+//!
+//! Test-only perturbations are not configuration: fault plans and protocol
+//! mutations reach the machine through its tracer (see [`crate::inject`]).
 
 use std::collections::HashSet;
 
 use tls_ir::Sid;
 
 use crate::adapt::AdaptConfig;
-use crate::inject::FaultPlan;
 
 /// How a compiler-inserted `SyncLoad` behaves.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -141,36 +143,6 @@ pub struct SimConfig {
     /// trips this budget and returns `SimError::CycleBudgetExceeded`
     /// instead of spinning forever.
     pub max_cycles: u64,
-    /// **Fault injection, test-only.** A seeded plan perturbing the
-    /// simulated hardware at defined protocol points (see
-    /// [`crate::inject`]): corrupted/dropped/delayed signals, spurious
-    /// evictions, deferred or suppressed violations, forced mispredictions.
-    /// Maskable classes must leave final memory oracle-equal; the
-    /// contract-breaking classes must be rejected by the protocol model.
-    /// Never set outside tests and the `repro inject` campaign driver.
-    pub inject: Option<FaultPlan>,
-    /// **Fault injection, test-only.** Disables the `use_forwarded_value`
-    /// recovery check (§2.2): a `SyncLoad` consumes the forwarded value even
-    /// when the forwarded address does not match the load address —
-    /// deliberately wrong. The differential fuzzer's shrinker demo flips
-    /// this to prove that an injected correctness bug is caught and
-    /// minimized. Never set outside tests.
-    pub break_forwarded_recovery: bool,
-    /// **Fault injection, test-only.** Skips the exposed-read-set insertion
-    /// for loads issued by `SyncLoad` fallback paths: the load still reads
-    /// committed memory, but the line never joins the epoch's read set, so
-    /// a later conflicting store cannot squash it — deliberately wrong. The
-    /// conformance checker's self-test flips this to prove that a protocol
-    /// bug invisible to final-state differencing is still rejected. Never
-    /// set outside tests.
-    pub break_exposed_read_marking: bool,
-    /// **Fault injection, test-only.** The adaptive PREDICT path consumes
-    /// its predicted value and reports it to the tracer, but skips the
-    /// commit-time verification entry — a wrong prediction silently
-    /// commits. Final-state differencing may or may not notice; the
-    /// conformance model must always reject the missing mispredict. Never
-    /// set outside tests.
-    pub break_adaptive_forwarding: bool,
 }
 
 impl SimConfig {
@@ -217,10 +189,6 @@ impl SimConfig {
             trace_interval: 0,
             max_steps: 4_000_000_000,
             max_cycles: 4_000_000_000,
-            inject: None,
-            break_forwarded_recovery: false,
-            break_exposed_read_marking: false,
-            break_adaptive_forwarding: false,
         }
     }
 

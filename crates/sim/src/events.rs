@@ -16,13 +16,17 @@
 //! `tests/trace_invariants.rs` pins this property).
 //! It is the machine's only observation channel: the
 //! [`crate::MachineCounters`] bank is itself a tracer folding this stream,
-//! plus the per-instruction [`Fine`] facts it opts into.
+//! plus the per-instruction [`Fine`] facts it opts into. It is also the
+//! machine's only test hook: a [`crate::inject::FaultPlan`] perturbs a run
+//! by wrapping its tracer, through the fault sites that
+//! [`Tracer::FAULTS`] compiles out of every other run.
 
 use tls_ir::{ChanId, GroupId, RegionId, Sid};
 
 use crate::adapt::Policy;
 use crate::counters::{MemLevel, OpClass};
-use crate::inject::FaultClass;
+use crate::inject::{Fault, FaultClass, FaultSite};
+use crate::machine::SimError;
 use crate::stats::SlotBreakdown;
 
 /// What an epoch is blocked on while in a wait state.
@@ -414,8 +418,9 @@ pub enum TraceEvent {
         time: u64,
     },
     /// A seeded fault plan perturbed the hardware at this point (see
-    /// [`crate::inject`]). Purely observational: lets archived streams be
-    /// audited for which protocol points were attacked.
+    /// [`crate::inject`]); emitted once per fired fault, before the site's
+    /// other events. Lets archived streams be audited for which protocol
+    /// points were attacked.
     FaultInject {
         /// The injected fault's class.
         class: FaultClass,
@@ -475,11 +480,14 @@ pub enum Fine {
     PredictionsVerified(u64),
 }
 
-/// Receiver of simulator events, statically dispatched.
+/// Receiver of simulator events, statically dispatched: the machine's one
+/// hook surface.
 ///
 /// Implementations with `ENABLED = false` cost nothing: the machine guards
 /// every emission with `if T::ENABLED`, so the event value is never even
-/// constructed. Implementations are free to aggregate, record, or stream.
+/// constructed; `FINE` and `FAULTS` gate their sites the same way.
+/// Implementations are free to aggregate, record, or stream. A tracer whose
+/// `FAULTS` is false is observational only.
 pub trait Tracer {
     /// Gate for all emission sites; `false` compiles tracing out.
     const ENABLED: bool = true;
@@ -487,6 +495,10 @@ pub trait Tracer {
     /// Gate for the per-instruction [`Fine`] sites. Off by default, so an
     /// event-only tracer never pays a call per retired instruction.
     const FINE: bool = false;
+
+    /// Gate for the fault sites ([`Tracer::fault`]). Off by default, so
+    /// every fault site is compiled out of an observational run.
+    const FAULTS: bool = false;
 
     /// Receive one event. Events arrive in the deterministic order the
     /// simulator produced them (not necessarily sorted by timestamp:
@@ -496,7 +508,17 @@ pub trait Tracer {
     /// Receive one per-instruction fact; called only when
     /// [`Tracer::FINE`] is `true`.
     #[inline(always)]
-    fn fine(&mut self, _f: Fine) {}
+    fn fine(&mut self, _f: Fine) {
+        debug_assert!(Self::FINE, "a Fine site ignored the FINE gate");
+    }
+
+    /// Decide whether and how to perturb the machine at `at`; called only
+    /// when [`Tracer::FAULTS`] is `true`. An error aborts the run.
+    #[inline(always)]
+    fn fault(&mut self, _at: FaultSite) -> Result<Option<Fault>, SimError> {
+        debug_assert!(Self::FAULTS, "a fault site ignored the FAULTS gate");
+        Ok(None)
+    }
 }
 
 /// The default tracer: does nothing, compiled out of the hot loop.
@@ -507,13 +529,18 @@ impl Tracer for NullTracer {
     const ENABLED: bool = false;
 
     #[inline(always)]
-    fn event(&mut self, _e: TraceEvent) {}
+    fn event(&mut self, _e: TraceEvent) {
+        if cfg!(debug_assertions) {
+            unreachable!("an event site ignored the ENABLED gate");
+        }
+    }
 }
 
 /// Forward through mutable references so callers can keep ownership.
 impl<T: Tracer> Tracer for &mut T {
     const ENABLED: bool = T::ENABLED;
     const FINE: bool = T::FINE;
+    const FAULTS: bool = T::FAULTS;
 
     #[inline(always)]
     fn event(&mut self, e: TraceEvent) {
@@ -524,6 +551,11 @@ impl<T: Tracer> Tracer for &mut T {
     fn fine(&mut self, f: Fine) {
         (**self).fine(f);
     }
+
+    #[inline(always)]
+    fn fault(&mut self, at: FaultSite) -> Result<Option<Fault>, SimError> {
+        (**self).fault(at)
+    }
 }
 
 #[cfg(test)]
@@ -532,7 +564,7 @@ mod tests {
 
     #[test]
     fn null_tracer_is_disabled() {
-        const { assert!(!NullTracer::ENABLED && !NullTracer::FINE) };
+        const { assert!(!NullTracer::ENABLED && !NullTracer::FINE && !NullTracer::FAULTS) };
         const { assert!(!<&mut NullTracer as Tracer>::ENABLED) };
     }
 

@@ -54,7 +54,7 @@ pub use config::{OracleSel, SimConfig, SyncLoadPolicy};
 pub use counters::{violation_index, MachineCounters, MemLevel, OpClass};
 pub use events::{Fine, NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 pub use hwsync::{ValuePredictor, ViolationTable};
-pub use inject::{FaultClass, FaultPlan, FaultSummary};
+pub use inject::{Fault, FaultClass, FaultPlan, FaultPoint, FaultSite, Mutation};
 pub use json::{parse_json, Json};
 pub use machine::{Machine, SimError};
 pub use model::{check_conformance, ConformanceStats, ModelConfig};

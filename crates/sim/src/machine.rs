@@ -35,7 +35,7 @@ use crate::config::{OracleSel, SimConfig, SyncLoadPolicy};
 use crate::counters::{MachineCounters, OpClass};
 use crate::events::{Fine, NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 use crate::hwsync::{ValuePredictor, ViolationTable};
-use crate::inject::{EagerFault, FaultClass, SignalFault, CORRUPT_ADDR_XOR};
+use crate::inject::{Fault, FaultPoint, Mutation, CORRUPT_ADDR_XOR};
 use crate::spec::{MemSignal, ReadSet, SyncState, WriteBuffer};
 use crate::stats::{RegionStats, SimResult, SlotBreakdown, ViolationClass};
 use crate::timing::{BranchPredictor, CoreTimer};
@@ -502,10 +502,12 @@ impl<'m> Machine<'m> {
 
     /// Like [`Machine::run`], streaming typed [`TraceEvent`]s to `tracer`.
     ///
-    /// Tracing is statically dispatched and observational only: for any
-    /// tracer the simulated timing, outputs and statistics are identical to
-    /// [`Machine::run`], and with [`NullTracer`] every emission site is
-    /// compiled out.
+    /// Tracing is statically dispatched. A tracer whose [`Tracer::FAULTS`]
+    /// is false is observational only: the simulated timing, outputs and
+    /// statistics are identical to [`Machine::run`]'s, and with
+    /// [`NullTracer`] every emission and fault site is compiled out. A fault
+    /// plan ([`crate::inject::FaultPlan::over`]) perturbs the run at the
+    /// fault sites.
     ///
     /// # Errors
     /// See [`SimError`].
@@ -556,9 +558,6 @@ impl<'m> Machine<'m> {
         let region_cycles: u64 = self.result.regions.values().map(|r| r.cycles).sum();
         self.result.sequential_cycles = seq.clock.saturating_sub(region_cycles);
         self.result.memory = std::mem::take(&mut self.mem);
-        if let Some(plan) = &self.config.inject {
-            self.result.faults = plan.summary();
-        }
         Ok(self.result)
     }
 
@@ -941,22 +940,14 @@ impl<'m> Machine<'m> {
                 if T::FINE {
                     tracer.fine(Fine::PredictionsVerified(e.predicted.len() as u64));
                 }
-                for (a, v) in e.wb.iter() {
-                    let mut v = v;
-                    if let Some(plan) = self.config.inject.as_mut() {
+                for (a, mut v) in e.wb.iter() {
+                    if T::FAULTS {
                         // Contract-breaking: flip the value as it drains to
                         // memory. Nothing downstream re-checks write-back
                         // equality — only the protocol model can.
-                        if let Some(d) = plan.on_commit_write()? {
+                        let at = FaultPoint::CommitWrite.at(e.index, Some(a), commit_done);
+                        if let Some(Fault::Perturb(d)) = tracer.fault(at)? {
                             v = v.wrapping_add(d);
-                            if T::ENABLED {
-                                tracer.event(TraceEvent::FaultInject {
-                                    class: FaultClass::CorruptCommitWrite,
-                                    epoch: Some(e.index),
-                                    addr: Some(a),
-                                    time: commit_done,
-                                });
-                            }
                         }
                     }
                     if T::ENABLED {
@@ -1393,19 +1384,12 @@ impl<'m> Machine<'m> {
                 let (issue, _) = e.thread.timer.issue(r, lat_alu);
                 e.thread.clock = issue;
                 let mut ready_at = issue + self.config.forward_lat;
-                if let Some(plan) = self.config.inject.as_mut() {
+                if T::FAULTS {
                     // Scalar sync is non-speculative (no recovery net), so
                     // extra latency is the only survivable perturbation.
-                    if let Some(d) = plan.on_scalar_signal()? {
+                    let at = FaultPoint::ScalarSignal.at(e.index, None, issue);
+                    if let Some(Fault::Delay(d)) = tracer.fault(at)? {
                         ready_at += d;
-                        if T::ENABLED {
-                            tracer.event(TraceEvent::FaultInject {
-                                class: FaultClass::DelaySignal,
-                                epoch: Some(e.index),
-                                addr: None,
-                                time: issue,
-                            });
-                        }
                     }
                 }
                 e.sync.send_scalar(*chan, v, ready_at);
@@ -1442,39 +1426,23 @@ impl<'m> Machine<'m> {
                     ready_at,
                 };
                 let mut duplicate = false;
-                if let Some(plan) = self.config.inject.as_mut() {
-                    if let Some(fault) = plan.on_mem_signal()? {
-                        let class = match fault {
-                            SignalFault::Corrupt { value_delta } => {
-                                // Address and value garbled together: the
-                                // consumer's §2.2 re-check is guaranteed to
-                                // see the mismatch and fall back.
-                                wire.addr = Some(a ^ CORRUPT_ADDR_XOR);
-                                wire.value = v.wrapping_add(value_delta);
-                                FaultClass::CorruptSignal
-                            }
-                            SignalFault::Drop => {
-                                wire = MemSignal::null(ready_at);
-                                FaultClass::DropSignal
-                            }
-                            SignalFault::Delay(d) => {
-                                wire.ready_at = ready_at + d;
-                                FaultClass::DelaySignal
-                            }
-                            SignalFault::Duplicate(d) => {
-                                wire.ready_at = ready_at + d;
-                                duplicate = true;
-                                FaultClass::DuplicateSignal
-                            }
-                        };
-                        if T::ENABLED {
-                            tracer.event(TraceEvent::FaultInject {
-                                class,
-                                epoch: Some(e.index),
-                                addr: Some(a),
-                                time: issue,
-                            });
+                if T::FAULTS {
+                    let at = FaultPoint::MemSignal.at(e.index, Some(a), issue);
+                    match tracer.fault(at)? {
+                        // Address and value garbled together: the consumer's
+                        // §2.2 re-check is guaranteed to see the mismatch
+                        // and fall back.
+                        Some(Fault::Corrupt(d)) => {
+                            wire.addr = Some(a ^ CORRUPT_ADDR_XOR);
+                            wire.value = v.wrapping_add(d);
                         }
+                        Some(Fault::Drop) => wire = MemSignal::null(ready_at),
+                        Some(Fault::Delay(d)) => wire.ready_at = ready_at + d,
+                        Some(Fault::Duplicate(d)) => {
+                            wire.ready_at = ready_at + d;
+                            duplicate = true;
+                        }
+                        _ => {}
                     }
                 }
                 e.sync.send_mem(*group, wire);
@@ -1634,43 +1602,28 @@ impl<'m> Machine<'m> {
                     }
                 }
                 if let Some((v0, lsid, kind)) = victim {
-                    if kind == ViolationKind::Eager {
-                        if let Some(plan) = self.config.inject.as_mut() {
-                            if let Some(fault) = plan.on_eager_violation()? {
-                                let class = match fault {
-                                    EagerFault::Defer => FaultClass::DeferEager,
-                                    EagerFault::Suppress => FaultClass::SuppressViolation,
-                                };
-                                if T::ENABLED {
-                                    tracer.event(TraceEvent::FaultInject {
-                                        class,
-                                        epoch: Some(v0),
-                                        addr: Some(a),
-                                        time: issue,
-                                    });
-                                }
-                                match (fault, lsid) {
-                                    // Maskable deferral: the commit-time
-                                    // pending check squashes the consumer
-                                    // when this epoch commits, later.
-                                    (EagerFault::Defer, Some(lsid)) => {
-                                        run.pendings.push(Pending {
-                                            producer: e.index,
-                                            consumer: v0,
-                                            sid: lsid,
-                                            store_sid: Some(*sid),
-                                            addr: a,
-                                        });
-                                        return Ok(None);
-                                    }
-                                    // No load sid to hang a pending on:
-                                    // deferral degenerates to the normal
-                                    // eager squash (still maskable).
-                                    (EagerFault::Defer, None) => {}
-                                    // Contract-breaking: swallow it.
-                                    (EagerFault::Suppress, _) => return Ok(None),
-                                }
+                    if T::FAULTS && kind == ViolationKind::Eager {
+                        let at = FaultPoint::EagerViolation.at(v0, Some(a), issue);
+                        match (tracer.fault(at)?, lsid) {
+                            // Maskable deferral: the commit-time pending
+                            // check squashes the consumer when this epoch
+                            // commits, later.
+                            (Some(Fault::Defer), Some(lsid)) => {
+                                run.pendings.push(Pending {
+                                    producer: e.index,
+                                    consumer: v0,
+                                    sid: lsid,
+                                    store_sid: Some(*sid),
+                                    addr: a,
+                                });
+                                return Ok(None);
                             }
+                            // Contract-breaking: swallow it.
+                            (Some(Fault::Suppress), _) => return Ok(None),
+                            // No load sid to hang a pending on: deferral
+                            // degenerates to the normal eager squash (still
+                            // maskable).
+                            _ => {}
                         }
                     }
                     // The squash request names the load of the edge (`lsid`,
@@ -1742,25 +1695,19 @@ impl<'m> Machine<'m> {
                         && self.viol_table.contains(*sid, e.thread.clock)
                     {
                         let mut pred_opt = self.predictor.predict(*sid);
-                        if let Some(plan) = self.config.inject.as_mut() {
-                            if plan.wants(FaultClass::CorruptPrediction) {
-                                // Perturb the prediction (forcing one from a
-                                // below-threshold table entry if none was
-                                // confident). Maskable: commit-time
-                                // verification re-reads memory and squashes
-                                // on mismatch.
-                                if let Some(base) = pred_opt.or_else(|| self.predictor.peek(*sid)) {
-                                    if let Some(d) = plan.on_prediction()? {
-                                        pred_opt = Some(base.wrapping_add(d));
-                                        if T::ENABLED {
-                                            tracer.event(TraceEvent::FaultInject {
-                                                class: FaultClass::CorruptPrediction,
-                                                epoch: Some(e.index),
-                                                addr: Some(ld.addr),
-                                                time: e.thread.clock,
-                                            });
-                                        }
-                                    }
+                        // Perturb the prediction (forcing one from a
+                        // below-threshold table entry if none was confident).
+                        // Maskable: commit-time verification re-reads memory
+                        // and squashes on mismatch.
+                        if T::FAULTS {
+                            if let Some(base) = pred_opt.or_else(|| self.predictor.peek(*sid)) {
+                                let at = FaultPoint::Prediction.at(
+                                    e.index,
+                                    Some(ld.addr),
+                                    e.thread.clock,
+                                );
+                                if let Some(Fault::Perturb(d)) = tracer.fault(at)? {
+                                    pred_opt = Some(base.wrapping_add(d));
                                 }
                             }
                         }
@@ -1769,7 +1716,7 @@ impl<'m> Machine<'m> {
                             break 'issued;
                         }
                     }
-                    if !self.adapt_load(tracer, rid, ord, e, ld, is_oldest) {
+                    if !self.adapt_load(tracer, rid, ord, e, ld, is_oldest)? {
                         self.plain_load(tracer, rid, ord, e, older, &mut run.pendings, ld)?;
                     }
                 }
@@ -1825,7 +1772,7 @@ impl<'m> Machine<'m> {
                         // dependence is better served by the hardware
                         // stall or by last-value prediction — e.g. when a
                         // phase shift made the profiled placement wrong.
-                        if self.adapt_load(tracer, rid, ord, e, ld, is_oldest) {
+                        if self.adapt_load(tracer, rid, ord, e, ld, is_oldest)? {
                             return Ok(None);
                         }
                         // Hybrid enhancement (iii): hardware tracks whether
@@ -1867,13 +1814,19 @@ impl<'m> Machine<'m> {
                         usage.0 += 1;
                         usage.1 += u32::from(useful);
                         let ready = r.max(sig.ready_at);
-                        // With the test-only fault injection the value is
-                        // consumed even on a mismatch, which the
-                        // differential fuzzer must catch.
-                        let broken = self.config.break_forwarded_recovery
-                            && sig.addr.is_some()
-                            && !e.wb.wrote_word(ld.addr);
-                        if !(useful || broken) {
+                        let mut fall_back = !useful;
+                        if T::FAULTS && fall_back && sig.addr.is_some() && !e.wb.wrote_word(ld.addr)
+                        {
+                            // A mutation consumes a mismatched forward, which
+                            // the differential fuzzer must catch.
+                            let at = FaultPoint::Check(Mutation::SkipForwardRecheck).at(
+                                e.index,
+                                Some(ld.addr),
+                                ready,
+                            );
+                            fall_back = tracer.fault(at)? != Some(Fault::Skip);
+                        }
+                        if fall_back {
                             // Own write, NULL or mismatched address: an
                             // ordinary speculative load.
                             let ld = LoadOp { ready, ..ld };
@@ -1885,21 +1838,14 @@ impl<'m> Machine<'m> {
                         e.thread.clock = issue;
                         e.consumed[group.index()] = true;
                         let mut used = sig.value;
-                        if let Some(plan) = self.config.inject.as_mut() {
+                        if T::FAULTS {
                             // Contract-breaking: corrupt the value at the
                             // consume site, address intact. §2.2 only
                             // re-checks addresses, so no machinery below can
                             // catch this.
-                            if let Some(d) = plan.on_signal_recv()? {
+                            let at = FaultPoint::SignalRecv.at(e.index, Some(ld.addr), issue);
+                            if let Some(Fault::Perturb(d)) = tracer.fault(at)? {
                                 used = used.wrapping_add(d);
-                                if T::ENABLED {
-                                    tracer.event(TraceEvent::FaultInject {
-                                        class: FaultClass::CorruptSignalValue,
-                                        epoch: Some(e.index),
-                                        addr: Some(ld.addr),
-                                        time: issue,
-                                    });
-                                }
                             }
                         }
                         let frame = e.thread.frames.last_mut().expect("epoch has frames");
@@ -1938,9 +1884,9 @@ impl<'m> Machine<'m> {
         e: &mut Epoch,
         ld: LoadOp,
         is_oldest: bool,
-    ) -> bool {
+    ) -> Result<bool, SimError> {
         if is_oldest || self.adapt.is_none() {
-            return false;
+            return Ok(false);
         }
         // The predictor is consulted before the controller is borrowed
         // mutably; the fields are disjoint.
@@ -1957,24 +1903,32 @@ impl<'m> Machine<'m> {
             &out,
             e.thread.clock,
         );
-        match out.policy {
+        Ok(match out.policy {
             Policy::Stall => {
                 Self::begin_wait(tracer, rid, ord, e, WaitKind::Oldest);
                 true
             }
             Policy::Predict if !e.wb.wrote_word(ld.addr) => match self.predictor.predict(ld.sid) {
                 Some(pred) => {
-                    // Test-only mutation: skip the verification entry so a
-                    // wrong prediction commits silently — only the model
-                    // can object.
-                    let verify = !self.config.break_adaptive_forwarding;
+                    let mut verify = true;
+                    if T::FAULTS {
+                        // A mutation skips the verification entry so a wrong
+                        // prediction commits silently — only the model can
+                        // object.
+                        let at = FaultPoint::Check(Mutation::SkipPredictionVerify).at(
+                            e.index,
+                            Some(ld.addr),
+                            e.thread.clock,
+                        );
+                        verify = tracer.fault(at)? != Some(Fault::Skip);
+                    }
                     self.use_prediction(tracer, rid, ord, e, ld, pred, verify);
                     true
                 }
                 None => false,
             },
             Policy::Forward | Policy::Predict => false,
-        }
+        })
     }
 
     /// Use the predicted value `pred` for load `ld` (modes P and A). With
@@ -2070,26 +2024,17 @@ impl<'m> Machine<'m> {
             });
         }
         let issue = e.thread.issue_write(dst, v, ready, lat);
-        let mut spurious_evict = false;
-        if let Some(plan) = self.config.inject.as_mut() {
-            spurious_evict = plan.on_spec_load()?;
-        }
-        if spurious_evict {
-            // Maskable: knock the just-accessed line out of the local L1
-            // (and L2) so the next touch misses. Timing only.
-            self.caches.invalidate_local(e.thread.core, a);
-            if T::ENABLED {
-                tracer.event(TraceEvent::FaultInject {
-                    class: FaultClass::EvictLine,
-                    epoch: Some(e.index),
-                    addr: Some(a),
-                    time: issue,
-                });
+        if T::FAULTS {
+            let at = FaultPoint::SpecLoad.at(e.index, Some(a), issue);
+            if tracer.fault(at)? == Some(Fault::Evict) {
+                // Maskable: knock the just-accessed line out of the local L1
+                // (and L2) so the next touch misses. Timing only.
+                self.caches.invalidate_local(e.thread.core, a);
             }
         }
         if T::ENABLED {
-            // Emitted even under the fault injection below: the model sees
-            // the exposed read the simulator then fails to track.
+            // Emitted even under the mutation below: the model sees the
+            // exposed read the simulator then fails to track.
             tracer.event(TraceEvent::SpecLoad {
                 rid,
                 ord,
@@ -2102,7 +2047,12 @@ impl<'m> Machine<'m> {
                 time: issue,
             });
         }
-        if !(self.config.break_exposed_read_marking && sync) {
+        let mut mark = true;
+        if T::FAULTS && sync {
+            let at = FaultPoint::Check(Mutation::SkipExposedRead).at(e.index, Some(a), issue);
+            mark = tracer.fault(at)? != Some(Fault::Skip);
+        }
+        if mark {
             e.reads.insert(a, sid);
         }
         // Commit-time dependence: an older epoch holds an uncommitted store
@@ -2727,10 +2677,9 @@ mod tests {
         use crate::inject::FaultClass;
         let (m, _) = mem_dep_module(40, true);
         for class in FaultClass::MASKABLE {
-            let mut cfg = SimConfig::cgo2004();
-            cfg.inject = Some(FaultPlan::seeded(9, &[class], 1.0, 16));
-            let r = Machine::new(&m, cfg)
-                .run()
+            let mut plan = FaultPlan::seeded(9, &[class], 1.0, 16);
+            let r = Machine::new(&m, SimConfig::cgo2004())
+                .run_traced(&mut plan.over(NullTracer))
                 .unwrap_or_else(|e| panic!("{}: {e}", class.name()));
             assert_eq!(r.output, vec![40], "{} broke the output", class.name());
         }
@@ -2747,12 +2696,13 @@ mod tests {
             .run()
             .expect("simulates");
         assert_eq!(clean.total_violations, 0);
-        let mut cfg = SimConfig::cgo2004();
-        cfg.inject = Some(FaultPlan::seeded(3, &[FaultClass::CorruptSignal], 1.0, 8));
-        let r = Machine::new(&m, cfg).run().expect("simulates");
+        let mut plan = FaultPlan::seeded(3, &[FaultClass::CorruptSignal], 1.0, 8);
+        let r = Machine::new(&m, SimConfig::cgo2004())
+            .run_traced(&mut plan.over(NullTracer))
+            .expect("simulates");
         assert_eq!(r.output, vec![40]);
         assert!(
-            r.faults.count(FaultClass::CorruptSignal) > 0,
+            plan.count(FaultClass::CorruptSignal) > 0,
             "fault never fired"
         );
         assert!(
@@ -2773,15 +2723,11 @@ mod tests {
         // rewrites `acc`, so corrupt all commits — the last one is what the
         // final architectural load observes.
         let (m, _) = mem_dep_module(40, true);
-        let mut cfg = SimConfig::cgo2004();
-        cfg.inject = Some(FaultPlan::seeded(
-            5,
-            &[FaultClass::CorruptCommitWrite],
-            1.0,
-            u64::MAX,
-        ));
-        let r = Machine::new(&m, cfg).run().expect("simulates");
-        assert!(r.faults.count(FaultClass::CorruptCommitWrite) > 0);
+        let mut plan = FaultPlan::seeded(5, &[FaultClass::CorruptCommitWrite], 1.0, u64::MAX);
+        let r = Machine::new(&m, SimConfig::cgo2004())
+            .run_traced(&mut plan.over(NullTracer))
+            .expect("simulates");
+        assert!(plan.count(FaultClass::CorruptCommitWrite) > 0);
         assert_ne!(
             r.output,
             vec![40],
@@ -2793,9 +2739,8 @@ mod tests {
     fn scripted_exhaustion_is_a_typed_error() {
         use crate::inject::FaultClass;
         let (m, _) = mem_dep_module(40, true);
-        let mut cfg = SimConfig::cgo2004();
-        cfg.inject = Some(FaultPlan::scripted(FaultClass::DropSignal, vec![true]));
-        match Machine::new(&m, cfg).run() {
+        let mut plan = FaultPlan::scripted(FaultClass::DropSignal, vec![true]);
+        match Machine::new(&m, SimConfig::cgo2004()).run_traced(&mut plan.over(NullTracer)) {
             Err(SimError::FaultPlanExhausted { class, decision }) => {
                 assert_eq!(class, "drop-signal");
                 assert!(decision >= 1);

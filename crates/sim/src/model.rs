@@ -1011,6 +1011,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::events::NullTracer;
+    use crate::inject::{FaultPlan, Mutation};
     use crate::machine::Machine;
     use crate::trace::RecordingTracer;
     use tls_ir::{BlockId, FuncId, Module, ModuleBuilder, Sid, SpecRegion};
@@ -1242,12 +1243,11 @@ mod tests {
         // plain memory read skip the exposed-read-set insertion, so the
         // simulator misses the eager violations the model still sees and
         // commits epochs that read stale memory.
-        let mut cfg = SimConfig::cgo2004();
-        cfg.break_exposed_read_marking = true;
+        let mut plan = FaultPlan::mutation(Mutation::SkipExposedRead);
         let mut rec = RecordingTracer::default();
         let m = mismatch_sync_module(40);
-        Machine::new(&m, cfg)
-            .run_traced(&mut rec)
+        Machine::new(&m, SimConfig::cgo2004())
+            .run_traced(&mut plan.over(&mut rec))
             .expect("simulates");
         let err = check_conformance(&rec.events, &ModelConfig::from_sim(&SimConfig::cgo2004()))
             .expect_err("the fault must be detected");

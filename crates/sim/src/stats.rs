@@ -13,7 +13,6 @@ use tls_ir::{RegionId, Sid};
 use tls_profile::Memory;
 
 use crate::counters::MachineCounters;
-use crate::inject::FaultSummary;
 
 /// Potential graduation slots divided into the paper's four segments.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -225,9 +224,6 @@ pub struct SimResult {
     /// second half of the architectural correctness invariant (the first
     /// being `output`).
     pub memory: Memory,
-    /// Per-class fault-injection counters (all zero unless the run was
-    /// perturbed via `SimConfig::inject`).
-    pub faults: FaultSummary,
     /// Machine counter bank, populated only by counted runs
     /// ([`crate::Machine::run_counted`]). `None` means the run was not
     /// counted, not that nothing happened.

@@ -7,10 +7,12 @@
 //! 1. **Real workloads conform** — two workloads, explicitly recorded and
 //!    checked under the compiler-sync, hardware-prediction and hybrid
 //!    paths, with non-vacuity floors on what the model verified.
-//! 2. **The checker is not vacuous** — re-simulating with the seeded
-//!    protocol mutation (`break_exposed_read_marking`: forwarded-load
-//!    fallbacks skip the exposed-read-set insertion) must make the checker
-//!    reject streams a final-state comparison alone can miss.
+//! 2. **The checker is not vacuous** — re-simulating under a fault plan
+//!    carrying a protocol mutation (`Mutation::SkipExposedRead`:
+//!    forwarded-load fallbacks skip the exposed-read-set insertion;
+//!    `Mutation::SkipPredictionVerify`: adaptive predictions skip
+//!    commit-time verification) must make the checker reject streams a
+//!    final-state comparison alone can miss.
 //! 3. **The event stream serializes losslessly** — `events_to_json` ∘
 //!    `events_from_json` is the identity over a fuzz corpus, so archived
 //!    streams can be re-checked offline.
@@ -18,7 +20,7 @@
 use tls_repro::experiments::fuzz::FuzzConfig;
 use tls_repro::experiments::{conform, spec_modes, ExperimentError, Harness, Mode, Scale};
 use tls_repro::ir::generate;
-use tls_repro::sim::{events_from_json, events_to_json, RecordingTracer};
+use tls_repro::sim::{events_from_json, events_to_json, FaultPlan, Mutation, RecordingTracer};
 
 /// Prepare a workload harness at quick scale.
 fn quick(name: &str) -> Harness {
@@ -74,13 +76,12 @@ fn seeded_mutation_is_rejected() {
     // On `go` (indexed addressing → frequent address mismatches) the
     // checker must reject the stream as a *missed violation* — exactly the
     // bug class that final-state differencing alone can let commit.
-    let w = tls_repro::workloads::by_name("go").expect("workload exists");
-    let mut h = Harness::new(w, Scale::Quick).expect("harness builds");
-    h.base.break_exposed_read_marking = true;
+    let h = quick("go");
     let mut rejected = 0u64;
     for mode in [Mode::CompilerRef, Mode::CompilerTrain, Mode::HybridFiltered] {
+        let mut plan = FaultPlan::mutation(Mutation::SkipExposedRead);
         let mut rec = RecordingTracer::default();
-        match h.run_traced(mode, &mut rec) {
+        match h.run_traced(mode, &mut plan.over(&mut rec)) {
             // The missed squash usually corrupts architectural state too;
             // either way the event stream is what the checker judges.
             Ok(_) | Err(ExperimentError::WrongOutput { .. }) => {}
@@ -106,13 +107,7 @@ fn seeded_mutation_is_rejected() {
     assert_eq!(rejected, 3);
 
     // Control: the identical runs without the fault conform.
-    let mut clean = Harness::new(
-        tls_repro::workloads::by_name("go").expect("workload exists"),
-        Scale::Quick,
-    )
-    .expect("harness builds");
-    clean.base.max_steps = h.base.max_steps;
-    conform::conform_run(&clean, Mode::CompilerRef).expect("clean go/C conforms");
+    conform::conform_run(&h, Mode::CompilerRef).expect("clean go/C conforms");
 }
 
 #[test]
@@ -126,11 +121,10 @@ fn seeded_adaptive_mutation_is_rejected() {
     // must reject the first such commit as a missed mispredict; final-state
     // differencing alone can let it through when the corruption stays in
     // dead data.
-    let w = tls_repro::workloads::by_name("parser").expect("workload exists");
-    let mut h = Harness::new(w, Scale::Quick).expect("harness builds");
-    h.base.break_adaptive_forwarding = true;
+    let h = quick("parser");
+    let mut plan = FaultPlan::mutation(Mutation::SkipPredictionVerify);
     let mut rec = RecordingTracer::default();
-    match h.run_traced(Mode::AdaptiveUnsync, &mut rec) {
+    match h.run_traced(Mode::AdaptiveUnsync, &mut plan.over(&mut rec)) {
         Ok(_) | Err(ExperimentError::WrongOutput { .. }) => {}
         Err(e) => panic!("parser/A-U: {e}"),
     }
@@ -150,13 +144,12 @@ fn seeded_adaptive_mutation_is_rejected() {
 
     // Control: the identical adaptive runs without the fault conform, and
     // actually exercise the prediction path the fault targets.
-    let clean = quick("parser");
-    let stats = conform::conform_run(&clean, Mode::AdaptiveUnsync).expect("clean parser/A-U");
+    let stats = conform::conform_run(&h, Mode::AdaptiveUnsync).expect("clean parser/A-U");
     assert!(
         stats.predicted_loads > 0,
         "clean parser/A-U never predicted — the fault above is vacuous"
     );
-    conform::conform_run(&clean, Mode::Adaptive).expect("clean parser/A conforms");
+    conform::conform_run(&h, Mode::Adaptive).expect("clean parser/A conforms");
 }
 
 #[test]

@@ -3,9 +3,11 @@
 //! Four properties are pinned here:
 //!
 //! 1. **Maskable faults are absorbed** — ≥25 seeded corrupted-signal plans
-//!    per compiler-sync mode on `go` and `mcf` leave the architectural
-//!    results byte-identical to sequential execution, while the extra
-//!    squashes prove the §2.2 recovery machinery (not luck) absorbed them.
+//!    per compiler-sync mode on `go` and `mcf`, and corrupted-prediction
+//!    plans under hardware value prediction on `parser`, leave the
+//!    architectural results byte-identical to sequential execution, while
+//!    the extra squashes prove the recovery machinery (not luck) absorbed
+//!    them.
 //! 2. **Contract-breaking faults are caught** — plans that corrupt state
 //!    the protocol has no net under must be rejected by the conformance
 //!    checker (or die with a typed simulation error), proving the checker
@@ -87,6 +89,43 @@ fn corrupted_signals_are_masked_with_extra_squashes() {
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", mode.label()));
         }
     }
+}
+
+#[test]
+fn corrupted_predictions_are_masked_with_extra_squashes() {
+    // The corrupt-prediction site needs hardware value prediction, so it
+    // is reached only under P. A perturbed prediction must cost squashes
+    // at commit-time verification, never correctness. This is `repro inject
+    // parser --mode P --quick --faults corrupt-prediction --seed 1
+    // --campaign 4 --rate 1.0`.
+    let cfg = InjectConfig {
+        rate: 1.0,
+        partition: Partition::Classes(vec![FaultClass::CorruptPrediction]),
+        ..InjectConfig::default()
+    };
+    let report = run_campaign(&quick("parser"), Mode::HwPredict, 1, 4, &cfg)
+        .unwrap_or_else(|e| panic!("parser/P: baseline failed: {e}"));
+    assert!(report.errors.is_empty(), "parser/P: {:?}", report.errors);
+    assert_eq!(report.results.len(), 4);
+    for r in &report.results {
+        assert!(
+            r.injected > 0 && r.outcome == PlanOutcome::Masked,
+            "parser/P plan {}: {} injection(s), {:?}",
+            r.plan_seed,
+            r.injected,
+            r.outcome
+        );
+    }
+    let squashes_added: u64 = report
+        .results
+        .iter()
+        .map(|r| r.squashes.saturating_sub(report.baseline_squashes))
+        .sum();
+    assert!(
+        squashes_added > 0,
+        "parser/P: corrupted predictions never failed verification"
+    );
+    report.sound().unwrap_or_else(|e| panic!("parser/P: {e}"));
 }
 
 #[test]
