@@ -1,7 +1,7 @@
 //! The `repro` exit-code contract: 0 ok, 2 usage, 3 simulation, internal
 //! or I/O error, 4 correctness-check failure, 6 partial campaign coverage.
 //! Exits 0 and 6 are covered by the campaign suite; this pins 2, 3 and 4
-//! on the real binary.
+//! on the real binary, and the bytes of two of its outputs.
 
 use std::process::Command;
 
@@ -113,6 +113,38 @@ fn run_out_document_is_byte_stable() {
         (4144, "9069886b271532d8".to_string()),
         "{doc}"
     );
+}
+
+/// `repro trace`'s summary line: the event count, the epoch outcomes
+/// counted from the stream, and the run's cycles and violations, under a
+/// forwarding mode and an adaptive one.
+#[test]
+fn trace_summary_line_is_pinned() {
+    for (mode, line) in [
+        (
+            "C",
+            "parser/C: 5910 events (224 spawns, 221 commits, 114 squashes, 3 cancels) \
+             over 28413 cycles, 114 violation(s)",
+        ),
+        (
+            "A-U",
+            "parser/A-U: 3928 events (224 spawns, 221 commits, 180 squashes, 3 cancels) \
+             over 37075 cycles, 180 violation(s)",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["trace", "parser", "--quick", "--quiet", "--mode", mode])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "trace --mode {mode}: stderr:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout.lines().next(), Some(line), "trace --mode {mode}");
+    }
 }
 
 /// Values the worker protocol cannot carry exactly are refused up front:
