@@ -70,9 +70,11 @@
 //! an ASCII timeline plus dependence-attribution tables, and optionally
 //! exports a Chrome-trace/Perfetto JSON timeline (`--perfetto`, open at
 //! <https://ui.perfetto.dev>) and an attribution report (`--attrib`). The
+//! event stream is first checked against the timing-free protocol model
+//! (as `conform` checks it) and the command exits 4 on a divergence. The
 //! exported Perfetto JSON is validated before it is written, and the
-//! attribution's per-edge squash counts are checked against the run's
-//! violation total. `--interval N` adds a cumulative slot-breakdown sample
+//! attribution's squash count is checked against the run's violation
+//! total. `--interval N` adds a cumulative slot-breakdown sample
 //! event every N cycles. `trace-check` re-validates a previously exported
 //! Perfetto file (used by CI).
 //!
@@ -156,9 +158,7 @@ use tls_experiments::{
     Mode, Scale, Table, MODES,
 };
 use tls_ir::{GenConfig, GenFamily};
-use tls_sim::{
-    ascii_timeline, check_event_stream, json, perfetto_json, validate_perfetto, RecordingTracer,
-};
+use tls_sim::{ascii_timeline, json, perfetto_json, validate_perfetto, RecordingTracer};
 use tls_workloads::Workload;
 
 /// How chatty to be (`--quiet` < default < `--verbose`).
@@ -460,25 +460,28 @@ fn run_trace_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> 
         .run_traced(mode, &mut rec)
         .map_err(|e| CliError::Sim(format!("traced run failed: {e}")))?;
     let events = rec.events;
-    // Self-check the stream before exporting anything from it.
-    let stream = check_event_stream(&events)
-        .map_err(|e| CliError::Check(format!("event stream violates its invariants: {e}")))?;
-    if stream.squashes != result.total_violations {
+    // Check the stream against the protocol model before exporting
+    // anything from it.
+    harness
+        .check_conformance(mode, &events)
+        .map_err(|e| CliError::Check(e.to_string()))?;
+    let attribution = attrib::attribute(&events);
+    if attribution.total_squashes != result.total_violations {
         return Err(CliError::Check(format!(
             "attribution mismatch: {} squash events vs {} violations reported by the run",
-            stream.squashes, result.total_violations
+            attribution.total_squashes, result.total_violations
         )));
     }
-    let attribution = attrib::attribute(&events);
+    let spawns: u64 = attribution.epochs.values().map(|e| e.spawns).sum();
+    let commits: u64 = attribution.epochs.values().map(|e| e.commits).sum();
+    // The model holds each spawn to exactly one commit or cancel.
+    let cancels = spawns - commits;
     println!(
-        "{bench_name}/{}: {} events ({} spawns, {} commits, {} squashes, {} cancels) over {} \
-         cycles, {} violation(s)",
+        "{bench_name}/{}: {} events ({spawns} spawns, {commits} commits, {} squashes, \
+         {cancels} cancels) over {} cycles, {} violation(s)",
         mode.label(),
         events.len(),
-        stream.spawns,
-        stream.commits,
-        stream.squashes,
-        stream.cancels,
+        attribution.total_squashes,
         result.total_cycles,
         result.total_violations
     );

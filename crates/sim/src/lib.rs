@@ -38,6 +38,8 @@ mod cache;
 mod config;
 mod counters;
 mod events;
+#[cfg(test)]
+mod fixtures;
 mod hwsync;
 pub mod inject;
 pub mod json;
@@ -62,9 +64,8 @@ pub use spec::{MemSignal, ReadSet, SyncState, WriteBuffer};
 pub use stats::{RegionStats, SimResult, SlotBreakdown, StreamingStats, ViolationClass};
 pub use timing::{BranchPredictor, CoreTimer};
 pub use trace::{
-    ascii_timeline, check_event_stream, events_from_json, events_to_json, perfetto_json,
-    replay_slots, validate_perfetto, CountingTracer, EventStreamStats, RecordingTracer,
-    ReplayedRegion,
+    ascii_timeline, events_from_json, events_to_json, perfetto_json, replay_slots,
+    validate_perfetto, CountingTracer, RecordingTracer, ReplayedRegion,
 };
 
 /// Simulate `module` under `config` (no oracle).

@@ -2106,20 +2106,8 @@ impl<'m> Machine<'m> {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use tls_ir::{ModuleBuilder, RegionId, SpecRegion};
-
-    /// Mark the loop {head, body...} of function `f` as region 0.
-    fn mark_region(mb: &mut ModuleBuilder, f: FuncId, header: BlockId, blocks: Vec<BlockId>) {
-        let module = mb.module_mut();
-        let id = RegionId(module.regions.len() as u32);
-        module.regions.push(SpecRegion {
-            id,
-            func: f,
-            header,
-            blocks,
-            unroll: 1,
-        });
-    }
+    use crate::fixtures::{mark_region, mem_dep_module};
+    use tls_ir::{ModuleBuilder, RegionId};
 
     /// Independent loop: arr[i] = i*2 for i in 0..n, induction var
     /// privatized through EpochId; outputs the checksum afterwards.
@@ -2268,59 +2256,6 @@ mod tests {
         assert_eq!(par.total_violations, 0);
         // The wait/signal chain serializes partially: sync slots appear.
         assert!(par.regions[&RegionId(0)].slots.sync > 0);
-    }
-
-    /// Loop with a memory-resident dependence through global `acc`; when
-    /// `synced` the body uses SyncLoad/SignalMem, else plain load/store.
-    fn mem_dep_module(n: i64, synced: bool) -> (Module, Sid) {
-        let mut mb = ModuleBuilder::new();
-        let acc = mb.add_global("acc", 1, vec![0]);
-        let f = mb.declare("main", 0);
-        let group = mb.fresh_group();
-        let mut fb = mb.define(f);
-        let (ep, i, c, v, w) = (
-            fb.var("ep"),
-            fb.var("i"),
-            fb.var("c"),
-            fb.var("v"),
-            fb.var("w"),
-        );
-        let head = fb.block("head");
-        let body = fb.block("body");
-        let exit = fb.block("exit");
-        fb.jump(head);
-        fb.switch_to(head);
-        fb.epoch_id(ep);
-        fb.assign(i, tls_ir::Operand::Var(ep));
-        fb.bin(c, op_lt(), i, n);
-        fb.br(c, body, exit);
-        fb.switch_to(body);
-        let load_sid = if synced {
-            fb.sync_load(v, acc, 0, group)
-        } else {
-            fb.load(v, acc, 0)
-        };
-        fb.bin(v, op_add(), v, 1);
-        fb.store(v, acc, 0);
-        if synced {
-            fb.signal_mem(group, acc, 0, v);
-        }
-        // Independent tail work *after* the value is produced: this is what
-        // early forwarding overlaps and stall-till-commit serializes.
-        fb.assign(w, tls_ir::Operand::Var(i));
-        for _ in 0..12 {
-            fb.bin(w, op_mul(), w, 3);
-            fb.bin(w, op_add(), w, 1);
-        }
-        fb.jump(head);
-        fb.switch_to(exit);
-        fb.load(v, acc, 0);
-        fb.output(v);
-        fb.ret(None);
-        fb.finish();
-        mb.set_entry(f);
-        mark_region(&mut mb, f, BlockId(1), vec![BlockId(1), BlockId(2)]);
-        (mb.build().expect("valid"), load_sid)
     }
 
     #[test]
@@ -2758,19 +2693,8 @@ mod protocol_tests {
 
     use super::*;
     use crate::config::SimConfig;
-    use tls_ir::{BinOp, ModuleBuilder, RegionId, SpecRegion};
-
-    fn mark_region(mb: &mut ModuleBuilder, f: FuncId, header: BlockId, blocks: Vec<BlockId>) {
-        let module = mb.module_mut();
-        let id = RegionId(module.regions.len() as u32);
-        module.regions.push(SpecRegion {
-            id,
-            func: f,
-            header,
-            blocks,
-            unroll: 1,
-        });
-    }
+    use crate::fixtures::mark_region;
+    use tls_ir::{BinOp, ModuleBuilder};
 
     /// Producer stores LATE in the epoch, consumer loads EARLY: the load
     /// happens after the store executes but before it commits — only the

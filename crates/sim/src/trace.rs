@@ -1,5 +1,6 @@
-//! Consumers of the event stream: recording, replay, invariant checking,
-//! and timeline export.
+//! Consumers of the event stream: recording, replay and timeline export.
+//! The stream's invariants are checked by the protocol model,
+//! [`crate::check_conformance`].
 //!
 //! [`RecordingTracer`] captures the full typed stream of a
 //! [`crate::Machine::run_traced`] run. On top of it this module provides:
@@ -8,10 +9,6 @@
 //!   graduation-slot breakdown *from events alone*, mirroring the
 //!   machine's commit/squash/cancel arithmetic exactly. Agreement with
 //!   [`crate::SimResult`] proves the event stream is complete.
-//! * [`check_event_stream`] — structural invariants: every spawn is closed
-//!   by exactly one commit or cancel (squashes close an attempt and reopen
-//!   the next), wait begin/end pairs nest, memory-signal receives match a
-//!   prior send, events stay inside an entered region instance.
 //! * [`perfetto_json`] — a Chrome-trace/Perfetto JSON timeline (one track
 //!   per core, slices per epoch attempt colored by outcome, instants for
 //!   violations and signals) and [`validate_perfetto`], a dependency-free
@@ -175,338 +172,6 @@ pub fn replay_slots(
         }
     }
     out
-}
-
-/// Counts returned by a successful [`check_event_stream`] pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EventStreamStats {
-    /// Region instances entered (and exited).
-    pub instances: u64,
-    /// Epochs spawned.
-    pub spawns: u64,
-    /// Committed epoch attempts.
-    pub commits: u64,
-    /// Squashed epoch attempts.
-    pub squashes: u64,
-    /// Cancelled epoch attempts (region exited first).
-    pub cancels: u64,
-    /// Violations detected.
-    pub violations: u64,
-}
-
-#[derive(Default)]
-struct EpochLedger {
-    /// `None` once the epoch saw its terminal commit/cancel.
-    open: bool,
-    closed: bool,
-    wait: Option<(WaitKind, u64)>,
-}
-
-/// Verify the structural invariants of an event stream.
-///
-/// * every event of a region instance falls between its `RegionEnter` and
-///   `RegionExit`, and every entered instance exits;
-/// * every `EpochSpawn` is closed by exactly one `EpochCommit` or
-///   `EpochCancel`; an `EpochSquash` closes the current attempt and opens
-///   the restarted one;
-/// * `WaitBegin`/`WaitEnd` pairs nest (at most one open wait per epoch,
-///   ended with the matching kind and begin cycle, and no attempt
-///   terminates with a wait open);
-/// * a memory `SignalRecv` carrying a forwarded `(addr, value)` matches a
-///   prior `SignalSend` of the same group, address and value (scalar
-///   receives may also come from the region-entry baseline, which
-///   `RegionEnter` seeds for every channel, so their values are not
-///   checked).
-///
-/// # Errors
-/// A description of the first violated invariant.
-pub fn check_event_stream(events: &[TraceEvent]) -> Result<EventStreamStats, String> {
-    struct Instance {
-        epochs: HashMap<u64, EpochLedger>,
-        /// Memory-signal sends seen so far: (group, addr, value).
-        mem_sends: HashSet<(u32, i64, i64)>,
-    }
-    let mut stats = EventStreamStats::default();
-    let mut open: HashMap<(RegionId, u64), Instance> = HashMap::new();
-
-    fn get<'a>(
-        open: &'a mut HashMap<(RegionId, u64), Instance>,
-        rid: RegionId,
-        ord: u64,
-        what: &str,
-    ) -> Result<&'a mut Instance, String> {
-        open.get_mut(&(rid, ord))
-            .ok_or_else(|| format!("{what} outside an active instance of region {rid:?} ord {ord}"))
-    }
-    fn live<'a>(
-        inst: &'a mut Instance,
-        epoch: u64,
-        what: &str,
-    ) -> Result<&'a mut EpochLedger, String> {
-        let l = inst
-            .epochs
-            .get_mut(&epoch)
-            .ok_or_else(|| format!("{what} for never-spawned epoch {epoch}"))?;
-        if !l.open {
-            return Err(format!("{what} for epoch {epoch} with no open attempt"));
-        }
-        Ok(l)
-    }
-
-    for (i, ev) in events.iter().enumerate() {
-        let step = (|| -> Result<(), String> {
-            match *ev {
-                TraceEvent::RegionEnter { rid, ord, .. } => {
-                    if open
-                        .insert(
-                            (rid, ord),
-                            Instance {
-                                epochs: HashMap::new(),
-                                mem_sends: HashSet::new(),
-                            },
-                        )
-                        .is_some()
-                    {
-                        return Err(format!("instance ({rid:?}, {ord}) entered twice"));
-                    }
-                    stats.instances += 1;
-                }
-                TraceEvent::RegionExit { rid, ord, .. } => {
-                    let inst = open
-                        .remove(&(rid, ord))
-                        .ok_or("exit of a never-entered instance")?;
-                    for (epoch, l) in &inst.epochs {
-                        if l.open || !l.closed {
-                            return Err(format!("region exited with epoch {epoch} still open"));
-                        }
-                    }
-                }
-                TraceEvent::EpochSpawn {
-                    rid, ord, epoch, ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "spawn")?;
-                    if inst
-                        .epochs
-                        .insert(
-                            epoch,
-                            EpochLedger {
-                                open: true,
-                                ..EpochLedger::default()
-                            },
-                        )
-                        .is_some()
-                    {
-                        return Err(format!("epoch {epoch} spawned twice"));
-                    }
-                    stats.spawns += 1;
-                }
-                TraceEvent::EpochCommit {
-                    rid,
-                    ord,
-                    epoch,
-                    start,
-                    end,
-                    ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "commit")?;
-                    let l = live(inst, epoch, "commit")?;
-                    if l.wait.is_some() {
-                        return Err(format!("epoch {epoch} committed with an open wait"));
-                    }
-                    if end < start {
-                        return Err("commit ends before its attempt starts".into());
-                    }
-                    l.open = false;
-                    l.closed = true;
-                    stats.commits += 1;
-                }
-                TraceEvent::EpochCancel {
-                    rid,
-                    ord,
-                    epoch,
-                    start,
-                    end,
-                    ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "cancel")?;
-                    let l = live(inst, epoch, "cancel")?;
-                    if l.wait.is_some() {
-                        return Err(format!("epoch {epoch} cancelled with an open wait"));
-                    }
-                    if end < start {
-                        return Err("cancel ends before its attempt starts".into());
-                    }
-                    l.open = false;
-                    l.closed = true;
-                    stats.cancels += 1;
-                }
-                TraceEvent::EpochSquash {
-                    rid,
-                    ord,
-                    epoch,
-                    start,
-                    end,
-                    restart,
-                    ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "squash")?;
-                    let l = live(inst, epoch, "squash")?;
-                    if l.wait.is_some() {
-                        return Err(format!("epoch {epoch} squashed with an open wait"));
-                    }
-                    if end < start || restart < end {
-                        return Err("squash attempt span or restart out of order".into());
-                    }
-                    // The attempt closes and the restarted one opens: the
-                    // ledger stays open.
-                    stats.squashes += 1;
-                }
-                TraceEvent::Violation {
-                    rid, ord, consumer, ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "violation")?;
-                    live(inst, consumer, "violation")?;
-                    stats.violations += 1;
-                }
-                TraceEvent::WaitBegin {
-                    rid,
-                    ord,
-                    epoch,
-                    kind,
-                    time,
-                    ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "wait-begin")?;
-                    let l = live(inst, epoch, "wait-begin")?;
-                    if let Some((k, _)) = l.wait {
-                        return Err(format!(
-                            "epoch {epoch} began waiting on {kind:?} while waiting on {k:?}"
-                        ));
-                    }
-                    l.wait = Some((kind, time));
-                }
-                TraceEvent::WaitEnd {
-                    rid,
-                    ord,
-                    epoch,
-                    kind,
-                    since,
-                    time,
-                    ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "wait-end")?;
-                    let l = live(inst, epoch, "wait-end")?;
-                    match l.wait.take() {
-                        Some((k, s)) if k == kind && s == since => {
-                            if time < since {
-                                return Err("wait ends before it began".into());
-                            }
-                        }
-                        Some((k, s)) => {
-                            return Err(format!(
-                                "wait-end {kind:?}@{since} does not match open wait {k:?}@{s}"
-                            ));
-                        }
-                        None => return Err(format!("epoch {epoch} ended a wait it never began")),
-                    }
-                }
-                TraceEvent::SignalSend {
-                    rid,
-                    ord,
-                    epoch,
-                    kind,
-                    addr,
-                    value,
-                    ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "send")?;
-                    live(inst, epoch, "send")?;
-                    if let (SignalKind::Mem(g) | SignalKind::MemNull(g), Some(a)) = (kind, addr) {
-                        inst.mem_sends.insert((g.0, a, value));
-                    }
-                }
-                TraceEvent::SignalRecv {
-                    rid,
-                    ord,
-                    epoch,
-                    kind,
-                    addr,
-                    value,
-                    ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "recv")?;
-                    live(inst, epoch, "recv")?;
-                    if let SignalKind::Mem(g) | SignalKind::MemNull(g) = kind {
-                        let a = addr.ok_or("memory recv without a forwarded address")?;
-                        if !inst.mem_sends.contains(&(g.0, a, value)) {
-                            return Err(format!(
-                                "recv of ({a}, {value}) on group {} without a matching send",
-                                g.0
-                            ));
-                        }
-                    }
-                }
-                TraceEvent::SpecStore {
-                    rid, ord, epoch, ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "spec-store")?;
-                    live(inst, epoch, "spec-store")?;
-                }
-                TraceEvent::SpecLoad {
-                    rid, ord, epoch, ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "spec-load")?;
-                    live(inst, epoch, "spec-load")?;
-                }
-                TraceEvent::PredictedLoad {
-                    rid, ord, epoch, ..
-                } => {
-                    let inst = get(&mut open, rid, ord, "predicted-load")?;
-                    live(inst, epoch, "predicted-load")?;
-                }
-                TraceEvent::CommitWrite {
-                    rid, ord, epoch, ..
-                } => {
-                    // Emitted while the committing attempt is still open
-                    // (just before its EpochCommit).
-                    let inst = get(&mut open, rid, ord, "commit-write")?;
-                    live(inst, epoch, "commit-write")?;
-                }
-                TraceEvent::PolicyTransition {
-                    rid,
-                    ord,
-                    epoch,
-                    from,
-                    to,
-                    ..
-                } => {
-                    // A policy switch is always driven by a live epoch's
-                    // load (or its violation) inside an open instance, and
-                    // never switches a dependence to the policy it already
-                    // has.
-                    let inst = get(&mut open, rid, ord, "policy-transition")?;
-                    live(inst, epoch, "policy-transition")?;
-                    if from == to {
-                        return Err(format!("policy transition {from:?} -> {to:?} is a no-op"));
-                    }
-                }
-                TraceEvent::Reprofile { rid, ord, .. } => {
-                    get(&mut open, rid, ord, "reprofile")?;
-                }
-                TraceEvent::LineEvict { .. }
-                | TraceEvent::SlotSample { .. }
-                | TraceEvent::FaultInject { .. } => {}
-            }
-            Ok(())
-        })();
-        if let Err(msg) = step {
-            return Err(format!("event {i}: {msg} ({ev:?})"));
-        }
-    }
-    if let Some(((rid, ord), _)) = open.iter().next() {
-        return Err(format!("instance ({rid:?}, {ord}) never exited"));
-    }
-    Ok(stats)
 }
 
 // ---------------------------------------------------------------------
@@ -1525,84 +1190,13 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::events::NullTracer;
+    use crate::fixtures::{mem_dep_module, traced};
     use crate::machine::Machine;
-    use tls_ir::{BlockId, FuncId, Module, ModuleBuilder, RegionId, SpecRegion};
-
-    fn mark_region(mb: &mut ModuleBuilder, f: FuncId, header: BlockId, blocks: Vec<BlockId>) {
-        let module = mb.module_mut();
-        let id = RegionId(module.regions.len() as u32);
-        module.regions.push(SpecRegion {
-            id,
-            func: f,
-            header,
-            blocks,
-            unroll: 1,
-        });
-    }
-
-    /// Loop with a memory dependence (plain loads: violations occur) and,
-    /// when `synced`, compiler forwarding (SyncLoad/SignalMem).
-    fn mem_dep_module(n: i64, synced: bool) -> Module {
-        let mut mb = ModuleBuilder::new();
-        let acc = mb.add_global("acc", 1, vec![0]);
-        let f = mb.declare("main", 0);
-        let group = mb.fresh_group();
-        let mut fb = mb.define(f);
-        let (ep, i, c, v, w) = (
-            fb.var("ep"),
-            fb.var("i"),
-            fb.var("c"),
-            fb.var("v"),
-            fb.var("w"),
-        );
-        let head = fb.block("head");
-        let body = fb.block("body");
-        let exit = fb.block("exit");
-        fb.jump(head);
-        fb.switch_to(head);
-        fb.epoch_id(ep);
-        fb.assign(i, tls_ir::Operand::Var(ep));
-        fb.bin(c, tls_ir::BinOp::Lt, i, n);
-        fb.br(c, body, exit);
-        fb.switch_to(body);
-        if synced {
-            fb.sync_load(v, acc, 0, group);
-        } else {
-            fb.load(v, acc, 0);
-        }
-        fb.bin(v, tls_ir::BinOp::Add, v, 1);
-        fb.store(v, acc, 0);
-        if synced {
-            fb.signal_mem(group, acc, 0, v);
-        }
-        fb.assign(w, tls_ir::Operand::Var(i));
-        for _ in 0..12 {
-            fb.bin(w, tls_ir::BinOp::Mul, w, 3);
-            fb.bin(w, tls_ir::BinOp::Add, w, 1);
-        }
-        fb.jump(head);
-        fb.switch_to(exit);
-        fb.load(v, acc, 0);
-        fb.output(v);
-        fb.ret(None);
-        fb.finish();
-        mb.set_entry(f);
-        mark_region(&mut mb, f, BlockId(1), vec![BlockId(1), BlockId(2)]);
-        mb.build().expect("valid")
-    }
-
-    fn traced(m: &Module, cfg: SimConfig) -> (crate::SimResult, Vec<TraceEvent>) {
-        let mut rec = RecordingTracer::default();
-        let r = Machine::new(m, cfg)
-            .run_traced(&mut rec)
-            .expect("simulates");
-        (r, rec.events)
-    }
 
     #[test]
     fn tracing_does_not_change_results() {
         for synced in [false, true] {
-            let m = mem_dep_module(40, synced);
+            let (m, _) = mem_dep_module(40, synced);
             let plain = Machine::new(&m, SimConfig::cgo2004())
                 .run()
                 .expect("simulates");
@@ -1625,7 +1219,7 @@ mod tests {
     #[test]
     fn replay_reproduces_slot_breakdown_and_violations() {
         for synced in [false, true] {
-            let m = mem_dep_module(40, synced);
+            let (m, _) = mem_dep_module(40, synced);
             let cfg = SimConfig::cgo2004();
             let (w, cores) = (cfg.issue_width, cfg.cores as u64);
             let (result, events) = traced(&m, cfg);
@@ -1643,49 +1237,8 @@ mod tests {
     }
 
     #[test]
-    fn event_stream_invariants_hold() {
-        for synced in [false, true] {
-            let m = mem_dep_module(40, synced);
-            let (result, events) = traced(&m, SimConfig::cgo2004());
-            let stats = check_event_stream(&events).expect("stream is well-formed");
-            assert_eq!(stats.squashes, result.total_violations);
-            assert!(stats.commits >= 40);
-            if synced {
-                assert!(
-                    events
-                        .iter()
-                        .any(|e| matches!(e, TraceEvent::SignalRecv { .. })),
-                    "forwarded values must be consumed"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn checker_rejects_corrupted_streams() {
-        let m = mem_dep_module(12, false);
-        let (_, events) = traced(&m, SimConfig::cgo2004());
-        // Drop the final RegionExit: instance never exits.
-        let mut truncated = events.clone();
-        let exit_at = truncated
-            .iter()
-            .rposition(|e| matches!(e, TraceEvent::RegionExit { .. }))
-            .expect("has exit");
-        truncated.remove(exit_at);
-        assert!(check_event_stream(&truncated).is_err());
-        // Duplicate a spawn: epoch spawned twice.
-        let spawn_at = events
-            .iter()
-            .position(|e| matches!(e, TraceEvent::EpochSpawn { .. }))
-            .expect("has spawn");
-        let mut dup = events.clone();
-        dup.insert(spawn_at, events[spawn_at]);
-        assert!(check_event_stream(&dup).is_err());
-    }
-
-    #[test]
     fn slot_samples_respect_interval() {
-        let m = mem_dep_module(40, false);
+        let (m, _) = mem_dep_module(40, false);
         let mut cfg = SimConfig::cgo2004();
         cfg.trace_interval = 100;
         let (_, events) = traced(&m, cfg);
@@ -1711,7 +1264,7 @@ mod tests {
 
     #[test]
     fn perfetto_export_is_valid_and_ascii_renders() {
-        let m = mem_dep_module(40, true);
+        let (m, _) = mem_dep_module(40, true);
         let (_, events) = traced(&m, SimConfig::cgo2004());
         let json = perfetto_json(&events);
         let n = validate_perfetto(&json).expect("valid Chrome trace");

@@ -1,12 +1,13 @@
 //! Event-stream invariants over a generated fuzz corpus (tier 1).
 //!
 //! For every seed × mode pair the traced run must produce a stream that
-//! (a) passes the structural checker — every spawn closed by exactly one
-//! commit or cancel with squashes reopening attempts, wait begin/end
-//! nesting, memory-signal receives matching a prior send; (b) replays to
+//! (a) passes the protocol model (`Harness::check_conformance`), which
+//! checks its structure too — every spawn closed by exactly one commit or
+//! cancel with squashes reopening attempts, wait begin/end pairs matching,
+//! forwarded values matching what the producer sent; and (b) replays to
 //! the *exact* per-region slot breakdown, cycle count, epoch and instance
-//! totals the simulator reported — proving the stream is complete, not
-//! just well-formed; and (c) counts one squash event per reported
+//! totals and violation count the simulator reported — proving the stream
+//! is complete, not just well-formed, with one squash event per reported
 //! violation, the invariant the attribution reports rely on.
 //! `disabled_tracing_pays_nothing` guards the other side: a run with
 //! tracing off pays nothing for the hooks.
@@ -17,8 +18,7 @@ use tls_repro::experiments::fuzz::FuzzConfig;
 use tls_repro::experiments::{spec_modes, Harness, Mode, Scale};
 use tls_repro::ir::{generate, GenConfig, GenFamily};
 use tls_repro::sim::{
-    check_event_stream, replay_slots, AdaptConfig, CountingTracer, NullTracer, RecordingTracer,
-    TraceEvent,
+    replay_slots, AdaptConfig, CountingTracer, NullTracer, RecordingTracer, TraceEvent,
 };
 
 const SEEDS: u64 = 30;
@@ -55,17 +55,9 @@ fn fuzz_corpus_event_streams_are_consistent() {
                 .unwrap_or_else(|e| panic!("seed {seed} mode {}: {e}", mode.label()));
             let events = rec.events;
 
-            // (a) structural invariants.
-            let stream = check_event_stream(&events)
+            // (a) the protocol model, structure included.
+            h.check_conformance(mode, &events)
                 .unwrap_or_else(|e| panic!("seed {seed} mode {}: bad stream: {e}", mode.label()));
-
-            // (c) one squash event per reported violation.
-            assert_eq!(
-                stream.squashes,
-                result.total_violations,
-                "seed {seed} mode {}: squash events vs violations",
-                mode.label()
-            );
 
             // (b) exact replay of the simulator's region aggregates.
             let replayed = replay_slots(&events, w, cores);
@@ -111,7 +103,7 @@ fn fuzz_corpus_event_streams_are_consistent() {
         seeds_with_recvs += u64::from(saw_recv);
         seeds_with_samples += u64::from(saw_sample);
     }
-    // The corpus must actually exercise the event kinds the checker
+    // The corpus must actually exercise the event kinds the model
     // validates, or the invariants above are vacuous.
     assert!(
         seeds_with_violations >= 3,
@@ -129,7 +121,7 @@ fn fuzz_corpus_event_streams_are_consistent() {
 
 /// The adaptive event surface, end to end: a phase-shift program run with
 /// a deliberately small controller window emits `PolicyTransition` *and*
-/// `Reprofile` events, the structural checker accepts the stream, the
+/// `Reprofile` events, the protocol model accepts the stream, the
 /// event counts equal the bank of a second, counted run, and the new
 /// events do not disturb the exact slot replay. (The default window is
 /// longer than these generated programs, so re-profiling needs the
@@ -172,7 +164,8 @@ fn adaptive_events_replay_and_match_counters() {
         "counting changed the run"
     );
 
-    check_event_stream(&events).unwrap_or_else(|e| panic!("bad adaptive stream: {e}"));
+    h.check_conformance(Mode::Unsync, &events)
+        .unwrap_or_else(|e| panic!("bad adaptive stream: {e}"));
 
     let transitions = events
         .iter()
