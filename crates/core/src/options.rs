@@ -15,22 +15,14 @@ pub struct CompileOptions {
     pub min_avg_trip: f64,
     /// Minimum average dynamic instructions per epoch (15).
     pub min_epoch_size: f64,
-    /// Unroll small loops to reach `unroll_target` instructions per epoch.
-    pub unroll_small_loops: bool,
-    /// Per-epoch instruction target that unrolling aims for.
+    /// Per-epoch instruction target that unrolling small loops aims for.
     pub unroll_target: f64,
-    /// Upper bound on the unroll factor.
+    /// Upper bound on the unroll factor (`1` disables unrolling).
     pub max_unroll: u32,
-    /// Insert memory-resident synchronization (`false` produces the paper's
-    /// `U` baseline with scalar synchronization only).
-    pub insert_memory_sync: bool,
     /// Place each memory signal immediately after the producing store
     /// (early forwarding); `false` falls back to signalling at the latches,
     /// which serializes like hardware synchronization (ablation).
     pub schedule_signals: bool,
-    /// Restrict selection to these loops instead of the automatic heuristic
-    /// (used by workloads that pin their paper-analogous region).
-    pub only_loops: Option<Vec<LoopKey>>,
 }
 
 impl Default for CompileOptions {
@@ -40,12 +32,9 @@ impl Default for CompileOptions {
             min_coverage: 0.001,
             min_avg_trip: 1.5,
             min_epoch_size: 15.0,
-            unroll_small_loops: true,
             unroll_target: 30.0,
             max_unroll: 4,
-            insert_memory_sync: true,
             schedule_signals: true,
-            only_loops: None,
         }
     }
 }
@@ -110,7 +99,6 @@ mod tests {
         assert_eq!(o.min_coverage, 0.001);
         assert_eq!(o.min_avg_trip, 1.5);
         assert_eq!(o.min_epoch_size, 15.0);
-        assert!(o.insert_memory_sync);
         assert!(o.schedule_signals);
     }
 

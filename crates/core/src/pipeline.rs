@@ -95,7 +95,6 @@ pub fn compile_all(
         opts.min_coverage,
         opts.min_avg_trip,
         opts.min_epoch_size,
-        opts.only_loops.as_deref(),
     );
 
     // Sequential baseline: mark regions on the original code.
@@ -143,11 +142,7 @@ pub fn compile_all(
                 .collect();
             (lp, ivs)
         };
-        let factor = if opts.unroll_small_loops {
-            unroll_factor(sel.avg_epoch_size, opts.unroll_target, opts.max_unroll)
-        } else {
-            1
-        };
+        let factor = unroll_factor(sel.avg_epoch_size, opts.unroll_target, opts.max_unroll);
         let blocks = unroll_loop(&mut base, sel.key.func, &lp, factor);
         let pblocks = unroll_loop(&mut pbase, sel.key.func, &lp, factor);
         debug_assert_eq!(blocks, pblocks, "mirror modules diverged");
@@ -201,29 +196,27 @@ pub fn compile_all(
     // Memory synchronization.
     let mut synced = base;
     let mut marked_loads: HashSet<Sid> = HashSet::new();
-    if opts.insert_memory_sync {
-        for plan in &plans {
-            let Some(lprof) = dep_profile.loops.get(&plan.key) else {
-                continue;
-            };
-            let stats = insert_memory_sync(
-                &mut synced,
-                plan.key.func,
-                plan.key.header,
-                &plan.blocks,
-                lprof,
-                &dep_profile,
-                opts.freq_threshold,
-                opts.schedule_signals,
-            );
-            report.groups += stats.groups;
-            report.sync_loads += stats.sync_loads;
-            report.signalled_stores += stats.signalled_stores;
-            report.clones += stats.clones;
-            marked_loads.extend(stats.marked_loads);
-        }
-        refresh_region_blocks(&mut synced);
+    for plan in &plans {
+        let Some(lprof) = dep_profile.loops.get(&plan.key) else {
+            continue;
+        };
+        let stats = insert_memory_sync(
+            &mut synced,
+            plan.key.func,
+            plan.key.header,
+            &plan.blocks,
+            lprof,
+            &dep_profile,
+            opts.freq_threshold,
+            opts.schedule_signals,
+        );
+        report.groups += stats.groups;
+        report.sync_loads += stats.sync_loads;
+        report.signalled_stores += stats.signalled_stores;
+        report.clones += stats.clones;
+        marked_loads.extend(stats.marked_loads);
     }
+    refresh_region_blocks(&mut synced);
     report.static_after = synced.static_instr_count();
     tls_ir::validate(&synced).map_err(|e| CompileError::Invalid(e.to_string()))?;
 
@@ -453,22 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_sync_can_be_disabled_for_the_u_configuration() {
-        let code = figure4_like(40, 1);
-        let opts = CompileOptions {
-            insert_memory_sync: false,
-            ..default_opts()
-        };
-        let set = compile_all(&code, &code, &opts).expect("compiles");
-        assert_eq!(set.report.groups, 0);
-        assert_eq!(set.report.sync_loads, 0);
-        // unsync and synced are the same program in this configuration.
-        let a = run_sequential(&set.unsync).expect("runs");
-        let b = run_sequential(&set.synced).expect("runs");
-        assert_eq!(a.output, b.output);
-    }
-
-    #[test]
     fn late_signalling_ablation_is_correct_but_slower() {
         let code = figure4_like(80, 3);
         let early = compile_all(&code, &code, &default_opts()).expect("compiles");
@@ -551,12 +528,12 @@ mod unroll_pipeline_tests {
         mb.build().expect("valid")
     }
 
-    fn opts(unroll: bool) -> CompileOptions {
+    fn opts(max_unroll: u32) -> CompileOptions {
         CompileOptions {
             min_coverage: 0.0,
             min_avg_trip: 1.0,
             min_epoch_size: 1.0,
-            unroll_small_loops: unroll,
+            max_unroll,
             ..CompileOptions::default()
         }
     }
@@ -565,8 +542,8 @@ mod unroll_pipeline_tests {
     fn unrolling_amortizes_per_epoch_overheads() {
         let code = tiny_epochs(256);
         let reference = run_sequential(&code).expect("runs");
-        let rolled = compile_all(&code, &code, &opts(false)).expect("compiles");
-        let unrolled = compile_all(&code, &code, &opts(true)).expect("compiles");
+        let rolled = compile_all(&code, &code, &opts(1)).expect("compiles");
+        let unrolled = compile_all(&code, &code, &opts(4)).expect("compiles");
         assert_eq!(rolled.regions[0].unroll, 1);
         assert!(
             unrolled.regions[0].unroll >= 2,

@@ -29,9 +29,7 @@ pub struct SelectedLoop {
 
 /// Select speculative regions for `module` given its `profile`.
 ///
-/// `cores` is the machine width used in the benefit estimate;
-/// `only_loops`, when given, restricts the candidate set (threshold and
-/// nesting checks still apply).
+/// `cores` is the machine width used in the benefit estimate.
 pub fn select_regions(
     module: &Module,
     profile: &DepProfile,
@@ -39,7 +37,6 @@ pub fn select_regions(
     min_coverage: f64,
     min_avg_trip: f64,
     min_epoch_size: f64,
-    only_loops: Option<&[LoopKey]>,
 ) -> Vec<SelectedLoop> {
     let cg = CallGraph::new(module);
     // Gather loop structure once per function.
@@ -53,11 +50,6 @@ pub fn select_regions(
                 func: fid,
                 header: lp.header,
             };
-            if let Some(allowed) = only_loops {
-                if !allowed.contains(&key) {
-                    continue;
-                }
-            }
             let Some(lprof) = profile.loops.get(&key) else {
                 continue;
             };
@@ -203,7 +195,7 @@ mod tests {
     fn picks_one_loop_and_rejects_dynamic_nesting() {
         let m = nested_calls_module(16, 16);
         let profile = profile_module(&m).expect("profiles");
-        let sel = select_regions(&m, &profile, 4, 0.001, 1.5, 5.0, None);
+        let sel = select_regions(&m, &profile, 4, 0.001, 1.5, 5.0);
         // Outer and inner loops both qualify on thresholds, but selecting
         // both would nest dynamically: exactly one must be chosen.
         assert_eq!(sel.len(), 1, "selected: {sel:?}");
@@ -218,22 +210,8 @@ mod tests {
         let m = nested_calls_module(16, 16);
         let profile = profile_module(&m).expect("profiles");
         // Absurdly high epoch-size floor: nothing qualifies.
-        let sel = select_regions(&m, &profile, 4, 0.001, 1.5, 1e9, None);
+        let sel = select_regions(&m, &profile, 4, 0.001, 1.5, 1e9);
         assert!(sel.is_empty());
-    }
-
-    #[test]
-    fn only_loops_restricts_selection() {
-        let m = nested_calls_module(16, 16);
-        let profile = profile_module(&m).expect("profiles");
-        let work = m.func_by_name("work").expect("exists");
-        let inner = LoopKey {
-            func: work,
-            header: tls_ir::BlockId(1),
-        };
-        let sel = select_regions(&m, &profile, 4, 0.001, 1.5, 5.0, Some(&[inner]));
-        assert_eq!(sel.len(), 1);
-        assert_eq!(sel[0].key, inner);
     }
 
     #[test]
@@ -270,7 +248,7 @@ mod tests {
         let profile = profile_module(&m).expect("profiles");
         // `out` is reached by `ret`... the loop itself has no ret inside its
         // blocks, so it is selectable; build a variant where the body rets.
-        let sel = select_regions(&m, &profile, 4, 0.0, 1.0, 1.0, None);
+        let sel = select_regions(&m, &profile, 4, 0.0, 1.0, 1.0);
         assert_eq!(sel.len(), 1); // early *exit* is fine, early *ret* is not
     }
 }

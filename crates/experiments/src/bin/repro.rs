@@ -3,8 +3,8 @@
 //! ```text
 //! repro <target> [--quick] [--scale S] [--workloads a,b,c] [--jobs N] [--out path]
 //! repro run <bench> [--mode M|all] [--quick] [--scale S] [--out path]
-//! repro trace <bench> [--mode M] [--quick] [--scale S] [--interval N]
-//!             [--perfetto path] [--attrib path] [--width N]
+//! repro trace <bench> [--mode M] [--quick] [--scale S] [--perfetto path]
+//!             [--attrib path] [--width N]
 //! repro trace-check <perfetto.json>
 //! repro fuzz [--seed S] [--iters N] [--jobs N] [--family F] [--break-forwarding]
 //!            [--replay path] [--artifacts dir] [--panic-seed S]
@@ -74,9 +74,8 @@
 //! (as `conform` checks it) and the command exits 4 on a divergence. The
 //! exported Perfetto JSON is validated before it is written, and the
 //! attribution's squash count is checked against the run's violation
-//! total. `--interval N` adds a cumulative slot-breakdown sample
-//! event every N cycles. `trace-check` re-validates a previously exported
-//! Perfetto file (used by CI).
+//! total. `trace-check` re-validates a previously exported Perfetto file
+//! (used by CI).
 //!
 //! `conform` replays a run's event stream through the timing-free TLS
 //! protocol model (`tls_sim::check_conformance`) and reports the first
@@ -212,8 +211,8 @@ fn usage() -> CliError {
         "usage: repro <fig2|fig6|fig7|fig8|fig9|fig10|fig11|fig12|table2|sweep|adaptive|report|all|list> \
          [--quick] [--scale S] [--workloads a,b,c] [--jobs N] [--out path]\n\
          \x20      repro run <bench> [--mode M|all] [--quick] [--scale S] [--out path]\n\
-         \x20      repro trace <bench> [--mode M] [--quick] [--scale S] [--interval N] \
-         [--perfetto path] [--attrib path] [--width N]\n\
+         \x20      repro trace <bench> [--mode M] [--quick] [--scale S] [--perfetto path] \
+         [--attrib path] [--width N]\n\
          \x20      repro trace-check <perfetto.json>\n\
          \x20      repro fuzz [--seed S] [--iters N] [--jobs N] [--family F] [--break-forwarding] \
          [--replay path] [--artifacts dir] [--panic-seed S]\n\
@@ -401,7 +400,6 @@ fn run_trace_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> 
     let mut bench_name: Option<String> = None;
     let mut mode_label = String::from("U");
     let mut scale = Scale::Full;
-    let mut interval: u64 = 0;
     let mut perfetto_path: Option<String> = None;
     let mut attrib_path: Option<String> = None;
     let mut width: usize = 100;
@@ -415,10 +413,6 @@ fn run_trace_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> 
             "--quick" => scale = Scale::Quick,
             "--scale" => match it.next() {
                 Some(s) => scale = parse_scale(s)?,
-                None => return Err(usage()),
-            },
-            "--interval" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => interval = n,
                 None => return Err(usage()),
             },
             "--perfetto" => match it.next() {
@@ -452,9 +446,8 @@ fn run_trace_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> 
             mode.label()
         );
     }
-    let mut harness = Harness::new(workload, scale)
+    let harness = Harness::new(workload, scale)
         .map_err(|e| CliError::Sim(format!("failed to prepare {bench_name}: {e}")))?;
-    harness.base.trace_interval = interval;
     let mut rec = RecordingTracer::default();
     let result = harness
         .run_traced(mode, &mut rec)
@@ -618,8 +611,7 @@ fn run_fuzz_cmd(args: &[String], verbosity: Verbosity) -> Result<(), CliError> {
             ""
         }
     );
-    let report = fuzz::run_fuzz(seed, iters, &cfg, Some(std::path::Path::new(&artifacts)))
-        .map_err(CliError::Sim)?;
+    let report = fuzz::run_fuzz(seed, iters, &cfg, Some(std::path::Path::new(&artifacts)));
     println!("{}", report.summary());
     for f in &report.failures {
         println!(

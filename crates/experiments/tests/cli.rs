@@ -26,6 +26,8 @@ fn bad_command_lines_exit_2() {
     assert_exit(&["bench"], 2);
     assert_exit(&["fig2", "--jobs", "abc"], 2);
     assert_exit(&["fuzz", "--resume"], 2);
+    // Traces carry no slot samples, so there is no sampling interval to set.
+    assert_exit(&["trace", "parser", "--quick", "--interval", "500"], 2);
     // Inject campaigns have no on-disk compile cache to point at or opt
     // out of.
     let inject = ["campaign", "inject", "--bench", "go", "--quick"];

@@ -180,11 +180,6 @@ impl<'m> FuncBuilder<'m> {
         self.cur = b;
     }
 
-    /// The block the cursor is on.
-    pub fn current(&self) -> BlockId {
-        self.cur
-    }
-
     fn emit(&mut self, i: Instr) {
         let blk = &mut self.body.blocks[self.cur.index()];
         assert!(

@@ -4,9 +4,9 @@
 //! seed: nested counted loops (the speculative-region candidates), helper
 //! calls, data-dependent diamonds, and loads/stores whose aliasing density,
 //! dependence distance and cross-epoch frequency are drawn from the
-//! controllable distributions in [`GenConfig`]. The module uses only plain
-//! instructions — the compiler pipeline (`tls-core`) is what inserts the
-//! TLS intrinsics, so the fuzzer exercises the real synchronization
+//! distributions of a [`GenConfig`] family preset. The module uses only
+//! plain instructions — the compiler pipeline (`tls-core`) is what inserts
+//! the TLS intrinsics, so the fuzzer exercises the real synchronization
 //! insertion, not hand-written sync.
 //!
 //! Termination is guaranteed by construction: every loop is a counted loop
@@ -91,101 +91,54 @@ impl GenFamily {
     }
 }
 
-/// A [`GenConfig`] knob combination that cannot produce a meaningful
-/// module (empty, or single-epoch regions that never speculate).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GenConfigError {
-    /// A `(lo, hi)` range knob with `lo > hi`.
-    EmptyRange {
-        /// Knob name.
-        knob: &'static str,
-        /// Range low bound.
-        lo: i64,
-        /// Range high bound.
-        hi: i64,
-    },
-    /// `region_loops` cannot emit a single loop: the module would have no
-    /// epochs at all.
-    NoRegionLoops,
-    /// A trip-count knob admitting fewer than 2 iterations: regions with 0
-    /// or 1 epochs never speculate, so every mode trivially agrees.
-    TripTooSmall {
-        /// Knob name.
-        knob: &'static str,
-        /// Offending low bound.
-        got: i64,
-    },
-}
-
-impl std::fmt::Display for GenConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GenConfigError::EmptyRange { knob, lo, hi } => {
-                write!(f, "{knob}: empty range ({lo}, {hi})")
-            }
-            GenConfigError::NoRegionLoops => {
-                write!(
-                    f,
-                    "region_loops admits 0 loops: module would have no epochs"
-                )
-            }
-            GenConfigError::TripTooSmall { knob, got } => {
-                write!(
-                    f,
-                    "{knob}: trip bound {got} < 2 admits single-epoch regions"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for GenConfigError {}
-
-/// Distribution knobs for the random program generator.
+/// The random program generator's distributions for one scenario family.
 ///
-/// All `(lo, hi)` ranges are inclusive. Probabilities are clamped to
-/// `0.0..=1.0` by the underlying RNG.
+/// The fields are private: [`GenConfig::for_family`] (and `Default`, the
+/// Baseline preset) is the only way to build one, so the five presets are
+/// the only configurations and none of them yields an empty or
+/// single-epoch program. All `(lo, hi)` ranges are inclusive.
+/// Probabilities are clamped to `0.0..=1.0` by the underlying RNG.
 #[derive(Clone, Debug)]
 pub struct GenConfig {
     /// Maximum number of straight-line helper functions (0 disables calls).
-    pub helper_funcs: u32,
+    helper_funcs: u32,
     /// Top-level candidate region loops emitted in `main`.
-    pub region_loops: (u32, u32),
+    region_loops: (u32, u32),
     /// Trip count of each top-level loop (each iteration becomes an epoch).
-    pub outer_trips: (i64, i64),
+    outer_trips: (i64, i64),
     /// Trip count of nested inner loops.
-    pub inner_trips: (i64, i64),
+    inner_trips: (i64, i64),
     /// Straight-line statements per generated block.
-    pub body_stmts: (u32, u32),
+    body_stmts: (u32, u32),
     /// Probability that a statement is a memory access.
-    pub mem_density: f64,
+    mem_density: f64,
     /// Fraction of memory accesses that are stores.
-    pub store_frac: f64,
+    store_frac: f64,
     /// Probability that a memory access targets the hot `shared` slots
     /// (high inter-epoch aliasing) rather than the indexed `arr`.
-    pub alias_density: f64,
+    alias_density: f64,
     /// Dependence distance (in epochs) of loop-carried `arr` accesses.
-    pub dep_distance: (i64, i64),
+    dep_distance: (i64, i64),
     /// Probability that an `arr` access is loop-carried (offset by
     /// ±distance from this epoch's slot) rather than private.
-    pub cross_epoch: f64,
+    cross_epoch: f64,
     /// Probability that a top-level loop is *memory-only*: its body defines
     /// no pool register, so no scalar is carried besides the (privatized)
     /// counter and the epochs run fully overlapped. These loops exercise
     /// violation detection and squash recovery; all others serialize on
     /// their scalar channels.
-    pub mem_loop_prob: f64,
+    mem_loop_prob: f64,
     /// Probability of a data-dependent diamond in a loop body.
-    pub branch_prob: f64,
+    branch_prob: f64,
     /// Probability of a nested inner loop in a top-level loop body.
-    pub inner_loop_prob: f64,
+    inner_loop_prob: f64,
     /// Probability of a helper call in a top-level loop body.
-    pub call_prob: f64,
+    call_prob: f64,
     /// Probability that a statement emits to the observable output stream.
-    pub output_prob: f64,
+    output_prob: f64,
     /// Scenario family (program shape); the remaining knobs feed the random
     /// filler inside each shape.
-    pub family: GenFamily,
+    family: GenFamily,
 }
 
 impl Default for GenConfig {
@@ -244,56 +197,6 @@ impl GenConfig {
                 ..base
             },
         }
-    }
-
-    /// Reject or clamp knob combinations that produce empty or single-epoch
-    /// modules: ranges must be non-empty, at least one region loop must be
-    /// possible, and outer trips must admit ≥ 2 epochs (clamped up if the
-    /// high bound allows it).
-    ///
-    /// # Errors
-    /// A [`GenConfigError`] naming the first unusable knob.
-    pub fn validated(&self) -> Result<GenConfig, GenConfigError> {
-        let mut cfg = self.clone();
-        for (knob, lo, hi) in [
-            (
-                "region_loops",
-                cfg.region_loops.0 as i64,
-                cfg.region_loops.1 as i64,
-            ),
-            ("outer_trips", cfg.outer_trips.0, cfg.outer_trips.1),
-            ("inner_trips", cfg.inner_trips.0, cfg.inner_trips.1),
-            (
-                "body_stmts",
-                cfg.body_stmts.0 as i64,
-                cfg.body_stmts.1 as i64,
-            ),
-        ] {
-            if lo > hi {
-                return Err(GenConfigError::EmptyRange { knob, lo, hi });
-            }
-        }
-        if cfg.region_loops.1 == 0 {
-            return Err(GenConfigError::NoRegionLoops);
-        }
-        // A module must always contain at least one region loop.
-        cfg.region_loops.0 = cfg.region_loops.0.max(1);
-        if cfg.outer_trips.1 < 2 {
-            return Err(GenConfigError::TripTooSmall {
-                knob: "outer_trips",
-                got: cfg.outer_trips.1,
-            });
-        }
-        // Single-epoch (or empty) regions never speculate: clamp up.
-        cfg.outer_trips.0 = cfg.outer_trips.0.max(2);
-        if cfg.inner_trips.1 < 1 {
-            return Err(GenConfigError::TripTooSmall {
-                knob: "inner_trips",
-                got: cfg.inner_trips.1,
-            });
-        }
-        cfg.inner_trips.0 = cfg.inner_trips.0.max(1);
-        Ok(cfg)
     }
 }
 
@@ -1033,54 +936,5 @@ mod tests {
                 "chain{k} missing from {names:?}"
             );
         }
-    }
-
-    #[test]
-    fn validated_clamps_and_rejects() {
-        let ok = GenConfig::default().validated().expect("default is fine");
-        assert_eq!(ok.outer_trips, GenConfig::default().outer_trips);
-
-        let clamped = GenConfig {
-            outer_trips: (0, 12),
-            region_loops: (0, 2),
-            ..GenConfig::default()
-        }
-        .validated()
-        .expect("clampable");
-        assert_eq!(clamped.outer_trips.0, 2, "single-epoch floor");
-        assert_eq!(clamped.region_loops.0, 1, "at least one loop");
-
-        let e = GenConfig {
-            outer_trips: (0, 1),
-            ..GenConfig::default()
-        }
-        .validated()
-        .unwrap_err();
-        assert!(matches!(e, GenConfigError::TripTooSmall { .. }), "{e}");
-
-        let e = GenConfig {
-            region_loops: (0, 0),
-            ..GenConfig::default()
-        }
-        .validated()
-        .unwrap_err();
-        assert_eq!(e, GenConfigError::NoRegionLoops);
-
-        let e = GenConfig {
-            outer_trips: (9, 3),
-            ..GenConfig::default()
-        }
-        .validated()
-        .unwrap_err();
-        assert!(
-            matches!(
-                e,
-                GenConfigError::EmptyRange {
-                    knob: "outer_trips",
-                    ..
-                }
-            ),
-            "{e}"
-        );
     }
 }

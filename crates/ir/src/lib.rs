@@ -85,7 +85,7 @@ pub mod serial;
 mod validate;
 
 pub use builder::{FuncBuilder, ModuleBuilder};
-pub use generate::{generate, GenConfig, GenConfigError, GenFamily};
+pub use generate::{generate, GenConfig, GenFamily};
 pub use ids::{BlockId, ChanId, FuncId, GlobalId, GroupId, RegionId, Sid, Var};
 pub use instr::{BinOp, Instr, Operand, Terminator};
 pub use module::{Block, Function, Global, Module, SpecRegion};

@@ -88,18 +88,6 @@ impl LoopProfile {
         }
     }
 
-    /// Fraction of epochs in which edge `(store, load)` occurred at
-    /// distance 1 (the §2.4 synchronization criterion).
-    pub fn edge_freq_d1(&self, store: VertexKey, load: VertexKey) -> f64 {
-        if self.total_iters == 0 {
-            0.0
-        } else {
-            self.edges
-                .get(&(store, load))
-                .map_or(0.0, |e| e.epochs_d1 as f64 / self.total_iters as f64)
-        }
-    }
-
     /// Fraction of epochs in which edge `(store, load)` occurred.
     pub fn edge_freq(&self, store: VertexKey, load: VertexKey) -> f64 {
         if self.total_iters == 0 {

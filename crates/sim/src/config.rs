@@ -132,10 +132,6 @@ pub struct SimConfig {
     /// controller currently assigns its sid (see [`crate::adapt`]). `None`
     /// reproduces the paper's static policies exactly.
     pub adapt: Option<AdaptConfig>,
-    /// Cycle interval between cumulative slot-breakdown samples emitted to
-    /// an enabled tracer (`0` disables sampling). Sampling only affects the
-    /// event stream, never simulated timing.
-    pub trace_interval: u64,
     /// Safety net: maximum dynamic instructions per simulation.
     pub max_steps: u64,
     /// Safety net: maximum simulated cycles per run. A module whose loop
@@ -186,7 +182,6 @@ impl SimConfig {
             relay_forwarding: false,
             hybrid_filter: false,
             adapt: None,
-            trace_interval: 0,
             max_steps: 4_000_000_000,
             max_cycles: 4_000_000_000,
         }

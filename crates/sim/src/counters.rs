@@ -146,7 +146,7 @@ pub fn violation_index(kind: ViolationKind) -> usize {
 
 /// The counter bank itself: plain `u64` slots, deterministic for a given
 /// module and configuration, filled by running the machine with the bank
-/// as its tracer ([`crate::Machine::run_counted`]).
+/// as its tracer ([`crate::Machine::run_traced`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MachineCounters {
     /// Instructions executed per [`OpClass`] (bank order of

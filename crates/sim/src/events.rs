@@ -27,7 +27,6 @@ use crate::adapt::Policy;
 use crate::counters::{MemLevel, OpClass};
 use crate::inject::{Fault, FaultClass, FaultSite};
 use crate::machine::SimError;
-use crate::stats::SlotBreakdown;
 
 /// What an epoch is blocked on while in a wait state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -293,18 +292,6 @@ pub enum TraceEvent {
         /// Eviction cycle.
         time: u64,
     },
-    /// Cumulative graduation-slot breakdown of the region instance, sampled
-    /// every `SimConfig::trace_interval` cycles at commit boundaries.
-    SlotSample {
-        /// Static region.
-        rid: RegionId,
-        /// Dynamic instance ordinal.
-        ord: u64,
-        /// Sample cycle.
-        time: u64,
-        /// Cumulative slots attributed so far in this instance.
-        slots: SlotBreakdown,
-    },
     /// A speculative store entered an epoch's write buffer (stays private
     /// until commit).
     SpecStore {
@@ -424,8 +411,8 @@ pub enum TraceEvent {
     FaultInject {
         /// The injected fault's class.
         class: FaultClass,
-        /// Epoch index the fault applied to, when epoch-specific.
-        epoch: Option<u64>,
+        /// Epoch index the fault applied to.
+        epoch: u64,
         /// Word address involved, when address-specific.
         addr: Option<i64>,
         /// Injection cycle.
@@ -446,7 +433,6 @@ impl TraceEvent {
             | TraceEvent::SignalSend { time, .. }
             | TraceEvent::SignalRecv { time, .. }
             | TraceEvent::LineEvict { time, .. }
-            | TraceEvent::SlotSample { time, .. }
             | TraceEvent::SpecStore { time, .. }
             | TraceEvent::SpecLoad { time, .. }
             | TraceEvent::PredictedLoad { time, .. }

@@ -443,7 +443,7 @@ impl<T: Tracer> Tracer for Faulted<'_, T> {
         if T::ENABLED {
             self.inner.event(TraceEvent::FaultInject {
                 class,
-                epoch: Some(at.epoch),
+                epoch: at.epoch,
                 addr: at.addr,
                 time: at.time,
             });
@@ -556,7 +556,7 @@ mod tests {
             rec.events,
             vec![TraceEvent::FaultInject {
                 class: FaultClass::CorruptCommitWrite,
-                epoch: Some(3),
+                epoch: 3,
                 addr: Some(96),
                 time: 40,
             }]

@@ -32,7 +32,7 @@ use tls_profile::{Memory, OracleKey, ValueOracle};
 use crate::adapt::{AdaptController, Outcome as AdaptOutcome, Policy};
 use crate::cache::MemSystem;
 use crate::config::{OracleSel, SimConfig, SyncLoadPolicy};
-use crate::counters::{MachineCounters, OpClass};
+use crate::counters::OpClass;
 use crate::events::{Fine, NullTracer, SignalKind, TraceEvent, Tracer, ViolationKind, WaitKind};
 use crate::hwsync::{ValuePredictor, ViolationTable};
 use crate::inject::{Fault, FaultPoint, Mutation, CORRUPT_ADDR_XOR};
@@ -486,20 +486,6 @@ impl<'m> Machine<'m> {
         self.run_traced(&mut NullTracer)
     }
 
-    /// Like [`Machine::run`], maintaining a [`MachineCounters`] bank that
-    /// is surfaced in [`SimResult::counters`]: the bank is the run's
-    /// tracer. Counting is observational only: timing, outputs and
-    /// statistics are identical to [`Machine::run`].
-    ///
-    /// # Errors
-    /// See [`SimError`].
-    pub fn run_counted(self) -> Result<SimResult, SimError> {
-        let mut bank = MachineCounters::default();
-        let mut result = self.run_traced(&mut bank)?;
-        result.counters = Some(Box::new(bank));
-        Ok(result)
-    }
-
     /// Like [`Machine::run`], streaming typed [`TraceEvent`]s to `tracer`.
     ///
     /// Tracing is statically dispatched. A tracer whose [`Tracer::FAULTS`]
@@ -896,12 +882,6 @@ impl<'m> Machine<'m> {
         }
         let mut next_index = cores as u64;
         let mut token_time = t0;
-        // Next cumulative slot-sample boundary (tracing only).
-        let mut next_sample = if T::ENABLED && self.config.trace_interval > 0 {
-            t0 + self.config.trace_interval
-        } else {
-            u64::MAX
-        };
 
         let (exit_block, final_regs, end_time) = 'region: loop {
             // 1. Commit as many oldest-done epochs as possible.
@@ -999,15 +979,6 @@ impl<'m> Machine<'m> {
                         graduated: e.thread.timer.graduated(),
                         sync_cycles: e.sync_cycles,
                     });
-                    while commit_done >= next_sample {
-                        tracer.event(TraceEvent::SlotSample {
-                            rid,
-                            ord,
-                            time: next_sample,
-                            slots: run.stats.slots,
-                        });
-                        next_sample += self.config.trace_interval;
-                    }
                 }
                 // Wake the new oldest epoch if it was stalling till oldest.
                 if let Some(head) = run.epochs.first_mut() {
@@ -2106,6 +2077,7 @@ impl<'m> Machine<'m> {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use crate::counters::MachineCounters;
     use crate::fixtures::{mark_region, mem_dep_module};
     use tls_ir::{ModuleBuilder, RegionId};
 
@@ -2437,16 +2409,15 @@ mod tests {
         let plain = Machine::new(&m, SimConfig::cgo2004())
             .run()
             .expect("simulates");
+        let mut c = MachineCounters::default();
         let counted = Machine::new(&m, SimConfig::cgo2004())
-            .run_counted()
+            .run_traced(&mut c)
             .expect("simulates");
         // Counting must not perturb the simulation.
         assert_eq!(counted.output, plain.output);
         assert_eq!(counted.total_cycles, plain.total_cycles);
         assert_eq!(counted.instructions, plain.instructions);
         assert_eq!(counted.total_violations, plain.total_violations);
-        assert!(plain.counters.is_none(), "disabled runs publish no bank");
-        let c = counted.counters.expect("counted run publishes a bank");
         assert!(c.total_retired() > 0);
         assert!(c.retired[OpClass::Load.index()] > 0);
         assert!(c.retired[OpClass::Store.index()] > 0);
@@ -2458,19 +2429,20 @@ mod tests {
         assert!(c.epochs_committed >= 40);
         assert!(c.wb_words_high_water >= 1);
         // Determinism: an identical run produces an identical bank.
-        let again = Machine::new(&m, SimConfig::cgo2004())
-            .run_counted()
+        let mut again = MachineCounters::default();
+        Machine::new(&m, SimConfig::cgo2004())
+            .run_traced(&mut again)
             .expect("simulates");
-        assert_eq!(*again.counters.expect("bank"), *c);
+        assert_eq!(again, c);
     }
 
     #[test]
     fn counters_classify_violations_like_the_result() {
         let (m, _) = mem_dep_module(40, false);
+        let mut c = MachineCounters::default();
         let r = Machine::new(&m, SimConfig::cgo2004())
-            .run_counted()
+            .run_traced(&mut c)
             .expect("simulates");
-        let c = r.counters.expect("bank");
         assert!(
             c.violations_of(ViolationKind::Eager) + c.violations_of(ViolationKind::CommitTime) > 0
         );

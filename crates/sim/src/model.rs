@@ -446,9 +446,7 @@ impl Model {
             }
             // Fault-injection markers are observational: the model judges
             // the protocol events themselves, not the perturbation notes.
-            TraceEvent::LineEvict { .. }
-            | TraceEvent::SlotSample { .. }
-            | TraceEvent::FaultInject { .. } => {}
+            TraceEvent::LineEvict { .. } | TraceEvent::FaultInject { .. } => {}
         }
         Ok(())
     }

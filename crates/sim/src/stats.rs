@@ -224,9 +224,10 @@ pub struct SimResult {
     /// second half of the architectural correctness invariant (the first
     /// being `output`).
     pub memory: Memory,
-    /// Machine counter bank, populated only by counted runs
-    /// ([`crate::Machine::run_counted`]). `None` means the run was not
-    /// counted, not that nothing happened.
+    /// Machine counter bank, filled in by a caller that traced the run into
+    /// one ([`crate::Machine::run_traced`] with a [`MachineCounters`]
+    /// tracer); the machine itself leaves it `None`. `None` means the run
+    /// was not counted, not that nothing happened.
     pub counters: Option<Box<MachineCounters>>,
 }
 

@@ -708,16 +708,6 @@ fn write_event(w: &mut Writer, ev: &TraceEvent) {
                 .raw("time", time)
                 .i64("line", line);
         }
-        TraceEvent::SlotSample {
-            rid,
-            ord,
-            time,
-            slots,
-        } => {
-            w.raw("rid", rid.0).raw("ord", ord).raw("time", time);
-            w.raw("busy", slots.busy).raw("fail", slots.fail);
-            w.raw("sync", slots.sync).raw("other", slots.other);
-        }
         TraceEvent::SpecStore {
             rid,
             ord,
@@ -807,8 +797,7 @@ fn write_event(w: &mut Writer, ev: &TraceEvent) {
             time,
         } => {
             w.str("class", class.name()).raw("time", time);
-            w.opt("epoch", epoch, Writer::raw)
-                .opt("addr", addr, Writer::i64);
+            w.raw("epoch", epoch).opt("addr", addr, Writer::i64);
         }
     }
 }
@@ -827,7 +816,6 @@ fn event_name(ev: &TraceEvent) -> &'static str {
         TraceEvent::SignalSend { .. } => "signal_send",
         TraceEvent::SignalRecv { .. } => "signal_recv",
         TraceEvent::LineEvict { .. } => "line_evict",
-        TraceEvent::SlotSample { .. } => "slot_sample",
         TraceEvent::SpecStore { .. } => "spec_store",
         TraceEvent::SpecLoad { .. } => "spec_load",
         TraceEvent::PredictedLoad { .. } => "predicted_load",
@@ -970,17 +958,6 @@ fn read_event(o: &Json) -> Result<TraceEvent, String> {
             speculative: o.bool("speculative")?,
             time: o.uint("time")?,
         },
-        "slot_sample" => TraceEvent::SlotSample {
-            rid: RegionId(o.uint("rid")?),
-            ord: o.uint("ord")?,
-            time: o.uint("time")?,
-            slots: SlotBreakdown {
-                busy: o.uint("busy")?,
-                fail: o.uint("fail")?,
-                sync: o.uint("sync")?,
-                other: o.uint("other")?,
-            },
-        },
         "spec_store" => TraceEvent::SpecStore {
             rid: RegionId(o.uint("rid")?),
             ord: o.uint("ord")?,
@@ -1041,7 +1018,7 @@ fn read_event(o: &Json) -> Result<TraceEvent, String> {
                 FaultClass::from_name(name)
                     .ok_or_else(|| format!("unknown fault class `{name}`"))?
             },
-            epoch: o.opt("epoch", Json::uint)?,
+            epoch: o.uint("epoch")?,
             addr: o.opt("addr", Json::i64)?,
             time: o.uint("time")?,
         },
@@ -1234,32 +1211,6 @@ mod tests {
             assert_eq!(replayed[&rid].epochs, result.regions[&rid].epochs);
             assert_eq!(replayed[&rid].instances, result.regions[&rid].instances);
         }
-    }
-
-    #[test]
-    fn slot_samples_respect_interval() {
-        let (m, _) = mem_dep_module(40, false);
-        let mut cfg = SimConfig::cgo2004();
-        cfg.trace_interval = 100;
-        let (_, events) = traced(&m, cfg);
-        let samples: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::SlotSample { time, .. } => Some(*time),
-                _ => None,
-            })
-            .collect();
-        assert!(!samples.is_empty(), "a 100-cycle interval must sample");
-        assert!(samples.windows(2).all(|s| s[1] > s[0]));
-        // Samples are cumulative: totals never shrink.
-        let totals: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::SlotSample { slots, .. } => Some(slots.total()),
-                _ => None,
-            })
-            .collect();
-        assert!(totals.windows(2).all(|s| s[1] >= s[0]));
     }
 
     #[test]

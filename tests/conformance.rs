@@ -166,8 +166,6 @@ fn event_streams_round_trip_through_json() {
         )
         .unwrap_or_else(|e| panic!("seed {seed}: prepare failed: {e}"));
         h.base.max_steps = cfg.max_sim_steps;
-        // Sampling adds SlotSample events to the corpus.
-        h.base.trace_interval = 128;
         for mode in [Mode::CompilerRef, Mode::HwPredict, Mode::Hybrid] {
             let mut rec = RecordingTracer::default();
             h.run_traced(mode, &mut rec)

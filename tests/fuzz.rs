@@ -16,7 +16,7 @@ use tls_repro::ir::{generate, GenConfig, GenFamily};
 #[test]
 fn smoke_corpus_is_clean() {
     let cfg = FuzzConfig::default();
-    let report = fuzz::run_fuzz(1, 200, &cfg, None).expect("valid generator config");
+    let report = fuzz::run_fuzz(1, 200, &cfg, None);
     assert_eq!(report.iters, 200);
     let summaries: Vec<String> = report
         .failures
@@ -46,7 +46,7 @@ fn scenario_families_are_oracle_equal_across_all_modes() {
             gen: GenConfig::for_family(family),
             ..FuzzConfig::default()
         };
-        let report = fuzz::run_fuzz(1, 10, &cfg, None).expect("valid generator config");
+        let report = fuzz::run_fuzz(1, 10, &cfg, None);
         let summaries: Vec<String> = report
             .failures
             .iter()
@@ -119,7 +119,7 @@ fn fault_injection_shrinks_to_small_repro() {
         break_forwarded_recovery: true,
         ..FuzzConfig::default()
     };
-    let report = fuzz::run_fuzz(1, 40, &cfg, None).expect("valid generator config");
+    let report = fuzz::run_fuzz(1, 40, &cfg, None);
     assert!(
         !report.failures.is_empty(),
         "injected fault was not detected in 40 seeds"

@@ -31,8 +31,8 @@ use tls_repro::sim::{
     RecordingTracer, TraceEvent,
 };
 
-/// Up to two events of every kind the simulator emitted on an adaptive,
-/// sampled phase-shift program, plus the kinds it did not emit.
+/// Up to two events of every kind the simulator emitted on an adaptive
+/// phase-shift program, plus the kinds it did not emit.
 fn sample_events() -> Vec<TraceEvent> {
     let cfg = FuzzConfig {
         gen: GenConfig::for_family(GenFamily::PhaseShift),
@@ -48,7 +48,6 @@ fn sample_events() -> Vec<TraceEvent> {
     )
     .expect("prepares");
     h.base.max_steps = cfg.max_sim_steps;
-    h.base.trace_interval = 128;
     h.base.adapt = Some(AdaptConfig {
         window: 100,
         ..AdaptConfig::default()
@@ -66,7 +65,7 @@ fn sample_events() -> Vec<TraceEvent> {
     }
     seen.push(TraceEvent::FaultInject {
         class: FaultClass::DropSignal,
-        epoch: Some(3),
+        epoch: 3,
         addr: Some(-7),
         time: 9,
     });

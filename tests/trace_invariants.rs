@@ -28,7 +28,6 @@ fn fuzz_corpus_event_streams_are_consistent() {
     let cfg = FuzzConfig::default();
     let mut seeds_with_violations = 0u64;
     let mut seeds_with_recvs = 0u64;
-    let mut seeds_with_samples = 0u64;
     for seed in 1..=SEEDS {
         let measure = generate(seed, &cfg.gen, 0);
         let train = generate(seed, &cfg.gen, 1);
@@ -40,12 +39,9 @@ fn fuzz_corpus_event_streams_are_consistent() {
         )
         .unwrap_or_else(|e| panic!("seed {seed}: prepare failed: {e}"));
         h.base.max_steps = cfg.max_sim_steps;
-        // Exercise the sampling path too; it must not disturb replay.
-        h.base.trace_interval = 128;
         let (w, cores) = (h.base.issue_width, h.base.cores as u64);
         let mut saw_violation = false;
         let mut saw_recv = false;
-        let mut saw_sample = false;
         // Sequential execution has no epochs and traces no region events;
         // the replay invariant is about speculative runs.
         for &mode in spec_modes() {
@@ -95,13 +91,9 @@ fn fuzz_corpus_event_streams_are_consistent() {
             saw_recv |= events
                 .iter()
                 .any(|e| matches!(e, TraceEvent::SignalRecv { .. }));
-            saw_sample |= events
-                .iter()
-                .any(|e| matches!(e, TraceEvent::SlotSample { .. }));
         }
         seeds_with_violations += u64::from(saw_violation);
         seeds_with_recvs += u64::from(saw_recv);
-        seeds_with_samples += u64::from(saw_sample);
     }
     // The corpus must actually exercise the event kinds the model
     // validates, or the invariants above are vacuous.
@@ -112,10 +104,6 @@ fn fuzz_corpus_event_streams_are_consistent() {
     assert!(
         seeds_with_recvs >= 3,
         "only {seeds_with_recvs}/{SEEDS} seeds consumed forwarded values"
-    );
-    assert!(
-        seeds_with_samples >= 3,
-        "only {seeds_with_samples}/{SEEDS} seeds emitted slot samples"
     );
 }
 
