@@ -13,7 +13,7 @@
 
 use tls_ir::{BinOp, Module, ModuleBuilder};
 
-use crate::util::{churn, counted_loop, filler, input_data, rng, sized, v, warm};
+use crate::util::{churn, counted_loop, filler, input_data, reduce, rng, sized, v, warm};
 use crate::{InputSet, Scale};
 
 /// Compression (bucket counting).
@@ -78,15 +78,7 @@ pub fn build_comp(input: InputSet, scale: Scale) -> Module {
     fb.switch_to(after);
     fb.jump(region.latch);
     fb.switch_to(region.exit);
-    // Reduce the per-epoch results sequentially (small iterations: never
-    // selected as a region).
-    let red = counted_loop(&mut fb, "reduce", epochs);
-    let (rp, rv) = (fb.var("rp"), fb.var("rv"));
-    fb.bin(rp, BinOp::Add, scratch, red.i);
-    fb.load(rv, rp, 0);
-    fb.bin(acc, BinOp::Xor, acc, rv);
-    fb.jump(red.latch);
-    fb.switch_to(red.exit);
+    reduce(&mut fb, scratch, epochs, acc);
 
     filler(&mut fb, "mtf", fill / 2, acc);
     let sum = fb.var("sum");
@@ -138,14 +130,7 @@ pub fn build_decomp(input: InputSet, scale: Scale) -> Module {
     fb.jump(region.latch);
     fb.switch_to(region.exit);
 
-    // Reduce the decoded block sequentially.
-    let red = counted_loop(&mut fb, "reduce", epochs);
-    let (rp, rv) = (fb.var("rp"), fb.var("rv"));
-    fb.bin(rp, BinOp::Add, gout, red.i);
-    fb.load(rv, rp, 0);
-    fb.bin(acc, BinOp::Xor, acc, rv);
-    fb.jump(red.latch);
-    fb.switch_to(red.exit);
+    reduce(&mut fb, gout, epochs, acc);
 
     filler(&mut fb, "crc_check", fill / 2, acc);
     fb.output(acc);

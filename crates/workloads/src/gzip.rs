@@ -21,7 +21,7 @@
 
 use tls_ir::{BinOp, Module, ModuleBuilder};
 
-use crate::util::{churn, counted_loop, filler, input_data, rng, sized, v, warm};
+use crate::util::{churn, counted_loop, filler, input_data, reduce, rng, sized, v, warm};
 use crate::{InputSet, Scale};
 
 /// Compression, effort level 1.
@@ -144,15 +144,7 @@ fn build_comp(input: InputSet, scale: Scale, effort: i64, tag: &str) -> Module {
     fb.store(res, wp, 0);
     fb.jump(region.latch);
     fb.switch_to(region.exit);
-    // Reduce the per-epoch results sequentially (small iterations: never
-    // selected as a region).
-    let red = counted_loop(&mut fb, "reduce", epochs);
-    let (rp, rv) = (fb.var("rp"), fb.var("rv"));
-    fb.bin(rp, BinOp::Add, scratch, red.i);
-    fb.load(rv, rp, 0);
-    fb.bin(acc, BinOp::Xor, acc, rv);
-    fb.jump(red.latch);
-    fb.switch_to(red.exit);
+    reduce(&mut fb, scratch, epochs, acc);
 
     filler(&mut fb, "io_out", fill / 2, acc);
     let (m_out, l_out, c_out) = (fb.var("m_out"), fb.var("l_out"), fb.var("c_out"));
@@ -229,15 +221,7 @@ pub fn build_decomp(input: InputSet, scale: Scale) -> Module {
     fb.store(lw, tp, 0);
     fb.jump(region.latch);
     fb.switch_to(region.exit);
-    // Reduce the per-epoch results sequentially (small iterations: never
-    // selected as a region).
-    let red = counted_loop(&mut fb, "reduce", epochs);
-    let (rp, rv) = (fb.var("rp"), fb.var("rv"));
-    fb.bin(rp, BinOp::Add, scratch, red.i);
-    fb.load(rv, rp, 0);
-    fb.bin(acc, BinOp::Xor, acc, rv);
-    fb.jump(red.latch);
-    fb.switch_to(red.exit);
+    reduce(&mut fb, scratch, epochs, acc);
 
     filler(&mut fb, "crc", fill / 4, acc);
     let final_pos = fb.var("final_pos");

@@ -17,7 +17,7 @@
 
 use tls_ir::{BinOp, Module, ModuleBuilder};
 
-use crate::util::{churn, counted_loop, filler, input_data, rng, sized, v, warm};
+use crate::util::{churn, counted_loop, filler, input_data, reduce, rng, sized, v, warm};
 use crate::{InputSet, Scale};
 
 /// Build the workload.
@@ -100,15 +100,7 @@ pub fn build(input: InputSet, scale: Scale) -> Module {
     fb.store(res, dp, 0);
     fb.jump(region.latch);
     fb.switch_to(region.exit);
-    // Reduce the per-epoch results sequentially (small iterations: never
-    // selected as a region).
-    let red = counted_loop(&mut fb, "reduce", epochs);
-    let (rp, rv) = (fb.var("rp"), fb.var("rv"));
-    fb.bin(rp, BinOp::Add, scratch, red.i);
-    fb.load(rv, rp, 0);
-    fb.bin(acc, BinOp::Xor, acc, rv);
-    fb.jump(red.latch);
-    fb.switch_to(red.exit);
+    reduce(&mut fb, scratch, epochs, acc);
 
     filler(&mut fb, "post", fill / 2, acc);
     let fl = fb.var("fl");

@@ -9,9 +9,10 @@
 //! * [`filler`] — a flat loop with ~7 instructions per iteration, below the
 //!   paper's 15-instruction epoch-size floor, used to model the sequential
 //!   (non-parallelized) portion of each benchmark and thereby its region
-//!   coverage.
+//!   coverage; [`reduce`] is the sequential reduction of a region's
+//!   per-epoch results that most workloads run after it.
 
-use tls_ir::{BinOp, BlockId, FuncBuilder, Operand, Var};
+use tls_ir::{BinOp, BlockId, FuncBuilder, GlobalId, Operand, Var};
 
 use crate::{InputSet, Scale};
 
@@ -108,11 +109,24 @@ pub(crate) fn filler(fb: &mut FuncBuilder<'_>, name: &str, iters: i64, acc: Var)
     fb.switch_to(r.exit);
 }
 
+/// Emit a sequential loop that XORs `base[0..count]` into `acc` (cursor
+/// ends after the loop). Its ~5-instruction iterations are below the
+/// selection floor, so it is never chosen as a region.
+pub(crate) fn reduce(fb: &mut FuncBuilder<'_>, base: GlobalId, count: i64, acc: Var) {
+    let r = counted_loop(fb, "reduce", count);
+    let (rp, rv) = (fb.var("rp"), fb.var("rv"));
+    fb.bin(rp, BinOp::Add, base, r.i);
+    fb.load(rv, rp, 0);
+    fb.bin(acc, BinOp::Xor, acc, rv);
+    fb.jump(r.latch);
+    fb.switch_to(r.exit);
+}
+
 /// Emit a loop that touches every word of a global once (cursor moves past
 /// it). Models the earlier program phase that produced or read the data:
 /// without it every region access would be a cold main-memory miss, which
 /// swamps the differences between the synchronization schemes.
-pub(crate) fn warm(fb: &mut FuncBuilder<'_>, name: &str, base: tls_ir::GlobalId, words: i64) {
+pub(crate) fn warm(fb: &mut FuncBuilder<'_>, name: &str, base: GlobalId, words: i64) {
     let r = counted_loop(fb, name, words);
     let p = fb.var(format!("{name}_p"));
     let t = fb.var(format!("{name}_t"));
